@@ -3,8 +3,11 @@
 The raster samples cell centers of a regular grid on Phi = [0,1]^2 (bounds
 configurable), classifies each forward limit set, and stores one unsigned
 byte per cell (0 = undecided).  Identical inputs produce byte-identical
-rasters: cells are classified in row-major order with pure float
-arithmetic, so the output is reproducible and cacheable.
+rasters: all cells advance in lockstep with elementwise float arithmetic,
+in the scalar integrator's order of operations, so a cell's label does not
+depend on which cells share its batch; the last few cells finish in the
+scalar loop from their exact state.  The output is reproducible and
+cacheable.
 
 Raster file layout (version 1):
 
@@ -27,14 +30,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import __version__
 from .equilibria import all_equilibria
-from .flow import AttractorTag, IntegratorConfig, _targets, \
-    classify_omega_limit
+# classify_omega_limit is the per-cell reference of the lockstep raster;
+# perfbench/tracing.py wraps it here, as it does all_equilibria
+from .flow import IntegratorConfig, _context, _lockstep, classify_omega_limit
 from .manifolds import Separatrix
 from .model import Params
 
 MAGIC = b"PPBASIN1"
 FORMAT_VERSION = 1
+# Part of the cache key: bump it with any change that can move a label.
+ALGORITHM_VERSION = 1
 
 Bounds = tuple[tuple[float, float], tuple[float, float]]
 PHI: Bounds = ((0.0, 1.0), (0.0, 1.0))
@@ -69,7 +76,8 @@ class BasinRaster:
 def config_hash(p: Params, bounds: Bounds, resolution: int,
                 cfg: IntegratorConfig) -> str:
     """Stable digest of everything the raster depends on."""
-    key = (f"M={p.M!r};S={p.S!r};Q={p.Q!r};C={p.C!r};"
+    key = (f"version={__version__};algorithm={ALGORITHM_VERSION};"
+           f"M={p.M!r};S={p.S!r};Q={p.Q!r};C={p.C!r};"
            f"bounds={bounds!r};res={resolution};"
            f"rtol={cfg.rel_tol!r};atol={cfg.abs_tol!r};"
            f"max_step={cfg.max_step!r};tau_max={cfg.tau_max!r};"
@@ -100,33 +108,25 @@ def compute_basins(p: Params, resolution: int,
             if raster.config_hash == digest:
                 return raster
 
-    targets = _targets(p)
+    ctx = _context(p)
     codes: dict[str, int] = {}
     infos: list[AttractorInfo] = []
-    for t in targets:
+    for t in ctx.targets:
         if t.attracting:
             codes[t.id] = len(infos) + 1
             infos.append(AttractorInfo(len(infos) + 1, t.id, "equilibrium",
                                        (t.u, t.v)))
     cycle_code = len(infos) + 1
-    cycle_seen = False
 
     (u0, u1), (v0, v1) = bounds
     du = (u1 - u0) / resolution
     dv = (v1 - v0) / resolution
-    labels = np.zeros((resolution, resolution), dtype=np.uint8)
-    for i in range(resolution):
-        v = v0 + (i + 0.5) * dv
-        row = labels[i]
-        for j in range(resolution):
-            u = u0 + (j + 0.5) * du
-            lab = classify_omega_limit(p, (u, v), cfg, _targets_cache=targets)
-            if lab.tag is AttractorTag.EQUILIBRIUM:
-                row[j] = codes[lab.id]
-            elif lab.tag is AttractorTag.LIMIT_CYCLE:
-                row[j] = cycle_code
-                cycle_seen = True
-    if cycle_seen:
+    steps = np.arange(resolution) + 0.5
+    vs, us = np.meshgrid(v0 + steps * dv, u0 + steps * du, indexing="ij")
+    seeds = np.column_stack((us.ravel(), vs.ravel()))
+    labels = _lockstep(ctx, seeds, cfg, codes, cycle_code).reshape(
+        resolution, resolution)
+    if (labels == cycle_code).any():
         infos.append(AttractorInfo(cycle_code, "cycle", "cycle", None))
 
     raster = BasinRaster(p, bounds, resolution, labels, tuple(infos), digest)
@@ -208,30 +208,60 @@ def save_raster(raster: BasinRaster, path: str) -> None:
         "undecided_fraction": raster.undecided_fraction,
     }
     blob = json.dumps(header, sort_keys=True).encode()
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        fh.write(raster.labels.tobytes())
+    # write beside the target, then rename over it: a reader never sees a
+    # partly written raster
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", len(blob)))
+            fh.write(blob)
+            fh.write(raster.labels.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_raster(path: str) -> BasinRaster:
+    """Read a raster file, rejecting any that is malformed."""
     with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != MAGIC:
-            raise ValueError(f"not a basin raster file: bad magic {magic!r}")
-        (length,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(length).decode())
-        if header["version"] != FORMAT_VERSION:
-            raise ValueError(f"unsupported raster version {header['version']}")
-        res = header["resolution"]
-        data = fh.read(res * res)
-    labels = np.frombuffer(data, dtype=np.uint8).reshape(res, res).copy()
+        data = fh.read()
+    if data[:8] != MAGIC:
+        raise ValueError(f"not a basin raster file: bad magic {data[:8]!r}")
+    if len(data) < 12:
+        raise ValueError("truncated raster file: no header length")
+    (length,) = struct.unpack_from("<I", data, 8)
+    body = 12 + length
+    if len(data) < body:
+        raise ValueError(f"truncated raster file: header of {length} bytes "
+                         f"has {len(data) - 12}")
+    header = json.loads(data[12:body].decode())
+    if header["version"] != FORMAT_VERSION:
+        raise ValueError(f"unsupported raster version {header['version']}")
+    res = header["resolution"]
+    if not isinstance(res, int) or res < 1:
+        raise ValueError(f"bad raster resolution {res!r}")
+    size = len(data) - body
+    if size < res * res:
+        raise ValueError(f"truncated raster file: {size} label bytes, "
+                         f"expected {res * res}")
+    if size > res * res:
+        raise ValueError(f"{size - res * res} trailing bytes after the "
+                         f"{res * res} label bytes")
+    labels = np.frombuffer(data, dtype=np.uint8, offset=body).reshape(
+        res, res).copy()
     pd = header["params"]
     attractors = tuple(
         AttractorInfo(a["code"], a["id"], a["kind"],
                       tuple(a["location"]) if a["location"] else None)
         for a in header["attractors"])
+    unknown = set(np.unique(labels).tolist()) - {0} - {
+        a.code for a in attractors}
+    if unknown:
+        raise ValueError(f"label bytes {sorted(unknown)} are neither 0 nor "
+                         f"an attractor code")
     bounds = (tuple(header["bounds"][0]), tuple(header["bounds"][1]))
     return BasinRaster(Params(pd["M"], pd["S"], pd["Q"], pd["C"]), bounds,
                        res, labels, attractors, header["config_hash"])

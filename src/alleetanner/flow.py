@@ -15,6 +15,10 @@ Termination events, checked after every accepted step:
   interior equilibrium and is transversal to the flow elsewhere) form a
   geometrically contracting sequence within ``rho_cyc``,
 * horizon ``tau_max`` exceeded, domain exit, or step-size underflow.
+
+Basin rasters run many seeds at once (``_lockstep``): the same attempts
+and events on numpy arrays, elementwise in the same order, so each seed
+gets the bytes it would get alone.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -53,6 +58,8 @@ _P5 = (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
 _P6 = (0.0, -282668133 / 205662961, 2019193451 / 616988883,
        -1453857185 / 822651844)
 _P7 = (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423)
+# The same, one row per stage (k1, k3..k7), for (6, n) weight arrays.
+_P = np.array((_P1, _P3, _P4, _P5, _P6, _P7))[:, :, None]
 
 # Successive return-map differences must shrink at least this fast before a
 # cycle is declared; a slow drift toward a boundary contour has ratio -> 1.
@@ -121,8 +128,61 @@ class Trajectory:
     cycle: Cycle | None = None
 
 
+def _dp_attempt(f, h, u0, v0, k1u, k1v):
+    """One Dormand-Prince attempt of size ``h`` from (u0, v0).
+
+    Returns the 5th-order endpoint, the embedded error estimate and the
+    stages (k1, k3..k7) the dense output needs.  Pure arithmetic: floats or
+    equal-shape arrays, elementwise in the same order, so the lockstep
+    raster reproduces the scalar stepper's bytes.
+    """
+    ha = h * _A21
+    k2u, k2v = f(u0 + ha * k1u, v0 + ha * k1v)
+    k3u, k3v = f(u0 + h * (_A31 * k1u + _A32 * k2u),
+                 v0 + h * (_A31 * k1v + _A32 * k2v))
+    k4u, k4v = f(u0 + h * (_A41 * k1u + _A42 * k2u + _A43 * k3u),
+                 v0 + h * (_A41 * k1v + _A42 * k2v + _A43 * k3v))
+    k5u, k5v = f(
+        u0 + h * (_A51 * k1u + _A52 * k2u + _A53 * k3u + _A54 * k4u),
+        v0 + h * (_A51 * k1v + _A52 * k2v + _A53 * k3v + _A54 * k4v))
+    k6u, k6v = f(
+        u0 + h * (_A61 * k1u + _A62 * k2u + _A63 * k3u
+                  + _A64 * k4u + _A65 * k5u),
+        v0 + h * (_A61 * k1v + _A62 * k2v + _A63 * k3v
+                  + _A64 * k4v + _A65 * k5v))
+    du = _B1 * k1u + _B3 * k3u + _B4 * k4u + _B5 * k5u + _B6 * k6u
+    dv = _B1 * k1v + _B3 * k3v + _B4 * k4v + _B5 * k5v + _B6 * k6v
+    u5 = u0 + h * du
+    v5 = v0 + h * dv
+    k7u, k7v = f(u5, v5)
+    eu = h * (_E1 * k1u + _E3 * k3u + _E4 * k4u + _E5 * k5u
+              + _E6 * k6u + _E7 * k7u)
+    ev = h * (_E1 * k1v + _E3 * k3v + _E4 * k4v + _E5 * k5v
+              + _E6 * k6v + _E7 * k7v)
+    return u5, v5, eu, ev, (k1u, k1v, k3u, k3v, k4u, k4v, k5u, k5v,
+                            k6u, k6v, k7u, k7v)
+
+
+def _initial_step(u, v, k1u, k1v, cfg: IntegratorConfig,
+                  tau_end: float) -> float:
+    scu = cfg.abs_tol + cfg.rel_tol * abs(u)
+    scv = cfg.abs_tol + cfg.rel_tol * abs(v)
+    d0 = math.hypot(u / scu, v / scv)
+    d1 = math.hypot(k1u / scu, k1v / scv)
+    if d0 < 1e-5 or d1 < 1e-5:
+        h0 = 1e-6
+    else:
+        h0 = 0.01 * d0 / d1
+    return min(h0, cfg.max_step, max(tau_end, 1e-12))
+
+
 class _Stepper:
-    """Scalar Dormand-Prince 5(4) stepper for a planar field."""
+    """Scalar Dormand-Prince 5(4) stepper for a planar field.
+
+    ``tau``, ``k1`` and ``h`` resume a trajectory mid-way: the stepper then
+    continues from time ``tau`` at state ``s0`` with FSAL derivative ``k1``
+    and next (or retried) step size ``h``, as if it had got there itself.
+    """
 
     RUNNING, DONE, UNDERFLOW = 0, 1, 2
 
@@ -131,32 +191,24 @@ class _Stepper:
                  "prev_v", "h_last", "ks", "quadrant")
 
     def __init__(self, f, s0: State, cfg: IntegratorConfig, tau_end: float,
-                 quadrant: bool = True):
+                 quadrant: bool = True, *, tau: float = 0.0,
+                 k1: tuple[float, float] | None = None,
+                 h: float | None = None):
         self.f = f
         self.quadrant = quadrant
-        self.tau = 0.0
+        self.tau = tau
         self.u, self.v = float(s0[0]), float(s0[1])
-        self.k1u, self.k1v = f(self.u, self.v)
+        self.k1u, self.k1v = f(self.u, self.v) if k1 is None else k1
         self.rtol, self.atol = cfg.rel_tol, cfg.abs_tol
         self.max_step = cfg.max_step
         self.tau_end = tau_end
         self.status = self.RUNNING
-        self.prev_tau = 0.0
+        self.prev_tau = tau
         self.prev_u, self.prev_v = self.u, self.v
         self.h_last = 0.0
         self.ks = None
-        self.h = self._initial_step()
-
-    def _initial_step(self) -> float:
-        scu = self.atol + self.rtol * abs(self.u)
-        scv = self.atol + self.rtol * abs(self.v)
-        d0 = math.hypot(self.u / scu, self.v / scv)
-        d1 = math.hypot(self.k1u / scu, self.k1v / scv)
-        if d0 < 1e-5 or d1 < 1e-5:
-            h0 = 1e-6
-        else:
-            h0 = 0.01 * d0 / d1
-        return min(h0, self.max_step, max(self.tau_end, 1e-12))
+        self.h = (_initial_step(self.u, self.v, self.k1u, self.k1v, cfg,
+                                tau_end) if h is None else h)
 
     def step(self) -> bool:
         """Advance one accepted step; False on horizon/underflow."""
@@ -175,31 +227,10 @@ class _Stepper:
                 self.status = self.UNDERFLOW
                 return False
             try:
-                k2u, k2v = f(u0 + h * _A21 * k1u, v0 + h * _A21 * k1v)
-                k3u, k3v = f(u0 + h * (_A31 * k1u + _A32 * k2u),
-                             v0 + h * (_A31 * k1v + _A32 * k2v))
-                k4u, k4v = f(u0 + h * (_A41 * k1u + _A42 * k2u + _A43 * k3u),
-                             v0 + h * (_A41 * k1v + _A42 * k2v + _A43 * k3v))
-                k5u, k5v = f(
-                    u0 + h * (_A51 * k1u + _A52 * k2u + _A53 * k3u + _A54 * k4u),
-                    v0 + h * (_A51 * k1v + _A52 * k2v + _A53 * k3v + _A54 * k4v))
-                k6u, k6v = f(
-                    u0 + h * (_A61 * k1u + _A62 * k2u + _A63 * k3u
-                              + _A64 * k4u + _A65 * k5u),
-                    v0 + h * (_A61 * k1v + _A62 * k2v + _A63 * k3v
-                              + _A64 * k4v + _A65 * k5v))
-                du = _B1 * k1u + _B3 * k3u + _B4 * k4u + _B5 * k5u + _B6 * k6u
-                dv = _B1 * k1v + _B3 * k3v + _B4 * k4v + _B5 * k5v + _B6 * k6v
-                u5 = u0 + h * du
-                v5 = v0 + h * dv
-                k7u, k7v = f(u5, v5)
+                u5, v5, eu, ev, ks = _dp_attempt(f, h, u0, v0, k1u, k1v)
             except ZeroDivisionError:
                 h *= 0.25
                 continue
-            eu = h * (_E1 * k1u + _E3 * k3u + _E4 * k4u + _E5 * k5u
-                      + _E6 * k6u + _E7 * k7u)
-            ev = h * (_E1 * k1v + _E3 * k3v + _E4 * k4v + _E5 * k5v
-                      + _E6 * k6v + _E7 * k7v)
             au0, au5 = abs(u0), abs(u5)
             av0, av5 = abs(v0), abs(v5)
             scu = atol + rtol * (au0 if au0 > au5 else au5)
@@ -219,10 +250,10 @@ class _Stepper:
             break
         self.prev_tau, self.prev_u, self.prev_v = self.tau, u0, v0
         self.h_last = h
-        self.ks = (k1u, k1v, k3u, k3v, k4u, k4v, k5u, k5v, k6u, k6v, k7u, k7v)
+        self.ks = ks
         self.tau = self.tau + h
         self.u, self.v = u5, v5
-        self.k1u, self.k1v = k7u, k7v
+        self.k1u, self.k1v = ks[10], ks[11]
         if errn == 0.0:
             factor = _MAX_FACTOR
         else:
@@ -260,25 +291,40 @@ class _EqTarget:
         self.attracting = attracting
 
 
-def _targets(p: Params) -> list[_EqTarget]:
-    out = []
-    for eq in all_equilibria(p):
-        if not eq.in_domain:
-            continue
-        cls = classify(p, eq)
-        out.append(_EqTarget(eq.id, eq.location[0], eq.location[1],
-                             cls.attracting))
-    return out
+class _Context(NamedTuple):
+    """Per-parameter work shared by every trajectory at one ``Params``."""
+
+    p: Params
+    f: Callable
+    targets: list[_EqTarget]      # in-domain equilibria, in table order
+    anchor: float | None          # prey value of the section's anchor root
 
 
-def _anchor(p: Params) -> float | None:
-    """Prey value of the interior root anchoring the Poincare section."""
-    best = None
+def _context(p: Params) -> _Context:
+    targets = []
+    anchor = None
     for eq in all_equilibria(p):
         if eq.kind in (EquilibriumKind.INTERIOR_HIGH,
                        EquilibriumKind.INTERIOR_DOUBLE):
-            best = eq.location[0]
-    return best
+            anchor = eq.location[0]
+        if eq.in_domain:
+            targets.append(_EqTarget(eq.id, eq.location[0], eq.location[1],
+                                     classify(p, eq).attracting))
+    return _Context(p, field_closure(p), targets, anchor)
+
+
+def _target_within(targets: list[_EqTarget], rho2: float, u: float,
+                   v: float) -> _EqTarget | None:
+    """First target within sqrt(rho2) of (u, v)."""
+    for t in targets:
+        if (u - t.u) ** 2 + (v - t.v) ** 2 <= rho2:
+            return t
+    return None
+
+
+def _exit_box(u0: float, v0: float, C: float) -> tuple[float, float]:
+    """Prey and predator bounds beyond which a trajectory has left."""
+    return max(10.0, 2.0 * (u0 + 1.0)), max(10.0, 2.0 * (v0 + 1.0 + C))
 
 
 class _Drive:
@@ -313,23 +359,33 @@ def _refine_crossing(stepper: _Stepper, C: float) -> tuple[float, float, float]:
     return hi, u, v
 
 
-def _drive(p: Params, s0: State, cfg: IntegratorConfig, *,
-           want_samples: bool, want_cycle: bool,
-           targets: list[_EqTarget] | None = None) -> _Drive:
+def _drive(ctx: _Context, s0: State, cfg: IntegratorConfig, *,
+           want_samples: bool, want_cycle: bool, resume=None) -> _Drive:
+    """Integrate from the seed ``s0`` until an event.
+
+    ``resume = (stepper, prev_cross_u, prev_cross_tau, prev_delta)``
+    continues a trajectory from ``s0`` that was advanced elsewhere: the
+    seed test is skipped, and samples and the cycle segment start at the
+    stepper's state.
+    """
     res = _Drive()
-    f = field_closure(p)
-    if targets is None:
-        targets = _targets(p)
-    anchor = _anchor(p) if want_cycle else None
-    C = p.C
+    targets = ctx.targets
+    anchor = ctx.anchor if want_cycle else None
+    C = ctx.p.C
     u0, v0 = float(s0[0]), float(s0[1])
-    exit_u = max(10.0, 2.0 * (u0 + 1.0))
-    exit_v = max(10.0, 2.0 * (v0 + 1.0 + C))
+    exit_u, exit_v = _exit_box(u0, v0, C)
     rho = cfg.rho_eq
     rho2 = rho * rho
 
-    samples = [(0.0, u0, v0)] if want_samples else None
-    segment = [(u0, v0)] if anchor is not None else None
+    if resume is None:
+        stepper = None
+        prev_cross_u, prev_cross_tau, prev_delta = None, 0.0, None
+        start = (0.0, u0, v0)
+    else:
+        stepper, prev_cross_u, prev_cross_tau, prev_delta = resume
+        start = (stepper.tau, stepper.u, stepper.v)
+    samples = [start] if want_samples else None
+    segment = [start[1:]] if anchor is not None else None
 
     def finish(term, eq_id=None):
         res.termination = term
@@ -339,17 +395,14 @@ def _drive(p: Params, s0: State, cfg: IntegratorConfig, *,
             res.states = np.array([[s[1], s[2]] for s in samples])
         return res
 
-    # the seed itself may already sit on an equilibrium
-    fu, fv = f(u0, v0)
-    if math.hypot(fu, fv) < rho:
-        for t in targets:
-            if (u0 - t.u) ** 2 + (v0 - t.v) ** 2 <= rho2:
+    if stepper is None:
+        # the seed itself may already sit on an equilibrium
+        fu, fv = ctx.f(u0, v0)
+        if math.hypot(fu, fv) < rho:
+            t = _target_within(targets, rho2, u0, v0)
+            if t is not None:
                 return finish(Termination.REACHED_EQUILIBRIUM, t.id)
-
-    stepper = _Stepper(f, (u0, v0), cfg, cfg.tau_max)
-    prev_cross_u = None
-    prev_cross_tau = 0.0
-    prev_delta = None
+        stepper = _Stepper(ctx.f, (u0, v0), cfg, cfg.tau_max)
 
     while stepper.step():
         u1, v1 = stepper.u, stepper.v
@@ -360,9 +413,9 @@ def _drive(p: Params, s0: State, cfg: IntegratorConfig, *,
         if u1 > exit_u or v1 > exit_v:
             return finish(Termination.LEFT_DOMAIN)
         if math.hypot(stepper.k1u, stepper.k1v) < rho:
-            for t in targets:
-                if (u1 - t.u) ** 2 + (v1 - t.v) ** 2 <= rho2:
-                    return finish(Termination.REACHED_EQUILIBRIUM, t.id)
+            t = _target_within(targets, rho2, u1, v1)
+            if t is not None:
+                return finish(Termination.REACHED_EQUILIBRIUM, t.id)
         if anchor is None:
             continue
         g0 = stepper.prev_v - stepper.prev_u - C
@@ -396,6 +449,261 @@ def _drive(p: Params, s0: State, cfg: IntegratorConfig, *,
     return finish(Termination.HORIZON_EXCEEDED)
 
 
+# Lockstep raster integration.  Every live cell takes one Dormand-Prince
+# attempt per iteration with its own step size; the events of ``_drive``
+# are applied in the same order with the same elementwise arithmetic, so
+# each cell gets the bytes the scalar path gives it, whichever cells share
+# its batch.
+#
+# An iteration makes ~280 numpy calls whatever the batch size: on a
+# 2-vCPU x86 VM it costs ~330 us at 16-96 live cells, while the scalar loop
+# takes ~10.5 us per step attempt with its events, so lockstep wins from
+# about 36 live cells (0.76x the scalar speed at 32, 1.30x at 48).  At this
+# many live cells or fewer the rest continue in the scalar loop, each from
+# its exact lockstep state.
+_HANDOVER = 40
+# Cells advanced together; pending cells refill the pool as cells finish,
+# which bounds the working set.  On the same VM the CLI's peak RSS for a
+# 73^2 raster is 2.6 MB above the scalar path's (4.7 MB with 4096 cells,
+# which take 5-10% less time); a 400^2 raster peaks at 41 MB.
+_POOL = 2048
+# A section crossing waits, with its step, until this many wait, its cell
+# crosses again or is handed over, or its cell ends while the crossing
+# could still have ended it first.  On the same VM a numpy bisection pass
+# costs 1.2-1.8 ms for up to 64 cells and 4.3 ms for 256 (17 us a cell),
+# a scalar one ~70 us per cell.
+_SETTLE = 256
+# np.hypot and np.square may differ from math.hypot and ** in the last
+# bit: cells within this factor of the field-norm and distance thresholds
+# are retested with the scalar path's expressions.
+_NEAR = 1.0 + 1e-9
+
+# Rows of the lockstep state, one column per live cell: time, state, FSAL
+# derivative, next step size, exit box, last section crossing (prey and
+# time) and last crossing difference (NaN for None); then a crossing that
+# waits: its step's start time (NaN for none), start state, size and
+# stages k1, k3..k7.
+(_TAU, _U, _V, _K1U, _K1V, _H, _XU, _XV, _PCU, _PCT, _PD,
+ _QT, _QU, _QV, _QH, _QK) = range(16)
+_ROWS = _QK + 12
+
+
+def _bisect_crossings(C: float, prev_tau, prev, h, K):
+    """``_refine_crossing`` on arrays: the same halvings of each step, with
+    ``state_at``'s operations per element.  ``prev`` is (2, n), ``K`` the
+    stages k1, k3..k7 as (6, 2, n).  Returns crossing times and prey values.
+    """
+    def state_at(tau_q, prev_tau, prev, h, K):
+        th = (tau_q - prev_tau) / h
+        b = th * (_P[:, 0] + th * (_P[:, 1] + th * (_P[:, 2] + th * _P[:, 3])))
+        terms = b[:, None, :] * K
+        acc = terms[0] + terms[1]
+        for term in terms[2:]:
+            acc += term
+        return prev + h * acc
+
+    # A halving that moves neither end is a fixed point of the next ones:
+    # such cells leave with their bracket as it will stay.
+    tau_c = np.empty(len(h))
+    cells = np.arange(len(h))
+    lo, hi = prev_tau, prev_tau + h
+    now = prev_tau, prev, h, K
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        u, v = state_at(mid, *now)
+        below = v - u - C < 0.0
+        moved = below & (mid != lo) | ~below & (mid != hi)
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+        if not moved.all():
+            tau_c[cells[~moved]] = hi[~moved]
+            cells, lo, hi = cells[moved], lo[moved], hi[moved]
+            now = tuple(a[..., moved] for a in now)
+            if not len(cells):
+                break
+    tau_c[cells] = hi
+    return tau_c, state_at(tau_c, prev_tau, prev, h, K)[0]
+
+
+def _lockstep(ctx: _Context, seeds: np.ndarray, cfg: IntegratorConfig,
+              codes: dict[str, int], cycle_code: int) -> np.ndarray:
+    """Label code of the forward limit set of each row of ``seeds``.
+
+    ``codes`` maps the ids of attracting equilibria to their codes; other
+    equilibria, the horizon, underflow and domain exit give 0.  Equal to
+    :func:`classify_omega_limit` cell by cell, byte for byte, except at a
+    seed on the singular line u = -C, where that raises ZeroDivisionError
+    and this gives 0 (step-size underflow).
+    """
+    n = len(seeds)
+    labels = np.zeros(n, dtype=np.uint8)
+    f, targets, anchor, C = ctx.f, ctx.targets, ctx.anchor, ctx.p.C
+    rho = cfg.rho_eq
+    rho2 = rho * rho
+    tau_end, rtol, atol = cfg.tau_max, cfg.rel_tol, cfg.abs_tol
+
+    def admit(lo: int, hi: int):
+        """State columns of seeds lo..hi-1 that do not start on a target."""
+        us, vs = seeds[lo:hi, 0], seeds[lo:hi, 1]
+        kus, kvs = f(us, vs)
+        block = np.full((_ROWS, hi - lo), math.nan)
+        block[_TAU] = block[_PCT] = 0.0
+        block[_U], block[_V], block[_K1U], block[_K1V] = us, vs, kus, kvs
+        keep = np.ones(hi - lo, dtype=bool)
+        for i, (u, v, ku, kv) in enumerate(zip(us.tolist(), vs.tolist(),
+                                               kus.tolist(), kvs.tolist())):
+            if math.hypot(ku, kv) < rho:
+                t = _target_within(targets, rho2, u, v)
+                if t is not None:
+                    labels[lo + i] = codes.get(t.id, 0)
+                    keep[i] = False
+                    continue
+            block[_H, i] = _initial_step(u, v, ku, kv, cfg, tau_end)
+            block[_XU, i], block[_XV, i] = _exit_box(u, v, C)
+        return block[:, keep], np.arange(lo, hi)[keep]
+
+    def cross(state, cols, tau_c, u_c):
+        """The section test of ``_drive`` for crossings of cells ``cols``;
+        returns the mask of those whose return map has converged."""
+        last_u, last_delta = state[_PCU, cols], state[_PD, cols]
+        delta = u_c - last_u              # NaN while there is none
+        side = u_c > anchor
+        cycle = (side
+                 & (np.abs(delta) < cfg.rho_cyc)
+                 & (np.abs(last_delta) < 10.0 * cfg.rho_cyc)
+                 & (np.abs(delta) <= _CYCLE_CONTRACTION * np.abs(last_delta))
+                 & (np.abs(u_c - anchor) >= cfg.min_cycle_radius))
+        moved = side & ~cycle
+        again = moved & ~np.isnan(last_u)
+        state[_PD, cols[again]] = delta[again]
+        state[_PCU, cols[moved]] = u_c[moved]
+        state[_PCT, cols[moved]] = tau_c[moved]
+        return cycle
+
+    def settle(state, done, cols):
+        """Bisect the waiting crossings of cells ``cols`` and apply them in
+        turn.  A return map found converged ends its cell as a cycle, at
+        that crossing, whatever the cell did after it."""
+        if len(cols):
+            q = state[:, cols]
+            cycle = cross(state, cols, *_bisect_crossings(
+                C, q[_QT], q[_QU:_QH], q[_QH], q[_QK:].reshape(6, 2, -1)))
+            labels[cells[cols[cycle]]] = cycle_code
+            done[cols[cycle]] = True
+            state[_QT, cols] = math.nan
+
+    state = np.empty((_ROWS, 0))
+    cells = np.empty(0, dtype=np.intp)
+    pending = 0
+    with np.errstate(all="ignore"):
+        while True:
+            if pending < n and state.shape[1] < _POOL:
+                stop = min(n, pending + _POOL - state.shape[1])
+                block, idx = admit(pending, stop)
+                pending = stop
+                state = np.concatenate((state, block), axis=1)
+                cells = np.concatenate((cells, idx))
+            if pending == n and state.shape[1] <= _HANDOVER:
+                break
+            tau, u0, v0 = state[_TAU], state[_U], state[_V]
+            h = np.minimum(np.minimum(state[_H], cfg.max_step),
+                           tau_end - tau)
+            # horizon or step underflow: Undecided, label stays 0
+            done = ((tau >= tau_end)
+                    | (h <= 1e-13 * np.maximum(1.0, np.abs(tau))))
+            u5, v5, eu, ev, ks = _dp_attempt(f, h, u0, v0, state[_K1U],
+                                             state[_K1V])
+            scu = atol + rtol * np.maximum(np.abs(u0), np.abs(u5))
+            scv = atol + rtol * np.maximum(np.abs(v0), np.abs(v5))
+            ru, rv = eu / scu, ev / scv
+            errn = np.sqrt(0.5 * (ru * ru + rv * rv))
+            # float_power calls the C library's pow, as Python's ** does;
+            # np.power may use a SIMD pow that differs in the last bit
+            grow = _SAFETY * np.float_power(errn, -0.2)
+            # a division by zero in a stage shows here as a non-finite
+            # norm, which the scalar path rejects by the same factor
+            bad = ~np.isfinite(errn)
+            big = errn > 1.0
+            acc = ~(done | bad | big | (u5 < 0.0) | (v5 < 0.0))
+            factor = np.where(
+                acc,
+                np.where(errn == 0.0, _MAX_FACTOR,
+                         np.minimum(_MAX_FACTOR,
+                                    np.maximum(_MIN_FACTOR, grow))),
+                np.where(bad, 0.25,
+                         np.where(big, np.maximum(_MIN_FACTOR, grow), 0.5)))
+            k7u, k7v = ks[10], ks[11]
+
+            left = acc & ((u5 > state[_XU]) | (v5 > state[_XV]))
+            done |= left
+            near = acc & ~left & (np.hypot(k7u, k7v) < rho * _NEAR)
+            if near.any():
+                close = np.zeros_like(near)
+                for t in targets:
+                    close |= ((u5 - t.u) ** 2 + (v5 - t.v) ** 2
+                              <= rho2 * _NEAR)
+                near &= close
+            for j in np.flatnonzero(near).tolist():
+                if math.hypot(float(k7u[j]), float(k7v[j])) < rho:
+                    t = _target_within(targets, rho2, float(u5[j]),
+                                       float(v5[j]))
+                    if t is not None:
+                        labels[cells[j]] = codes.get(t.id, 0)
+                        done[j] = True
+            if anchor is not None:
+                waiting = ~np.isnan(state[_QT])
+                g0 = v0 - u0 - C
+                g1 = v5 - u5 - C
+                ci = np.flatnonzero(acc & ~done & (g0 < 0.0) & (g1 >= 0.0))
+                if waiting[ci].any():
+                    # a cell crosses again: its earlier crossing goes first
+                    settle(state, done, np.flatnonzero(waiting))
+                    waiting[:] = False
+                    ci = ci[~done[ci]]
+                if len(ci):
+                    state[_QT, ci] = tau[ci]
+                    state[_QU, ci] = u0[ci]
+                    state[_QV, ci] = v0[ci]
+                    state[_QH, ci] = h[ci]
+                    state[_QK:, ci] = np.stack([k[ci] for k in ks])
+                    waiting[ci] = True
+                if np.count_nonzero(waiting) >= _SETTLE:
+                    settle(state, done, np.flatnonzero(waiting))
+                else:
+                    # only a crossing whose cell's last difference is small
+                    # can have ended a cell that ends now
+                    settle(state, done, np.flatnonzero(
+                        done & waiting
+                        & (np.abs(state[_PD]) < 10.0 * cfg.rho_cyc)))
+
+            state[_H] = h * factor
+            for row, new in ((_TAU, tau + h), (_U, u5), (_V, v5),
+                             (_K1U, k7u), (_K1V, k7v)):
+                np.copyto(state[row], new, where=acc)
+            if done.any():
+                state = state[:, ~done]
+                cells = cells[~done]
+        done = np.zeros(state.shape[1], dtype=bool)
+        settle(state, done, np.flatnonzero(~np.isnan(state[_QT])))
+        state, cells = state[:, ~done], cells[~done]
+
+    for col, cell in zip(state[:_QT].T.tolist(), cells.tolist()):
+        tau, u, v, k1u, k1v, h, _, _, last_u, last_tau, last_delta = col
+        stepper = _Stepper(f, (u, v), cfg, tau_end, tau=tau, k1=(k1u, k1v),
+                           h=h)
+        res = _drive(ctx, seeds[cell], cfg, want_samples=False,
+                     want_cycle=True,
+                     resume=(stepper,
+                             None if math.isnan(last_u) else last_u,
+                             last_tau,
+                             None if math.isnan(last_delta) else last_delta))
+        if res.termination is Termination.REACHED_EQUILIBRIUM:
+            labels[cell] = codes.get(res.equilibrium_id, 0)
+        elif res.termination is Termination.REACHED_CYCLE:
+            labels[cell] = cycle_code
+    return labels
+
+
 def integrate(p: Params, s0: State, cfg: IntegratorConfig | None = None) -> Trajectory:
     """Integrate from ``s0`` until an event or the horizon.
 
@@ -403,7 +711,7 @@ def integrate(p: Params, s0: State, cfg: IntegratorConfig | None = None) -> Traj
     reported via the termination tag, never silently looped over.
     """
     cfg = cfg or IntegratorConfig()
-    res = _drive(p, s0, cfg, want_samples=True, want_cycle=True)
+    res = _drive(_context(p), s0, cfg, want_samples=True, want_cycle=True)
     cycle = None
     if res.termination is Termination.REACHED_CYCLE:
         poly = np.array(res.cycle_segment)
@@ -414,8 +722,7 @@ def integrate(p: Params, s0: State, cfg: IntegratorConfig | None = None) -> Traj
 
 
 def classify_omega_limit(p: Params, s0: State,
-                         cfg: IntegratorConfig | None = None,
-                         _targets_cache: list[_EqTarget] | None = None
+                         cfg: IntegratorConfig | None = None
                          ) -> AttractorLabel:
     """Classify the forward limit set of ``s0``.
 
@@ -425,11 +732,10 @@ def classify_omega_limit(p: Params, s0: State,
     interior equilibrium, and Undecided at the horizon or on underflow.
     """
     cfg = cfg or IntegratorConfig()
-    targets = _targets_cache if _targets_cache is not None else _targets(p)
-    res = _drive(p, s0, cfg, want_samples=False, want_cycle=True,
-                 targets=targets)
+    ctx = _context(p)
+    res = _drive(ctx, s0, cfg, want_samples=False, want_cycle=True)
     if res.termination is Termination.REACHED_EQUILIBRIUM:
-        for t in targets:
+        for t in ctx.targets:
             if t.id == res.equilibrium_id and t.attracting:
                 return AttractorLabel(AttractorTag.EQUILIBRIUM, t.id)
         return AttractorLabel.undecided()
@@ -448,9 +754,10 @@ def find_limit_cycle(p: Params, seed: State,
     equilibrium or the horizon, or when no interior anchor exists.
     """
     cfg = cfg or IntegratorConfig()
-    if _anchor(p) is None:
+    ctx = _context(p)
+    if ctx.anchor is None:
         return None
-    res = _drive(p, seed, cfg, want_samples=False, want_cycle=True)
+    res = _drive(ctx, seed, cfg, want_samples=False, want_cycle=True)
     if res.termination is not Termination.REACHED_CYCLE:
         return None
     return Cycle(res.cycle_period, np.array(res.cycle_segment),

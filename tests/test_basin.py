@@ -129,3 +129,42 @@ def test_fraction_refinement_converges(raster_bistable_100,
 def test_bad_resolution_rejected():
     with pytest.raises(ValueError):
         compute_basins(EXTINCTION, 0, FAST_CFG)
+
+
+def _saved(tmp_path):
+    path = tmp_path / "r.bin"
+    save_raster(compute_basins(EXTINCTION, 4, FAST_CFG), str(path))
+    return path
+
+
+def test_load_rejects_unknown_label_byte(tmp_path):
+    path = _saved(tmp_path)
+    data = bytearray(path.read_bytes())
+    data[-1] = 99
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match="neither 0 nor an attractor code"):
+        load_raster(str(path))
+
+
+def test_load_rejects_trailing_bytes(tmp_path):
+    path = _saved(tmp_path)
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(ValueError, match="trailing bytes"):
+        load_raster(str(path))
+
+
+def test_load_rejects_truncated_file(tmp_path):
+    path = _saved(tmp_path)
+    data = path.read_bytes()
+    for cut in (1, 16, len(data) - 10):
+        path.write_bytes(data[:-cut])
+        with pytest.raises(ValueError, match="truncated"):
+            load_raster(str(path))
+
+
+def test_config_hash_sensitive_to_algorithm_version(monkeypatch):
+    from alleetanner import basin
+    h1 = config_hash(BISTABLE, basin.PHI, 50, IntegratorConfig())
+    monkeypatch.setattr(basin, "ALGORITHM_VERSION",
+                        basin.ALGORITHM_VERSION + 1)
+    assert config_hash(BISTABLE, basin.PHI, 50, IntegratorConfig()) != h1
