@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import struct
 from dataclasses import dataclass
@@ -94,7 +93,8 @@ def compute_basins(p: Params, resolution: int,
 
     Deterministic for fixed (p, resolution, cfg, bounds).  When
     ``cache_dir`` is given, a previously stored raster with the same
-    configuration hash is loaded instead of recomputed.
+    configuration hash is loaded instead of recomputed; an entry that
+    fails to load is recomputed and replaced.
     """
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
@@ -103,10 +103,12 @@ def compute_basins(p: Params, resolution: int,
     cache_path = None
     if cache_dir is not None:
         cache_path = os.path.join(cache_dir, f"basin_{digest[:16]}.bin")
-        if os.path.exists(cache_path):
+        try:
             raster = load_raster(cache_path)
-            if raster.config_hash == digest:
-                return raster
+        except (FileNotFoundError, ValueError):
+            raster = None   # no entry, or a corrupt one to replace
+        if raster is not None and raster.config_hash == digest:
+            return raster
 
     ctx = _context(p)
     codes: dict[str, int] = {}

@@ -19,12 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibria import CaseLabel, case_label, discriminant, \
-    interior_equilibria
-from .flow import AttractorTag, IntegratorConfig, find_limit_cycle
+from .equilibria import CaseLabel, case_label, interior_equilibria
+from .flow import IntegratorConfig, find_limit_cycle
 from .manifolds import GapUndefinedError, homoclinic_gap
-from .model import EPS_CASE, Params, jacobian, vector_field
-from .stability import hopf_threshold, is_global_extinction, threshold_S2
+from .model import Params, jacobian
+from .stability import hopf_threshold, is_global_extinction
 
 
 class DegenerateSaddleNodeError(RuntimeError):
@@ -193,15 +192,15 @@ def region_classify(p: Params, cfg: IntegratorConfig | None = None,
 
 
 def sotomayor_check(q: float, c: float, s: float = 0.2,
-                    m: float | None = None,
-                    step: float = 1e-5) -> tuple[float, float]:
-    """Finite-difference transversality scalars at the saddle-node point.
+                    m: float | None = None) -> tuple[float, float]:
+    """Transversality scalars at the saddle-node point.
 
     Computes t1 = w . dF/dQ and t2 = w . D^2F(U, U) on the full vector
     field at the fold equilibrium, where w and U are the left and right
-    kernel vectors of the Jacobian.  Both must be nonzero for a generic
-    fold.  Raises DegenerateSaddleNodeError when the zero eigenvalue is
-    missing or not simple.
+    kernel vectors of the Jacobian, from the exact derivatives: dF/dQ =
+    (-u v, 0) and D^2F from the Hessians of both components.  Both must
+    be nonzero for a generic fold.  Raises DegenerateSaddleNodeError when
+    the zero eigenvalue is missing or not simple.
     """
     if m is None:
         m, _ = bt_point(q, c)
@@ -230,16 +229,13 @@ def sotomayor_check(q: float, c: float, s: float = 0.2,
     if np.linalg.norm(J.T @ W) > 1e-8:
         raise DegenerateSaddleNodeError("left kernel vector residual too large")
 
-    fp = np.array(vector_field(Params(m, s, q + step, c), x))
-    fm = np.array(vector_field(Params(m, s, q - step, c), x))
-    t1 = float(W @ ((fp - fm) / (2.0 * step)))
-
-    xp = (x[0] + step * U[0], x[1] + step * U[1])
-    xm = (x[0] - step * U[0], x[1] - step * U[1])
-    f0 = np.array(vector_field(p, x))
-    d2 = (np.array(vector_field(p, xp)) - 2.0 * f0
-          + np.array(vector_field(p, xm))) / (step * step)
-    t2 = float(W @ d2)
+    u, v = x
+    r = v / (u + c)
+    # Hessians of u((1 - u)(u - M) - Qv) and S v (u - v + C)/(u + C)
+    h1 = np.array([[2.0 * (1.0 + m) - 6.0 * u, -q], [-q, 0.0]])
+    h2 = 2.0 * s / (u + c) * np.array([[-r * r, r], [r, -1.0]])
+    t1 = float(W[0] * (-u * v))
+    t2 = float(W @ (U @ h1 @ U, U @ h2 @ U))
     return t1, t2
 
 

@@ -26,13 +26,13 @@ import numpy as np
 
 from . import __version__
 from .basin import basin_fractions, compute_basins, config_hash, save_raster
-from .bifurcation import RegionLabel, compute_diagram, region_classify
+from .bifurcation import compute_diagram, region_classify
 from .equilibria import all_equilibria, case_label
 from .flow import IntegratorConfig, find_limit_cycle, integrate
 from .manifolds import GapUndefinedError, separatrix
 from .model import DimensionalParams, ParameterError, Params, \
     nondimensionalize, validate_params
-from .stability import ThresholdUndefinedError, classify, hopf_threshold, \
+from .stability import ThresholdUndefinedError, classify, \
     is_global_extinction, threshold_S1, threshold_S2, threshold_S3, \
     threshold_S4
 
@@ -180,6 +180,9 @@ def _header_lines(args, p: Params | None, cfg: IntegratorConfig,
     lines = [f"tool: alleetanner {__version__}"]
     if p is not None:
         lines.append(f"params: M={p.M!r} S={p.S!r} Q={p.Q!r} C={p.C!r}")
+        # PHI and resolution 0: this hash names the parameters, tolerances
+        # and versions behind a file and matches no raster; a raster's own
+        # hash is the raster_hash line
         lines.append("config_hash: "
                      + config_hash(p, ((0.0, 1.0), (0.0, 1.0)), 0, cfg))
     lines.append(f"seed: {args.seed}")

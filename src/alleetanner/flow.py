@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .equilibria import Equilibrium, EquilibriumKind, all_equilibria
+from .equilibria import EquilibriumKind, all_equilibria
 from .model import Params, State, field_closure
 from .stability import classify
 
@@ -121,8 +121,8 @@ class Cycle:
 
 @dataclass(frozen=True)
 class Trajectory:
-    taus: np.ndarray
-    states: np.ndarray            # (N, 2)
+    taus: np.ndarray | None       # None when no samples were asked for
+    states: np.ndarray | None     # (N, 2)
     termination: Termination
     equilibrium_id: str | None = None
     cycle: Cycle | None = None
@@ -327,31 +327,19 @@ def _exit_box(u0: float, v0: float, C: float) -> tuple[float, float]:
     return max(10.0, 2.0 * (u0 + 1.0)), max(10.0, 2.0 * (v0 + 1.0 + C))
 
 
-class _Drive:
-    """Outcome of one event-driven integration run."""
-
-    __slots__ = ("termination", "equilibrium_id", "taus", "states",
-                 "cycle_period", "cycle_crossing", "cycle_residual",
-                 "cycle_segment")
-
-    def __init__(self):
-        self.termination = Termination.HORIZON_EXCEEDED
-        self.equilibrium_id = None
-        self.taus = None
-        self.states = None
-        self.cycle_period = None
-        self.cycle_crossing = None
-        self.cycle_residual = None
-        self.cycle_segment = None
-
-
 def _refine_crossing(stepper: _Stepper, C: float) -> tuple[float, float, float]:
-    """Bisect the dense output for the v = u + C crossing in the last step."""
+    """Bisect the dense output for the v = u + C crossing in the last step.
+
+    The crossing may run either way: its direction comes from the step's
+    ends, and g = v - u - C is split into g < 0 and g >= 0.  The returned
+    time lies on the step end's side of that split.
+    """
     lo, hi = stepper.prev_tau, stepper.tau
+    up = stepper.prev_v - stepper.prev_u - C < stepper.v - stepper.u - C
     for _ in range(64):
         mid = 0.5 * (lo + hi)
         u, v = stepper.state_at(mid)
-        if v - u - C < 0.0:
+        if (v - u - C < 0.0) == up:
             lo = mid
         else:
             hi = mid
@@ -360,17 +348,17 @@ def _refine_crossing(stepper: _Stepper, C: float) -> tuple[float, float, float]:
 
 
 def _drive(ctx: _Context, s0: State, cfg: IntegratorConfig, *,
-           want_samples: bool, want_cycle: bool, resume=None) -> _Drive:
+           want_samples: bool, resume=None) -> Trajectory:
     """Integrate from the seed ``s0`` until an event.
 
     ``resume = (stepper, prev_cross_u, prev_cross_tau, prev_delta)``
     continues a trajectory from ``s0`` that was advanced elsewhere: the
     seed test is skipped, and samples and the cycle segment start at the
-    stepper's state.
+    stepper's state.  A seed on the singular line u = -C ends at once as a
+    step-size underflow.
     """
-    res = _Drive()
     targets = ctx.targets
-    anchor = ctx.anchor if want_cycle else None
+    anchor = ctx.anchor
     C = ctx.p.C
     u0, v0 = float(s0[0]), float(s0[1])
     exit_u, exit_v = _exit_box(u0, v0, C)
@@ -387,17 +375,19 @@ def _drive(ctx: _Context, s0: State, cfg: IntegratorConfig, *,
     samples = [start] if want_samples else None
     segment = [start[1:]] if anchor is not None else None
 
-    def finish(term, eq_id=None):
-        res.termination = term
-        res.equilibrium_id = eq_id
+    def finish(term, eq_id=None, cycle=None):
+        taus = states = None
         if want_samples:
-            res.taus = np.array([s[0] for s in samples])
-            res.states = np.array([[s[1], s[2]] for s in samples])
-        return res
+            taus = np.array([s[0] for s in samples])
+            states = np.array([[s[1], s[2]] for s in samples])
+        return Trajectory(taus, states, term, eq_id, cycle)
 
     if stepper is None:
         # the seed itself may already sit on an equilibrium
-        fu, fv = ctx.f(u0, v0)
+        try:
+            fu, fv = ctx.f(u0, v0)
+        except ZeroDivisionError:
+            return finish(Termination.STEP_UNDERFLOW)
         if math.hypot(fu, fv) < rho:
             t = _target_within(targets, rho2, u0, v0)
             if t is not None:
@@ -432,13 +422,10 @@ def _drive(ctx: _Context, s0: State, cfg: IntegratorConfig, *,
                     and abs(prev_delta) < 10.0 * cfg.rho_cyc
                     and abs(delta) <= _CYCLE_CONTRACTION * abs(prev_delta)
                     and abs(u_c - anchor) >= cfg.min_cycle_radius):
-                res.cycle_period = tau_c - prev_cross_tau
-                res.cycle_crossing = (u_c, u_c + C)
-                res.cycle_residual = abs(delta)
-                if segment is not None:
-                    segment.append((u_c, u_c + C))
-                    res.cycle_segment = segment
-                return finish(Termination.REACHED_CYCLE)
+                segment.append((u_c, u_c + C))
+                return finish(Termination.REACHED_CYCLE, cycle=Cycle(
+                    tau_c - prev_cross_tau, np.array(segment),
+                    (u_c, u_c + C), abs(delta)))
             prev_delta = delta
         prev_cross_u = u_c
         prev_cross_tau = tau_c
@@ -489,9 +476,10 @@ _ROWS = _QK + 12
 
 
 def _bisect_crossings(C: float, prev_tau, prev, h, K):
-    """``_refine_crossing`` on arrays: the same halvings of each step, with
-    ``state_at``'s operations per element.  ``prev`` is (2, n), ``K`` the
-    stages k1, k3..k7 as (6, 2, n).  Returns crossing times and prey values.
+    """``_refine_crossing`` on arrays, for upward crossings: the same
+    halvings of each step, with ``state_at``'s operations per element.
+    ``prev`` is (2, n), ``K`` the stages k1, k3..k7 as (6, 2, n).  Returns
+    crossing times and prey values.
     """
     def state_at(tau_q, prev_tau, prev, h, K):
         th = (tau_q - prev_tau) / h
@@ -531,9 +519,7 @@ def _lockstep(ctx: _Context, seeds: np.ndarray, cfg: IntegratorConfig,
 
     ``codes`` maps the ids of attracting equilibria to their codes; other
     equilibria, the horizon, underflow and domain exit give 0.  Equal to
-    :func:`classify_omega_limit` cell by cell, byte for byte, except at a
-    seed on the singular line u = -C, where that raises ZeroDivisionError
-    and this gives 0 (step-size underflow).
+    :func:`classify_omega_limit` cell by cell, byte for byte.
     """
     n = len(seeds)
     labels = np.zeros(n, dtype=np.uint8)
@@ -692,7 +678,6 @@ def _lockstep(ctx: _Context, seeds: np.ndarray, cfg: IntegratorConfig,
         stepper = _Stepper(f, (u, v), cfg, tau_end, tau=tau, k1=(k1u, k1v),
                            h=h)
         res = _drive(ctx, seeds[cell], cfg, want_samples=False,
-                     want_cycle=True,
                      resume=(stepper,
                              None if math.isnan(last_u) else last_u,
                              last_tau,
@@ -710,15 +695,8 @@ def integrate(p: Params, s0: State, cfg: IntegratorConfig | None = None) -> Traj
     Samples are the accepted step endpoints.  Step-size underflow is
     reported via the termination tag, never silently looped over.
     """
-    cfg = cfg or IntegratorConfig()
-    res = _drive(_context(p), s0, cfg, want_samples=True, want_cycle=True)
-    cycle = None
-    if res.termination is Termination.REACHED_CYCLE:
-        poly = np.array(res.cycle_segment)
-        cycle = Cycle(res.cycle_period, poly, res.cycle_crossing,
-                      res.cycle_residual)
-    return Trajectory(res.taus, res.states, res.termination,
-                      res.equilibrium_id, cycle)
+    return _drive(_context(p), s0, cfg or IntegratorConfig(),
+                  want_samples=True)
 
 
 def classify_omega_limit(p: Params, s0: State,
@@ -733,7 +711,7 @@ def classify_omega_limit(p: Params, s0: State,
     """
     cfg = cfg or IntegratorConfig()
     ctx = _context(p)
-    res = _drive(ctx, s0, cfg, want_samples=False, want_cycle=True)
+    res = _drive(ctx, s0, cfg, want_samples=False)
     if res.termination is Termination.REACHED_EQUILIBRIUM:
         for t in ctx.targets:
             if t.id == res.equilibrium_id and t.attracting:
@@ -757,24 +735,19 @@ def find_limit_cycle(p: Params, seed: State,
     ctx = _context(p)
     if ctx.anchor is None:
         return None
-    res = _drive(ctx, seed, cfg, want_samples=False, want_cycle=True)
-    if res.termination is not Termination.REACHED_CYCLE:
-        return None
-    return Cycle(res.cycle_period, np.array(res.cycle_segment),
-                 res.cycle_crossing, res.cycle_residual)
+    return _drive(ctx, seed, cfg, want_samples=False).cycle
 
 
 def sample_path(f, s0, cfg: IntegratorConfig, tau_end: float,
-                taus, quadrant: bool = True) -> np.ndarray:
+                taus) -> np.ndarray:
     """Integrate a raw planar field and dense-sample it at given times.
 
     Utility for cross-checks (e.g. dimensional vs nondimensional flows);
-    no equilibrium or cycle events, just positivity-preserving stepping
-    (pass ``quadrant=False`` for fields not confined to the first quadrant).
+    no equilibrium or cycle events, just positivity-preserving stepping.
     """
     taus = np.asarray(taus, dtype=float)
     out = np.empty((len(taus), 2))
-    stepper = _Stepper(f, s0, cfg, tau_end, quadrant=quadrant)
+    stepper = _Stepper(f, s0, cfg, tau_end)
     i = 0
     while i < len(taus) and taus[i] <= 0.0:
         out[i] = s0

@@ -24,9 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibria import Equilibrium, EquilibriumKind, all_equilibria, \
-    interior_equilibria
-from .flow import IntegratorConfig, _Stepper
+# perfbench/tracing.py counts calls by rebinding names in this module, so
+# these stay bound: all_equilibria and field_closure (not called here, the
+# targets and the field come from flow._context) and _refine_section
+# (flow's section locator, under the name the tracer wraps)
+from .equilibria import Equilibrium, all_equilibria, interior_equilibria
+from .flow import IntegratorConfig, _Context, _context, _Stepper, \
+    _target_within
+from .flow import _refine_crossing as _refine_section
 from .model import Params, State, field_closure, jacobian, vector_field
 from .stability import StabilityTag, classify
 
@@ -137,40 +142,27 @@ class _TraceResult:
         self.crossing = None   # (tau, u, v) of first section crossing
 
 
-def _refine_section(stepper: _Stepper, C: float) -> tuple[float, float, float]:
-    lo, hi = stepper.prev_tau, stepper.tau
-    g_lo = stepper.prev_v - stepper.prev_u - C
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        u, v = stepper.state_at(mid)
-        if (v - u - C > 0.0) == (g_lo > 0.0):
-            lo = mid
-        else:
-            hi = mid
-    u, v = stepper.state_at(hi)
-    return hi, u, v
-
-
-def _trace(p: Params, base: State, seed: State, reverse: bool,
+def _trace(ctx: _Context, base: State, seed: State, reverse: bool,
            cfg: IntegratorConfig, max_arc: float,
-           section_beyond: float | None = None) -> _TraceResult:
-    """March one branch until an event; optionally watch for the first
-    crossing of v = u + C with u beyond ``section_beyond``."""
+           section: bool = False) -> _TraceResult:
+    """March one branch until an event; with ``section``, watch for the
+    first crossing of v = u + C beyond the section's anchor."""
     res = _TraceResult()
-    f0 = field_closure(p)
     if reverse:
-        def f(u, v, _f0=f0):
+        def f(u, v, _f0=ctx.f):
             du, dv = _f0(u, v)
             return -du, -dv
     else:
-        f = f0
-    C = p.C
+        f = ctx.f
+    C = ctx.p.C
     u_hi = 1.0 + BOX_MARGIN
     v_hi = 1.0 + C + BOX_MARGIN
     rho = cfg.rho_eq
     rho2 = rho * rho
-    targets = [eq for eq in all_equilibria(p) if eq.in_domain]
-    escaped = False
+    # the base is no target until the branch has escaped it
+    away = [t for t in ctx.targets
+            if not (t.u - base[0]) ** 2 + (t.v - base[1]) ** 2 < rho2]
+    targets = away
     arc = 0.0
     res.points.append(seed)
     res.arcs.append(0.0)
@@ -180,29 +172,25 @@ def _trace(p: Params, base: State, seed: State, reverse: bool,
         arc += math.hypot(u1 - stepper.prev_u, v1 - stepper.prev_v)
         res.points.append((u1, v1))
         res.arcs.append(arc)
-        if not escaped:
-            escaped = ((u1 - base[0]) ** 2 + (v1 - base[1]) ** 2
-                       > _ESCAPE_RADIUS ** 2)
-        if section_beyond is not None and res.crossing is None:
+        if targets is away and ((u1 - base[0]) ** 2 + (v1 - base[1]) ** 2
+                                > _ESCAPE_RADIUS ** 2):
+            targets = ctx.targets
+        if section and res.crossing is None:
             g0 = stepper.prev_v - stepper.prev_u - C
             g1 = v1 - u1 - C
-            if (g0 > 0.0) != (g1 > 0.0):
+            if (g0 < 0.0) != (g1 < 0.0):
                 tau_c, u_c, v_c = _refine_section(stepper, C)
-                if u_c > section_beyond:
+                if u_c > ctx.anchor:
                     res.crossing = (tau_c, u_c, v_c)
         if u1 < -1e-9 or v1 < -1e-9 or u1 > u_hi or v1 > v_hi:
             res.termination = BranchTermination.LEFT_BOX
             return res
         if math.hypot(stepper.k1u, stepper.k1v) < rho:
-            for eq in targets:
-                eu, ev = eq.location
-                near_base = (eu - base[0]) ** 2 + (ev - base[1]) ** 2 < rho2
-                if near_base and not escaped:
-                    continue
-                if (u1 - eu) ** 2 + (v1 - ev) ** 2 <= rho2:
-                    res.termination = BranchTermination.REACHED_EQUILIBRIUM
-                    res.equilibrium_id = eq.id
-                    return res
+            t = _target_within(targets, rho2, u1, v1)
+            if t is not None:
+                res.termination = BranchTermination.REACHED_EQUILIBRIUM
+                res.equilibrium_id = t.id
+                return res
         if arc >= max_arc:
             res.termination = BranchTermination.ARC_BUDGET
             return res
@@ -223,26 +211,35 @@ def trace_manifold(p: Params, e: Equilibrium, kind: BranchKind,
     time-reversed field.  Budget exhaustion is flagged and the partial
     polyline returned.
     """
-    cfg = cfg or IntegratorConfig()
-    vs, vu = saddle_directions(p, e)
-    base = _newton_polish(p, e.location)
+    return _branch(_context(p), e, kind, direction, cfg or IntegratorConfig(),
+                   seed_offset, max_arc)
+
+
+def _branch(ctx: _Context, e: Equilibrium, kind: BranchKind,
+            direction: BranchDirection, cfg: IntegratorConfig,
+            seed_offset: float, max_arc: float) -> ManifoldBranch:
+    vs, vu = saddle_directions(ctx.p, e)
+    base = _newton_polish(ctx.p, e.location)
     vec = vs if kind is BranchKind.STABLE else vu
     if direction is BranchDirection.DOWN_LEFT:
         vec = -vec
     seed = (base[0] + seed_offset * vec[0], base[1] + seed_offset * vec[1])
-    res = _trace(p, base, seed, reverse=kind is BranchKind.STABLE,
+    res = _trace(ctx, base, seed, reverse=kind is BranchKind.STABLE,
                  cfg=cfg, max_arc=max_arc)
     return ManifoldBranch(e.id, base, kind, direction,
                           np.array(res.points), np.array(res.arcs),
                           res.termination, res.equilibrium_id)
 
 
-def _interior_pair(p: Params) -> tuple[Equilibrium, Equilibrium]:
+def _interior_saddle(p: Params) -> Equilibrium:
+    """P1: the lower of two interior equilibria, which must be a saddle."""
     eqs = interior_equilibria(p)
     if len(eqs) != 2:
         raise GapUndefinedError(
-            f"need two interior equilibria for the gap, found {len(eqs)}")
-    return eqs[0], eqs[1]
+            f"need two interior equilibria, found {len(eqs)}")
+    if classify(p, eqs[0]).tag is not StabilityTag.SADDLE:
+        raise GapUndefinedError("the lower interior point is not a saddle")
+    return eqs[0]
 
 
 def homoclinic_gap(p: Params, cfg: IntegratorConfig | None = None,
@@ -255,29 +252,21 @@ def homoclinic_gap(p: Params, cfg: IntegratorConfig | None = None,
     without crossing.
     """
     cfg = cfg or IntegratorConfig()
-    p1, p2 = _interior_pair(p)
-    if classify(p, p1).tag is not StabilityTag.SADDLE:
-        raise GapUndefinedError("the lower interior point is not a saddle")
+    p1 = _interior_saddle(p)
     vs, vu = saddle_directions(p, p1)
     base = _newton_polish(p, p1.location)
-    beyond = p2.location[0]
-
-    seed_u = (base[0] + seed_offset * vu[0], base[1] + seed_offset * vu[1])
-    res_u = _trace(p, base, seed_u, reverse=False, cfg=cfg, max_arc=max_arc,
-                   section_beyond=beyond)
-    if res_u.crossing is None:
-        raise GapUndefinedError(
-            f"unstable branch ended ({res_u.termination.value}) before "
-            "crossing the section")
-
-    seed_s = (base[0] + seed_offset * vs[0], base[1] + seed_offset * vs[1])
-    res_s = _trace(p, base, seed_s, reverse=True, cfg=cfg, max_arc=max_arc,
-                   section_beyond=beyond)
-    if res_s.crossing is None:
-        raise GapUndefinedError(
-            f"stable branch ended ({res_s.termination.value}) before "
-            "crossing the section")
-    return math.sqrt(2.0) * (res_u.crossing[1] - res_s.crossing[1])
+    ctx = _context(p)   # its anchor is P2's prey value
+    crossing_u = []
+    for name, vec in (("unstable", vu), ("stable", vs)):
+        seed = (base[0] + seed_offset * vec[0], base[1] + seed_offset * vec[1])
+        res = _trace(ctx, base, seed, reverse=name == "stable", cfg=cfg,
+                     max_arc=max_arc, section=True)
+        if res.crossing is None:
+            raise GapUndefinedError(
+                f"{name} branch ended ({res.termination.value}) before "
+                "crossing the section")
+        crossing_u.append(res.crossing[1])
+    return math.sqrt(2.0) * (crossing_u[0] - crossing_u[1])
 
 
 def _clip_to_unit_box(points: np.ndarray) -> np.ndarray:
@@ -326,13 +315,12 @@ def separatrix(p: Params, cfg: IntegratorConfig | None = None,
     the saddle, out the up-right branch end.
     """
     cfg = cfg or IntegratorConfig()
-    p1, _ = _interior_pair(p)
-    if classify(p, p1).tag is not StabilityTag.SADDLE:
-        raise GapUndefinedError("no interior saddle: separatrix undefined")
-    down = trace_manifold(p, p1, BranchKind.STABLE,
-                          BranchDirection.DOWN_LEFT, cfg, seed_offset, max_arc)
-    up = trace_manifold(p, p1, BranchKind.STABLE,
-                        BranchDirection.UP_RIGHT, cfg, seed_offset, max_arc)
+    p1 = _interior_saddle(p)
+    ctx = _context(p)
+    down = _branch(ctx, p1, BranchKind.STABLE, BranchDirection.DOWN_LEFT,
+                   cfg, seed_offset, max_arc)
+    up = _branch(ctx, p1, BranchKind.STABLE, BranchDirection.UP_RIGHT,
+                 cfg, seed_offset, max_arc)
     base = np.array([down.base])
     curve = np.vstack([down.polyline[::-1], base, up.polyline])
     return Separatrix(_clip_to_unit_box(curve), down.base)

@@ -104,10 +104,7 @@ def unmap_state(d: DimensionalParams, u: float, v: float,
 
 def vector_field(p: Params, state: State) -> tuple[float, float]:
     """Right-hand side of the nondimensional system at (u, v)."""
-    u, v = state
-    du = u * ((1.0 - u) * (u - p.M) - p.Q * v)
-    dv = p.S * v * (u - v + p.C) / (u + p.C)
-    return du, dv
+    return field_closure(p)(*state)
 
 
 def dimensional_vector_field(d: DimensionalParams, x: float,
@@ -133,8 +130,9 @@ def jacobian(p: Params, state: State) -> np.ndarray:
 def field_closure(p: Params):
     """Return a fast (u, v) -> (du, dv) closure over fixed parameters.
 
-    Used by the integrator hot loop; semantically identical to
-    :func:`vector_field`.
+    The one formula of the right-hand side: the integrator hot loop calls
+    it directly, :func:`vector_field` through a fresh closure.  It works
+    on floats and, elementwise, on equal-shape arrays.
     """
     # plain Python floats: numpy scalars are an order of magnitude slower
     # here and warn on the transient overflows that step rejection absorbs

@@ -8,8 +8,6 @@ for specific features (e.g. ``class="separatrix"``).
 
 from __future__ import annotations
 
-import numpy as np
-
 from .bifurcation import BifurcationDiagram, RegionLabel
 from .stability import StabilityTag
 

@@ -82,6 +82,16 @@ def test_cache_hit_returns_identical_raster(tmp_path):
     assert list(tmp_path.iterdir()) == files
 
 
+def test_corrupt_cache_entry_is_recomputed(tmp_path):
+    r1 = compute_basins(BISTABLE, 20, FAST_CFG, cache_dir=str(tmp_path))
+    (path,) = tmp_path.iterdir()
+    path.write_bytes(path.read_bytes()[:-2])
+    r2 = compute_basins(BISTABLE, 20, FAST_CFG, cache_dir=str(tmp_path))
+    assert np.array_equal(r2.labels, r1.labels)
+    assert np.array_equal(load_raster(str(path)).labels, r1.labels)
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_config_hash_sensitive_to_tolerances():
     h1 = config_hash(BISTABLE, ((0.0, 1.0), (0.0, 1.0)), 50,
                      IntegratorConfig())

@@ -154,6 +154,22 @@ def test_sotomayor_matches_analytic_kernel():
     assert abs(t2) == pytest.approx(abs(t2_exp), rel=1e-3)
 
 
+def test_sotomayor_exact_to_rounding():
+    # the same closed-form kernel values, now to rounding: the derivatives
+    # are exact; w's sign is arbitrary but shared by t1 and t2
+    q, c, s = 0.5, 0.1, 0.2
+    m = saddle_node_M(q, c)[0]
+    e = 0.5 * (1.0 + m - q)
+    w = np.array([s, -e * q])
+    w /= np.linalg.norm(w)
+    t1_exp = w[0] * (-e * (e + c))
+    t2_exp = w[0] * (-e)
+    t1, t2 = sotomayor_check(q, c, s=s)
+    sign = math.copysign(1.0, t1 * t1_exp)
+    assert abs(t1 - sign * t1_exp) < 1e-12
+    assert abs(t2 - sign * t2_exp) < 1e-12
+
+
 def test_sotomayor_rejects_non_fold_point():
     with pytest.raises(DegenerateSaddleNodeError):
         sotomayor_check(0.5, 0.1, s=0.2, m=0.3)

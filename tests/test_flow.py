@@ -14,7 +14,8 @@ from alleetanner import (
     interior_equilibria,
     is_global_extinction,
 )
-from alleetanner.flow import _Stepper
+from alleetanner.flow import _refine_crossing, _Stepper
+from alleetanner.model import field_closure
 from alleetanner.stability import classify
 from alleetanner.equilibria import all_equilibria
 
@@ -182,3 +183,40 @@ def test_dense_output_matches_closed_form():
         u, v = st.state_at(mid)
         assert u == pytest.approx(math.exp(lam * mid), abs=1e-9)
         assert v == pytest.approx(2 * math.exp(lam * mid), abs=1e-9)
+
+
+def test_seed_on_singular_line_is_underflow():
+    # u + C = 0 makes the predator equation singular at the seed itself
+    s0 = (-BISTABLE.C, 0.25)
+    assert classify_omega_limit(BISTABLE, s0).tag is AttractorTag.UNDECIDED
+    tr = integrate(BISTABLE, s0)
+    assert tr.termination is Termination.STEP_UNDERFLOW
+    assert tr.taus.tolist() == [0.0]
+    assert tr.states.tolist() == [list(s0)]
+    assert find_limit_cycle(BISTABLE, s0) is None
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_refine_crossing_locates_both_directions(reverse):
+    # orbits round the interior point cross v = u + C both ways; the time
+    # found lies in the step, on the step end's side of g < 0 / g >= 0
+    C = CYCLE_POINT.C
+    f = field_closure(CYCLE_POINT)
+    if reverse:
+        def f(u, v, _f=f):
+            du, dv = _f(u, v)
+            return -du, -dv
+    st = _Stepper(f, (0.5, 0.5), IntegratorConfig(), 1000.0)
+    directions = []
+    while st.step():
+        g0 = st.prev_v - st.prev_u - C
+        g1 = st.v - st.u - C
+        if (g0 < 0.0) == (g1 < 0.0):
+            continue
+        tau, u, v = _refine_crossing(st, C)
+        assert st.prev_tau <= tau <= st.tau
+        assert (u, v) == st.state_at(tau)
+        assert (v - u - C < 0.0) == (g1 < 0.0)
+        assert abs(v - u - C) < 1e-12
+        directions.append(g0 < g1)
+    assert directions.count(True) >= 3 and directions.count(False) >= 3

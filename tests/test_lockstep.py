@@ -66,6 +66,8 @@ REGIMES = {
     # cells next to both axes, with tolerances loose enough that steps are
     # rejected for leaving the quadrant
     "axes": (EXTINCTION, 10, LOOSE_CFG, ((0.0, 0.1), (0.0, 0.1))),
+    # one seed exactly on the singular line u = -C
+    "singular": (BISTABLE, 1, IntegratorConfig(), ((-0.14, 0.0), (0.0, 0.5))),
 }
 
 
