@@ -35,7 +35,7 @@ from .equilibria import all_equilibria
 # perfbench/tracing.py wraps it here, as it does all_equilibria
 from .flow import IntegratorConfig, _context, _lockstep, classify_omega_limit
 from .manifolds import Separatrix
-from .model import Params
+from .model import ParameterError, Params
 
 MAGIC = b"PPBASIN1"
 FORMAT_VERSION = 1
@@ -79,9 +79,8 @@ def config_hash(p: Params, bounds: Bounds, resolution: int,
            f"M={p.M!r};S={p.S!r};Q={p.Q!r};C={p.C!r};"
            f"bounds={bounds!r};res={resolution};"
            f"rtol={cfg.rel_tol!r};atol={cfg.abs_tol!r};"
-           f"max_step={cfg.max_step!r};tau_max={cfg.tau_max!r};"
-           f"rho_eq={cfg.rho_eq!r};rho_cyc={cfg.rho_cyc!r};"
-           f"min_cycle_radius={cfg.min_cycle_radius!r}")
+           f"tau_max={cfg.tau_max!r};rho_eq={cfg.rho_eq!r};"
+           f"rho_cyc={cfg.rho_cyc!r}")
     return hashlib.sha256(key.encode()).hexdigest()
 
 
@@ -97,7 +96,7 @@ def compute_basins(p: Params, resolution: int,
     fails to load is recomputed and replaced.
     """
     if resolution < 1:
-        raise ValueError("resolution must be >= 1")
+        raise ParameterError("resolution must be >= 1")
     cfg = cfg or IntegratorConfig()
     digest = config_hash(p, bounds, resolution, cfg)
     cache_path = None

@@ -25,6 +25,9 @@ from .manifolds import GapUndefinedError, homoclinic_gap
 from .model import Params, jacobian
 from .stability import hopf_threshold, is_global_extinction
 
+_GAP_TOL = 1e-6      # |gap| at which the bisection returns its midpoint
+_SCAN_POINTS = 12    # gap evaluations in each M's bracket scan
+
 
 class DegenerateSaddleNodeError(RuntimeError):
     """The Jacobian has no simple zero eigenvalue where one was required."""
@@ -88,9 +91,8 @@ def hopf_locus(q: float, c: float, m_grid) -> np.ndarray:
 
 
 def homoclinic_locus(q: float, c: float, m_grid,
-                     cfg: IntegratorConfig | None = None,
-                     gap_tol: float = 1e-6,
-                     scan_points: int = 12) -> list[tuple[float, float | None]]:
+                     cfg: IntegratorConfig | None = None
+                     ) -> list[tuple[float, float | None]]:
     """Bisect the homoclinic S value for each M on the grid.
 
     For each M a bracket is sought below the Hopf value by scanning the
@@ -100,7 +102,7 @@ def homoclinic_locus(q: float, c: float, m_grid,
     cfg = cfg or IntegratorConfig()
     out: list[tuple[float, float | None]] = []
     for m in np.asarray(m_grid, dtype=float):
-        out.append((float(m), _bisect_hom(m, q, c, cfg, gap_tol, scan_points)))
+        out.append((float(m), _bisect_hom(m, q, c, cfg)))
     return out
 
 
@@ -111,8 +113,8 @@ def _gap_or_none(p: Params, cfg: IntegratorConfig) -> float | None:
         return None
 
 
-def _bisect_hom(m: float, q: float, c: float, cfg: IntegratorConfig,
-                gap_tol: float, scan_points: int) -> float | None:
+def _bisect_hom(m: float, q: float, c: float,
+                cfg: IntegratorConfig) -> float | None:
     m = float(m)
     p_probe = Params(m, 1.0, q, c)
     if case_label(p_probe) not in (CaseLabel.S1AII, CaseLabel.W2AII):
@@ -122,7 +124,7 @@ def _bisect_hom(m: float, q: float, c: float, cfg: IntegratorConfig,
         return None
     # near the Bogdanov-Takens point the homoclinic value hugs the Hopf
     # value from below, so the scan is geometrically dense near S_hopf
-    fracs = 1.0 - np.geomspace(1e-4, 0.9, scan_points)
+    fracs = 1.0 - np.geomspace(1e-4, 0.9, _SCAN_POINTS)
     bracket = None
     prev = None  # (S, gap)
     for fr in fracs:
@@ -144,7 +146,7 @@ def _bisect_hom(m: float, q: float, c: float, cfg: IntegratorConfig,
         g_mid = _gap_or_none(Params(m, mid, q, c), cfg)
         if g_mid is None:
             return None
-        if abs(g_mid) < gap_tol:
+        if abs(g_mid) < _GAP_TOL:
             return mid
         if (g_mid > 0.0) == (g_lo > 0.0):
             lo, g_lo = mid, g_mid

@@ -236,8 +236,16 @@ def cmd_classify(args) -> int:
 
 # ---------------------------------------------------------------- portrait
 
+def _floats(text: str) -> list[float]:
+    """Comma-separated floats; empty when any of them is not a number."""
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError:
+        return []
+
+
 def _parse_window(text: str) -> tuple[tuple[float, float], tuple[float, float]]:
-    vals = [float(x) for x in text.split(",")]
+    vals = _floats(text)
     if len(vals) != 4 or vals[0] >= vals[1] or vals[2] >= vals[3]:
         raise ParameterError(f"bad window {text!r}; expected u0,u1,v0,v1")
     return (vals[0], vals[1]), (vals[2], vals[3])
@@ -319,22 +327,30 @@ def cmd_portrait(args) -> int:
 # ------------------------------------------------------------- bifurcation
 
 def _parse_range(text: str, name: str) -> tuple[float, float]:
-    vals = [float(x) for x in text.split(",")]
+    vals = _floats(text)
     if len(vals) != 2 or vals[0] >= vals[1]:
         raise ParameterError(f"bad {name} {text!r}; expected lo,hi")
     return vals[0], vals[1]
 
 
-def cmd_bifurcation(args) -> int:
+def _parse_grid(text: str) -> tuple[int, int]:
     try:
-        q, c = float(args.Q), float(args.C)
-        if q <= 0 or c <= 0:
-            raise ParameterError("Q and C must be positive")
-    except (TypeError, ValueError) as exc:
-        raise ParameterError(str(exc))
+        nm, ns = (int(x) for x in text.lower().split("x"))
+    except ValueError:
+        nm = ns = 0
+    if nm < 1 or ns < 1:
+        raise ParameterError(f"bad --grid {text!r}; expected MxS counts")
+    return nm, ns
+
+
+def cmd_bifurcation(args) -> int:
+    q, c = args.Q, args.C
+    if q <= 0 or c <= 0:
+        raise ParameterError("Q and C must be positive")
     cfg = resolve_config(args)
     m_window = _parse_range(args.m_window, "--m-window")
     s_window = _parse_range(args.s_window, "--s-window")
+    nm, ns = _parse_grid(args.grid)
     out = _out_dir(args)
     diagram = compute_diagram(q, c, m_window, s_window,
                               n_hopf=args.hopf_points,
@@ -360,7 +376,6 @@ def cmd_bifurcation(args) -> int:
     if n_fail:
         print(f"warning: homoclinic bisection found no bracket at {n_fail} "
               f"of {len(diagram.hom)} grid points", file=sys.stderr)
-    nm, ns = (int(x) for x in args.grid.lower().split("x"))
     grid = []
     for m in np.linspace(m_window[0], m_window[1], nm * 2 + 1)[1::2]:
         for s in np.linspace(s_window[0], s_window[1], ns * 2 + 1)[1::2]:

@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .equilibria import EquilibriumKind, all_equilibria
-from .model import Params, State, field_closure
+from .model import ParameterError, Params, State, field_closure
 from .stability import classify
 
 # Dormand-Prince 5(4) tableau.
@@ -64,6 +64,9 @@ _P = np.array((_P1, _P3, _P4, _P5, _P6, _P7))[:, :, None]
 # Successive return-map differences must shrink at least this fast before a
 # cycle is declared; a slow drift toward a boundary contour has ratio -> 1.
 _CYCLE_CONTRACTION = 0.98
+# Nearer the anchor than this, a converging return map is closing in on
+# the interior equilibrium, not on a cycle around it.
+_MIN_CYCLE_RADIUS = 1e-3
 
 _MIN_FACTOR, _MAX_FACTOR, _SAFETY = 0.2, 5.0, 0.9
 
@@ -72,19 +75,16 @@ _MIN_FACTOR, _MAX_FACTOR, _SAFETY = 0.2, 5.0, 0.9
 class IntegratorConfig:
     rel_tol: float = 1e-9
     abs_tol: float = 1e-11
-    max_step: float = math.inf
     tau_max: float = 1e5
     rho_eq: float = 1e-6
     rho_cyc: float = 1e-7
-    min_cycle_radius: float = 1e-3
 
     def __post_init__(self):
-        for name in ("rel_tol", "abs_tol", "max_step", "tau_max", "rho_eq",
-                     "rho_cyc", "min_cycle_radius"):
+        for name in ("rel_tol", "abs_tol", "tau_max", "rho_eq", "rho_cyc"):
             if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+                raise ParameterError(f"{name} must be positive")
         if self.rel_tol < 1e-13:
-            raise ValueError("rel_tol must be >= 1e-13")
+            raise ParameterError("rel_tol must be >= 1e-13")
 
 
 class Termination(enum.Enum):
@@ -173,7 +173,7 @@ def _initial_step(u, v, k1u, k1v, cfg: IntegratorConfig,
         h0 = 1e-6
     else:
         h0 = 0.01 * d0 / d1
-    return min(h0, cfg.max_step, max(tau_end, 1e-12))
+    return min(h0, max(tau_end, 1e-12))
 
 
 class _Stepper:
@@ -187,8 +187,8 @@ class _Stepper:
     RUNNING, DONE, UNDERFLOW = 0, 1, 2
 
     __slots__ = ("f", "tau", "u", "v", "k1u", "k1v", "h", "rtol", "atol",
-                 "max_step", "tau_end", "status", "prev_tau", "prev_u",
-                 "prev_v", "h_last", "ks", "quadrant")
+                 "tau_end", "status", "prev_tau", "prev_u", "prev_v",
+                 "h_last", "ks", "quadrant")
 
     def __init__(self, f, s0: State, cfg: IntegratorConfig, tau_end: float,
                  quadrant: bool = True, *, tau: float = 0.0,
@@ -200,7 +200,6 @@ class _Stepper:
         self.u, self.v = float(s0[0]), float(s0[1])
         self.k1u, self.k1v = f(self.u, self.v) if k1 is None else k1
         self.rtol, self.atol = cfg.rel_tol, cfg.abs_tol
-        self.max_step = cfg.max_step
         self.tau_end = tau_end
         self.status = self.RUNNING
         self.prev_tau = tau
@@ -221,7 +220,7 @@ class _Stepper:
         u0, v0 = self.u, self.v
         k1u, k1v = self.k1u, self.k1v
         rtol, atol = self.rtol, self.atol
-        h = min(self.h, self.max_step, self.tau_end - self.tau)
+        h = min(self.h, self.tau_end - self.tau)
         while True:
             if h <= 1e-13 * max(1.0, abs(self.tau)):
                 self.status = self.UNDERFLOW
@@ -317,9 +316,24 @@ def _target_within(targets: list[_EqTarget], rho2: float, u: float,
                    v: float) -> _EqTarget | None:
     """First target within sqrt(rho2) of (u, v)."""
     for t in targets:
-        if (u - t.u) ** 2 + (v - t.v) ** 2 <= rho2:
+        du, dv = u - t.u, v - t.v
+        if du * du + dv * dv <= rho2:
             return t
     return None
+
+
+def _cycle_found(delta, last_delta, u_c, anchor: float, cfg: IntegratorConfig):
+    """Whether the return map on v = u + C has converged onto a cycle.
+
+    ``delta`` and ``last_delta`` are the last two differences of successive
+    crossings beyond the anchor, NaN until there are that many (NaN never
+    passes); ``u_c`` is the prey value of the latest crossing.  Floats give
+    a bool, equal-shape arrays a mask with the same answer per element.
+    """
+    return ((abs(delta) < cfg.rho_cyc)
+            & (abs(last_delta) < 10.0 * cfg.rho_cyc)
+            & (abs(delta) <= _CYCLE_CONTRACTION * abs(last_delta))
+            & (abs(u_c - anchor) >= _MIN_CYCLE_RADIUS))
 
 
 def _exit_box(u0: float, v0: float, C: float) -> tuple[float, float]:
@@ -352,22 +366,21 @@ def _drive(ctx: _Context, s0: State, cfg: IntegratorConfig, *,
     """Integrate from the seed ``s0`` until an event.
 
     ``resume = (stepper, prev_cross_u, prev_cross_tau, prev_delta)``
-    continues a trajectory from ``s0`` that was advanced elsewhere: the
-    seed test is skipped, and samples and the cycle segment start at the
-    stepper's state.  A seed on the singular line u = -C ends at once as a
-    step-size underflow.
+    continues a trajectory from ``s0`` that was advanced elsewhere (NaN for
+    a crossing or difference not seen yet): the seed test is skipped, and
+    samples and the cycle segment start at the stepper's state.  A seed on
+    the singular line u = -C ends at once as a step-size underflow.
     """
     targets = ctx.targets
     anchor = ctx.anchor
     C = ctx.p.C
     u0, v0 = float(s0[0]), float(s0[1])
     exit_u, exit_v = _exit_box(u0, v0, C)
-    rho = cfg.rho_eq
-    rho2 = rho * rho
+    rho2 = cfg.rho_eq * cfg.rho_eq
 
     if resume is None:
         stepper = None
-        prev_cross_u, prev_cross_tau, prev_delta = None, 0.0, None
+        prev_cross_u, prev_cross_tau, prev_delta = math.nan, 0.0, math.nan
         start = (0.0, u0, v0)
     else:
         stepper, prev_cross_u, prev_cross_tau, prev_delta = resume
@@ -388,7 +401,7 @@ def _drive(ctx: _Context, s0: State, cfg: IntegratorConfig, *,
             fu, fv = ctx.f(u0, v0)
         except ZeroDivisionError:
             return finish(Termination.STEP_UNDERFLOW)
-        if math.hypot(fu, fv) < rho:
+        if fu * fu + fv * fv < rho2:
             t = _target_within(targets, rho2, u0, v0)
             if t is not None:
                 return finish(Termination.REACHED_EQUILIBRIUM, t.id)
@@ -402,7 +415,8 @@ def _drive(ctx: _Context, s0: State, cfg: IntegratorConfig, *,
             segment.append((u1, v1))
         if u1 > exit_u or v1 > exit_v:
             return finish(Termination.LEFT_DOMAIN)
-        if math.hypot(stepper.k1u, stepper.k1v) < rho:
+        ku, kv = stepper.k1u, stepper.k1v
+        if ku * ku + kv * kv < rho2:
             t = _target_within(targets, rho2, u1, v1)
             if t is not None:
                 return finish(Termination.REACHED_EQUILIBRIUM, t.id)
@@ -415,20 +429,13 @@ def _drive(ctx: _Context, s0: State, cfg: IntegratorConfig, *,
         tau_c, u_c, v_c = _refine_crossing(stepper, C)
         if u_c <= anchor:
             continue
-        if prev_cross_u is not None:
-            delta = u_c - prev_cross_u
-            if (prev_delta is not None
-                    and abs(delta) < cfg.rho_cyc
-                    and abs(prev_delta) < 10.0 * cfg.rho_cyc
-                    and abs(delta) <= _CYCLE_CONTRACTION * abs(prev_delta)
-                    and abs(u_c - anchor) >= cfg.min_cycle_radius):
-                segment.append((u_c, u_c + C))
-                return finish(Termination.REACHED_CYCLE, cycle=Cycle(
-                    tau_c - prev_cross_tau, np.array(segment),
-                    (u_c, u_c + C), abs(delta)))
-            prev_delta = delta
-        prev_cross_u = u_c
-        prev_cross_tau = tau_c
+        delta = u_c - prev_cross_u
+        if _cycle_found(delta, prev_delta, u_c, anchor, cfg):
+            segment.append((u_c, u_c + C))
+            return finish(Termination.REACHED_CYCLE, cycle=Cycle(
+                tau_c - prev_cross_tau, np.array(segment), (u_c, u_c + C),
+                abs(delta)))
+        prev_cross_u, prev_cross_tau, prev_delta = u_c, tau_c, delta
         segment = [(u_c, u_c + C)]
 
     if stepper.status == _Stepper.UNDERFLOW:
@@ -460,14 +467,10 @@ _POOL = 2048
 # costs 1.2-1.8 ms for up to 64 cells and 4.3 ms for 256 (17 us a cell),
 # a scalar one ~70 us per cell.
 _SETTLE = 256
-# np.hypot and np.square may differ from math.hypot and ** in the last
-# bit: cells within this factor of the field-norm and distance thresholds
-# are retested with the scalar path's expressions.
-_NEAR = 1.0 + 1e-9
 
 # Rows of the lockstep state, one column per live cell: time, state, FSAL
 # derivative, next step size, exit box, last section crossing (prey and
-# time) and last crossing difference (NaN for None); then a crossing that
+# time) and last crossing difference (NaN for none yet); then a crossing that
 # waits: its step's start time (NaN for none), start state, size and
 # stages k1, k3..k7.
 (_TAU, _U, _V, _K1U, _K1V, _H, _XU, _XV, _PCU, _PCT, _PD,
@@ -524,46 +527,44 @@ def _lockstep(ctx: _Context, seeds: np.ndarray, cfg: IntegratorConfig,
     n = len(seeds)
     labels = np.zeros(n, dtype=np.uint8)
     f, targets, anchor, C = ctx.f, ctx.targets, ctx.anchor, ctx.p.C
-    rho = cfg.rho_eq
-    rho2 = rho * rho
+    rho2 = cfg.rho_eq * cfg.rho_eq
     tau_end, rtol, atol = cfg.tau_max, cfg.rel_tol, cfg.abs_tol
+
+    def arrive(near, u, v, idx):
+        """Label the cells of mask ``near`` that lie on a target, the first
+        in table order, as ``_target_within`` does; returns their mask."""
+        hit = np.zeros_like(near)
+        for t in targets:
+            du, dv = u - t.u, v - t.v
+            new = near & ~hit & (du * du + dv * dv <= rho2)
+            labels[idx[new]] = codes.get(t.id, 0)
+            hit |= new
+        return hit
 
     def admit(lo: int, hi: int):
         """State columns of seeds lo..hi-1 that do not start on a target."""
         us, vs = seeds[lo:hi, 0], seeds[lo:hi, 1]
         kus, kvs = f(us, vs)
+        idx = np.arange(lo, hi)
+        keep = ~arrive(kus * kus + kvs * kvs < rho2, us, vs, idx)
         block = np.full((_ROWS, hi - lo), math.nan)
         block[_TAU] = block[_PCT] = 0.0
         block[_U], block[_V], block[_K1U], block[_K1V] = us, vs, kus, kvs
-        keep = np.ones(hi - lo, dtype=bool)
         for i, (u, v, ku, kv) in enumerate(zip(us.tolist(), vs.tolist(),
                                                kus.tolist(), kvs.tolist())):
-            if math.hypot(ku, kv) < rho:
-                t = _target_within(targets, rho2, u, v)
-                if t is not None:
-                    labels[lo + i] = codes.get(t.id, 0)
-                    keep[i] = False
-                    continue
             block[_H, i] = _initial_step(u, v, ku, kv, cfg, tau_end)
             block[_XU, i], block[_XV, i] = _exit_box(u, v, C)
-        return block[:, keep], np.arange(lo, hi)[keep]
+        return block[:, keep], idx[keep]
 
     def cross(state, cols, tau_c, u_c):
         """The section test of ``_drive`` for crossings of cells ``cols``;
         returns the mask of those whose return map has converged."""
-        last_u, last_delta = state[_PCU, cols], state[_PD, cols]
-        delta = u_c - last_u              # NaN while there is none
+        delta = u_c - state[_PCU, cols]
         side = u_c > anchor
-        cycle = (side
-                 & (np.abs(delta) < cfg.rho_cyc)
-                 & (np.abs(last_delta) < 10.0 * cfg.rho_cyc)
-                 & (np.abs(delta) <= _CYCLE_CONTRACTION * np.abs(last_delta))
-                 & (np.abs(u_c - anchor) >= cfg.min_cycle_radius))
+        cycle = side & _cycle_found(delta, state[_PD, cols], u_c, anchor, cfg)
         moved = side & ~cycle
-        again = moved & ~np.isnan(last_u)
-        state[_PD, cols[again]] = delta[again]
-        state[_PCU, cols[moved]] = u_c[moved]
-        state[_PCT, cols[moved]] = tau_c[moved]
+        for row, new in ((_PD, delta), (_PCU, u_c), (_PCT, tau_c)):
+            state[row, cols[moved]] = new[moved]
         return cycle
 
     def settle(state, done, cols):
@@ -592,8 +593,7 @@ def _lockstep(ctx: _Context, seeds: np.ndarray, cfg: IntegratorConfig,
             if pending == n and state.shape[1] <= _HANDOVER:
                 break
             tau, u0, v0 = state[_TAU], state[_U], state[_V]
-            h = np.minimum(np.minimum(state[_H], cfg.max_step),
-                           tau_end - tau)
+            h = np.minimum(state[_H], tau_end - tau)
             # horizon or step underflow: Undecided, label stays 0
             done = ((tau >= tau_end)
                     | (h <= 1e-13 * np.maximum(1.0, np.abs(tau))))
@@ -622,20 +622,9 @@ def _lockstep(ctx: _Context, seeds: np.ndarray, cfg: IntegratorConfig,
 
             left = acc & ((u5 > state[_XU]) | (v5 > state[_XV]))
             done |= left
-            near = acc & ~left & (np.hypot(k7u, k7v) < rho * _NEAR)
+            near = acc & ~left & (k7u * k7u + k7v * k7v < rho2)
             if near.any():
-                close = np.zeros_like(near)
-                for t in targets:
-                    close |= ((u5 - t.u) ** 2 + (v5 - t.v) ** 2
-                              <= rho2 * _NEAR)
-                near &= close
-            for j in np.flatnonzero(near).tolist():
-                if math.hypot(float(k7u[j]), float(k7v[j])) < rho:
-                    t = _target_within(targets, rho2, float(u5[j]),
-                                       float(v5[j]))
-                    if t is not None:
-                        labels[cells[j]] = codes.get(t.id, 0)
-                        done[j] = True
+                done |= arrive(near, u5, v5, cells)
             if anchor is not None:
                 waiting = ~np.isnan(state[_QT])
                 g0 = v0 - u0 - C
@@ -678,10 +667,7 @@ def _lockstep(ctx: _Context, seeds: np.ndarray, cfg: IntegratorConfig,
         stepper = _Stepper(f, (u, v), cfg, tau_end, tau=tau, k1=(k1u, k1v),
                            h=h)
         res = _drive(ctx, seeds[cell], cfg, want_samples=False,
-                     resume=(stepper,
-                             None if math.isnan(last_u) else last_u,
-                             last_tau,
-                             None if math.isnan(last_delta) else last_delta))
+                     resume=(stepper, last_u, last_tau, last_delta))
         if res.termination is Termination.REACHED_EQUILIBRIUM:
             labels[cell] = codes.get(res.equilibrium_id, 0)
         elif res.termination is Termination.REACHED_CYCLE:

@@ -38,6 +38,8 @@ from .stability import StabilityTag, classify
 BOX_MARGIN = 0.05          # enlargement of the trapping box for clipping
 _EIG_RESIDUAL = 1e-10
 _ESCAPE_RADIUS = 1e-3      # base counts as a target only after escaping this
+_SEED_OFFSET = 1e-6        # seed distance from the saddle along an eigenvector
+_MAX_ARC = 100.0           # arc length at which a branch is cut and flagged
 
 
 class GapUndefinedError(RuntimeError):
@@ -144,9 +146,10 @@ class _TraceResult:
 
 def _trace(ctx: _Context, base: State, seed: State, reverse: bool,
            cfg: IntegratorConfig, max_arc: float,
-           section: bool = False) -> _TraceResult:
-    """March one branch until an event; with ``section``, watch for the
-    first crossing of v = u + C beyond the section's anchor."""
+           section: bool) -> _TraceResult:
+    """March one branch until an event; with ``section``, stop at the first
+    crossing of v = u + C beyond the section's anchor, the only part of the
+    branch the gap reads."""
     res = _TraceResult()
     if reverse:
         def f(u, v, _f0=ctx.f):
@@ -157,11 +160,9 @@ def _trace(ctx: _Context, base: State, seed: State, reverse: bool,
     C = ctx.p.C
     u_hi = 1.0 + BOX_MARGIN
     v_hi = 1.0 + C + BOX_MARGIN
-    rho = cfg.rho_eq
-    rho2 = rho * rho
+    rho2 = cfg.rho_eq * cfg.rho_eq
     # the base is no target until the branch has escaped it
-    away = [t for t in ctx.targets
-            if not (t.u - base[0]) ** 2 + (t.v - base[1]) ** 2 < rho2]
+    away = [t for t in ctx.targets if _target_within([t], rho2, *base) is None]
     targets = away
     arc = 0.0
     res.points.append(seed)
@@ -175,17 +176,19 @@ def _trace(ctx: _Context, base: State, seed: State, reverse: bool,
         if targets is away and ((u1 - base[0]) ** 2 + (v1 - base[1]) ** 2
                                 > _ESCAPE_RADIUS ** 2):
             targets = ctx.targets
-        if section and res.crossing is None:
+        if section:
             g0 = stepper.prev_v - stepper.prev_u - C
             g1 = v1 - u1 - C
             if (g0 < 0.0) != (g1 < 0.0):
                 tau_c, u_c, v_c = _refine_section(stepper, C)
                 if u_c > ctx.anchor:
                     res.crossing = (tau_c, u_c, v_c)
+                    return res
         if u1 < -1e-9 or v1 < -1e-9 or u1 > u_hi or v1 > v_hi:
             res.termination = BranchTermination.LEFT_BOX
             return res
-        if math.hypot(stepper.k1u, stepper.k1v) < rho:
+        ku, kv = stepper.k1u, stepper.k1v
+        if ku * ku + kv * kv < rho2:
             t = _target_within(targets, rho2, u1, v1)
             if t is not None:
                 res.termination = BranchTermination.REACHED_EQUILIBRIUM
@@ -202,33 +205,35 @@ def _trace(ctx: _Context, base: State, seed: State, reverse: bool,
 def trace_manifold(p: Params, e: Equilibrium, kind: BranchKind,
                    direction: BranchDirection,
                    cfg: IntegratorConfig | None = None,
-                   seed_offset: float = 1e-6,
-                   max_arc: float = 100.0) -> ManifoldBranch:
+                   max_arc: float = _MAX_ARC) -> ManifoldBranch:
     """Trace one manifold branch of a saddle.
 
-    The base is polished by one Newton step, then seeded ``seed_offset``
-    along the (oriented) eigenvector; stable branches integrate the
-    time-reversed field.  Budget exhaustion is flagged and the partial
-    polyline returned.
+    The base is polished by one Newton step, then seeded 1e-6 along the
+    (oriented) eigenvector; stable branches integrate the time-reversed
+    field.  Budget exhaustion is flagged and the partial polyline
+    returned.
     """
-    return _branch(_context(p), e, kind, direction, cfg or IntegratorConfig(),
-                   seed_offset, max_arc)
+    base, res = _branch(_context(p), e, kind, direction,
+                        cfg or IntegratorConfig(), max_arc)
+    return ManifoldBranch(e.id, base, kind, direction,
+                          np.array(res.points), np.array(res.arcs),
+                          res.termination, res.equilibrium_id)
 
 
 def _branch(ctx: _Context, e: Equilibrium, kind: BranchKind,
             direction: BranchDirection, cfg: IntegratorConfig,
-            seed_offset: float, max_arc: float) -> ManifoldBranch:
+            max_arc: float = _MAX_ARC,
+            section: bool = False) -> tuple[State, _TraceResult]:
+    """Seed one branch of the saddle ``e`` and trace it; returns the
+    polished base and the trace."""
     vs, vu = saddle_directions(ctx.p, e)
     base = _newton_polish(ctx.p, e.location)
     vec = vs if kind is BranchKind.STABLE else vu
     if direction is BranchDirection.DOWN_LEFT:
         vec = -vec
-    seed = (base[0] + seed_offset * vec[0], base[1] + seed_offset * vec[1])
-    res = _trace(ctx, base, seed, reverse=kind is BranchKind.STABLE,
-                 cfg=cfg, max_arc=max_arc)
-    return ManifoldBranch(e.id, base, kind, direction,
-                          np.array(res.points), np.array(res.arcs),
-                          res.termination, res.equilibrium_id)
+    seed = (base[0] + _SEED_OFFSET * vec[0], base[1] + _SEED_OFFSET * vec[1])
+    return base, _trace(ctx, base, seed, kind is BranchKind.STABLE, cfg,
+                        max_arc, section)
 
 
 def _interior_saddle(p: Params) -> Equilibrium:
@@ -242,8 +247,7 @@ def _interior_saddle(p: Params) -> Equilibrium:
     return eqs[0]
 
 
-def homoclinic_gap(p: Params, cfg: IntegratorConfig | None = None,
-                   seed_offset: float = 1e-6, max_arc: float = 100.0) -> float:
+def homoclinic_gap(p: Params, cfg: IntegratorConfig | None = None) -> float:
     """Signed section distance between the returning manifold crossings.
 
     Positive when the unstable branch crosses v = u + C (beyond P2) outside
@@ -253,17 +257,14 @@ def homoclinic_gap(p: Params, cfg: IntegratorConfig | None = None,
     """
     cfg = cfg or IntegratorConfig()
     p1 = _interior_saddle(p)
-    vs, vu = saddle_directions(p, p1)
-    base = _newton_polish(p, p1.location)
     ctx = _context(p)   # its anchor is P2's prey value
     crossing_u = []
-    for name, vec in (("unstable", vu), ("stable", vs)):
-        seed = (base[0] + seed_offset * vec[0], base[1] + seed_offset * vec[1])
-        res = _trace(ctx, base, seed, reverse=name == "stable", cfg=cfg,
-                     max_arc=max_arc, section=True)
+    for kind in (BranchKind.UNSTABLE, BranchKind.STABLE):
+        _, res = _branch(ctx, p1, kind, BranchDirection.UP_RIGHT, cfg,
+                         section=True)
         if res.crossing is None:
             raise GapUndefinedError(
-                f"{name} branch ended ({res.termination.value}) before "
+                f"{kind.value} branch ended ({res.termination.value}) before "
                 "crossing the section")
         crossing_u.append(res.crossing[1])
     return math.sqrt(2.0) * (crossing_u[0] - crossing_u[1])
@@ -307,8 +308,7 @@ def _clip_to_unit_box(points: np.ndarray) -> np.ndarray:
     return arr[keep]
 
 
-def separatrix(p: Params, cfg: IntegratorConfig | None = None,
-               seed_offset: float = 1e-6, max_arc: float = 100.0) -> Separatrix:
+def separatrix(p: Params, cfg: IntegratorConfig | None = None) -> Separatrix:
     """Union of both stable branches of the interior saddle, clipped to Phi.
 
     The polyline is ordered along the curve: down-left branch end, through
@@ -317,10 +317,8 @@ def separatrix(p: Params, cfg: IntegratorConfig | None = None,
     cfg = cfg or IntegratorConfig()
     p1 = _interior_saddle(p)
     ctx = _context(p)
-    down = _branch(ctx, p1, BranchKind.STABLE, BranchDirection.DOWN_LEFT,
-                   cfg, seed_offset, max_arc)
-    up = _branch(ctx, p1, BranchKind.STABLE, BranchDirection.UP_RIGHT,
-                 cfg, seed_offset, max_arc)
-    base = np.array([down.base])
-    curve = np.vstack([down.polyline[::-1], base, up.polyline])
-    return Separatrix(_clip_to_unit_box(curve), down.base)
+    base, down = _branch(ctx, p1, BranchKind.STABLE,
+                         BranchDirection.DOWN_LEFT, cfg)
+    _, up = _branch(ctx, p1, BranchKind.STABLE, BranchDirection.UP_RIGHT, cfg)
+    curve = np.vstack([down.points[::-1], [base], up.points])
+    return Separatrix(_clip_to_unit_box(curve), base)

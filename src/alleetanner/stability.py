@@ -94,12 +94,11 @@ def _det_trace(p: Params, e: Equilibrium) -> tuple[float, float]:
     return S * u * (2.0 * u - (1.0 + M - Q)), sigma(p, u) - S
 
 
-def classify(p: Params, e: Equilibrium,
-             eps_class: float = EPS_CLASS) -> Classification:
+def classify(p: Params, e: Equilibrium) -> Classification:
     """Classify an equilibrium of ``p`` from closed-form det/trace.
 
     Raises ValueError when ``e`` is not an equilibrium of ``p`` (residual
-    check).  Points within ``eps_class`` of a degeneracy are reported as
+    check).  Points within ``EPS_CLASS`` of a degeneracy are reported as
     NonHyperbolic rather than guessed, except multiplicity-2 points, which
     get the saddle-node/cusp side rule on the trace sign.
     """
@@ -111,17 +110,17 @@ def classify(p: Params, e: Equilibrium,
     det, trace = _det_trace(p, e)
 
     if e.multiplicity == 2:
-        if trace < -eps_class:
+        if trace < -EPS_CLASS:
             return Classification(StabilityTag.SADDLE_NODE_ATTRACTOR, None,
                                   det, trace)
-        if trace > eps_class:
+        if trace > EPS_CLASS:
             return Classification(StabilityTag.SADDLE_NODE_REPELLER, None,
                                   det, trace)
         return Classification(StabilityTag.CUSP_BT, None, det, trace)
 
-    if det < -eps_class:
+    if det < -EPS_CLASS:
         return Classification(StabilityTag.SADDLE, None, det, trace)
-    if det <= eps_class or abs(trace) <= eps_class:
+    if det <= EPS_CLASS or abs(trace) <= EPS_CLASS:
         return Classification(StabilityTag.NON_HYPERBOLIC, None, det, trace)
     focus = trace * trace - 4.0 * det < 0.0
     tag = StabilityTag.REPELLER if trace > 0.0 else StabilityTag.ATTRACTOR

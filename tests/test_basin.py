@@ -1,5 +1,10 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alleetanner import (
     IntegratorConfig,
@@ -12,7 +17,8 @@ from alleetanner import (
     save_raster,
     separatrix,
 )
-from alleetanner.basin import boundary_cells, config_hash
+from alleetanner.basin import AttractorInfo, BasinRaster, boundary_cells, \
+    config_hash
 
 from conftest import BISTABLE, EXTINCTION, FAST_CFG
 
@@ -178,3 +184,47 @@ def test_config_hash_sensitive_to_algorithm_version(monkeypatch):
     monkeypatch.setattr(basin, "ALGORITHM_VERSION",
                         basin.ALGORITHM_VERSION + 1)
     assert config_hash(BISTABLE, basin.PHI, 50, IntegratorConfig()) != h1
+
+
+finite = st.floats(-10.0, 10.0, allow_nan=False)
+
+
+@st.composite
+def rasters(draw):
+    res = draw(st.integers(1, 6))
+    (u0, v0), (du, dv) = (draw(st.tuples(finite, finite)) for _ in range(2))
+    bounds = ((u0, u0 + abs(du) + 1.0), (v0, v0 + abs(dv) + 1.0))
+    params = Params(*draw(st.tuples(finite, finite, finite, finite)))
+    table = []
+    for code in sorted(draw(st.sets(st.integers(1, 255), max_size=5))):
+        loc = draw(st.none() | st.tuples(finite, finite))
+        table.append(AttractorInfo(
+            code, draw(st.text("abcdefgh_", min_size=1, max_size=12)),
+            "cycle" if loc is None else "equilibrium", loc))
+    cells = draw(st.lists(st.sampled_from([0] + [a.code for a in table]),
+                          min_size=res * res, max_size=res * res))
+    labels = np.array(cells, dtype=np.uint8).reshape(res, res)
+    digest = draw(st.text("0123456789abcdef", min_size=64, max_size=64))
+    return BasinRaster(params, bounds, res, labels, tuple(table), digest)
+
+
+@settings(max_examples=25, deadline=None)
+@given(rasters(), st.data())
+def test_save_load_round_trip_of_drawn_rasters(raster, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "r.bin")
+        save_raster(raster, path)
+        back = load_raster(path)
+        assert np.array_equal(back.labels, raster.labels)
+        assert (back.params, back.bounds, back.resolution, back.attractors,
+                back.config_hash) == (raster.params, raster.bounds,
+                                      raster.resolution, raster.attractors,
+                                      raster.config_hash)
+        # a byte that is neither 0 nor in the table is rejected
+        codes = {a.code for a in raster.attractors}
+        bad = data.draw(st.integers(1, 255).filter(lambda b: b not in codes))
+        cell = data.draw(st.integers(0, raster.labels.size - 1))
+        raster.labels.flat[cell] = bad
+        save_raster(raster, path)
+        with pytest.raises(ValueError, match="neither 0 nor"):
+            load_raster(path)

@@ -44,6 +44,26 @@ def test_classify_requires_complete_parameters():
     assert run(["classify", "-M", "0.1", "-S", "0.1"]) == 2
 
 
+BASE = ["-M", "0.04", "-S", "0.12", "-Q", "0.45", "-C", "0.07"]
+BIF = ["bifurcation", "-Q", "0.5", "-C", "0.1"]
+
+
+@pytest.mark.parametrize("argv", [
+    BIF + ["--grid", "16"],
+    BIF + ["--m-window=abc"],
+    BIF + ["--s-window=x,0.2"],
+    BIF + ["--rel-tol", "0"],
+    ["classify", *BASE, "--rel-tol", "0"],
+    ["classify", *BASE, "--tau-max", "-1"],
+    ["basin", *BASE, "--resolution", "0"],
+    ["sweep", *BASE, "--sweep", "M=0.04:0.05:2", "--resolution", "0"],
+], ids=["grid", "m-window", "s-window", "bifurcation-rel-tol", "rel-tol",
+        "tau-max", "basin-resolution", "sweep-resolution"])
+def test_malformed_arguments_are_parameter_errors(argv, tmp_path, capsys):
+    assert run(argv + ["--out-dir", str(tmp_path)]) == 2
+    assert "parameter error" in capsys.readouterr().err
+
+
 def test_classify_dimensional_mode(capsys):
     code = run(["classify", "-r", "2", "-s", "1", "-q", "0.9", "-n", "1",
                 "-K", "1", "-m", "0.04", "-c", "0.07"])

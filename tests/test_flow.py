@@ -14,7 +14,7 @@ from alleetanner import (
     interior_equilibria,
     is_global_extinction,
 )
-from alleetanner.flow import _refine_crossing, _Stepper
+from alleetanner.flow import _cycle_found, _refine_crossing, _Stepper
 from alleetanner.model import field_closure
 from alleetanner.stability import classify
 from alleetanner.equilibria import all_equilibria
@@ -220,3 +220,31 @@ def test_refine_crossing_locates_both_directions(reverse):
         assert abs(v - u - C) < 1e-12
         directions.append(g0 < g1)
     assert directions.count(True) >= 3 and directions.count(False) >= 3
+
+
+def test_cycle_predicate_same_on_floats_and_arrays():
+    # the return-map test of both integrator loops, at its exact boundaries
+    cfg = IntegratorConfig()
+    r = cfg.rho_cyc
+    last = 5e-8
+    cases = [  # (delta, last_delta, u_c, expected), anchor 0
+        (0.5 * last, last, 0.5, True),
+        (math.nan, last, 0.5, False),              # no earlier crossing
+        (0.5 * last, math.nan, 0.5, False),        # no earlier difference
+        (math.nan, math.nan, 0.5, False),
+        (r, 2.0 * r, 0.5, False),                  # |delta| = rho_cyc
+        (np.nextafter(r, 0.0), 2.0 * r, 0.5, True),
+        (0.5 * r, 10.0 * r, 0.5, False),           # |last| = 10 rho_cyc
+        (0.98 * last, last, 0.5, True),            # ratio exactly 0.98
+        (-0.98 * last, -last, 0.5, True),
+        (np.nextafter(0.98 * last, 1.0), last, 0.5, False),
+        (0.5 * last, last, 1e-3, True),            # |u_c - anchor| = 1e-3
+        (0.5 * last, last, -1e-3, True),
+        (0.5 * last, last, np.nextafter(1e-3, 0.0), False),
+    ]
+    want = [c[3] for c in cases]
+    got = [_cycle_found(float(d), float(ld), float(u), 0.0, cfg)
+           for d, ld, u, _ in cases]
+    assert got == want
+    cols = np.array([c[:3] for c in cases], dtype=float).T
+    assert _cycle_found(*cols, 0.0, cfg).tolist() == want

@@ -114,6 +114,31 @@ def test_lockstep_equals_scalar_at_drawn_seeds(points):
     assert got.tolist() == want
 
 
+@pytest.mark.parametrize("cfg", [FAST_CFG, IntegratorConfig()],
+                         ids=["fast", "default"])
+def test_seeds_at_the_proximity_radius(cfg):
+    # seeds a few ulp either side of the ring of radius rho_eq round each
+    # in-domain equilibrium: the squared-norm tests of both paths agree
+    ctx = flow._context(BISTABLE)
+    seeds = []
+    for t in ctx.targets:
+        for a in np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False):
+            u = t.u + cfg.rho_eq * np.cos(a)
+            v = t.v + cfg.rho_eq * np.sin(a)
+            for k in range(-3, 4):
+                seeds.append((u + k * np.spacing(u), v))
+    seeds = np.array([s for s in seeds if min(s) >= 0.0])
+    codes = {t.id: k + 1 for k, t in enumerate(ctx.targets) if t.attracting}
+    want = []
+    for s in seeds.tolist():
+        lab = classify_omega_limit(BISTABLE, s, cfg)
+        want.append(codes[lab.id] if lab.tag is AttractorTag.EQUILIBRIUM
+                    else 0 if lab.tag is AttractorTag.UNDECIDED else 99)
+    assert flow._lockstep(ctx, seeds, cfg, codes, 99).tolist() == want
+    # both sides of the ring occur, at an attractor and at a saddle
+    assert 0 < want.count(0) < len(want)
+
+
 def test_handover_state_is_the_scalar_state(monkeypatch):
     # the hand-over resumes each cell where a scalar stepper from its seed
     # would be: same time, state and FSAL derivative, to the last bit

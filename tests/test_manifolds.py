@@ -19,6 +19,7 @@ from alleetanner import (
     trace_manifold,
 )
 from alleetanner.equilibria import EquilibriumKind, boundary_equilibria
+from alleetanner import flow, manifolds
 from alleetanner.manifolds import BranchTermination, _saddle_eigvecs
 
 from conftest import BISTABLE, WEAK_BISTABLE
@@ -136,6 +137,23 @@ def test_gap_changes_sign_across_homoclinic_value():
     lo = homoclinic_gap(Params(0.04, 0.02, 0.45, 0.07))
     hi = homoclinic_gap(Params(0.04, 0.084256, 0.45, 0.07))
     assert lo * hi < 0
+
+
+def test_section_trace_ends_at_first_crossing():
+    # the gap reads only the first crossing beyond P2, so a section trace
+    # stops at the step that makes it
+    p = Params(0.04, 0.02, 0.45, 0.07)
+    cfg = IntegratorConfig()
+    ctx = flow._context(p)
+    e = saddle_of(p)
+    vs, vu = saddle_directions(p, e)
+    base = manifolds._newton_polish(p, e.location)
+    for vec, reverse in ((vu, False), (vs, True)):
+        seed = (base[0] + 1e-6 * vec[0], base[1] + 1e-6 * vec[1])
+        res = manifolds._trace(ctx, base, seed, reverse, cfg, 100.0, True)
+        (u0, v0), (u1, v1) = res.points[-2:]
+        assert (v0 - u0 - p.C < 0.0) != (v1 - u1 - p.C < 0.0)
+        assert res.crossing[1] > ctx.anchor
 
 
 def test_gap_undefined_without_saddle():
