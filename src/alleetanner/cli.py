@@ -115,18 +115,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_params_file(path: str) -> dict[str, float]:
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParameterError(f"cannot read {path}: {exc}") from exc
     out: dict[str, float] = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParameterError(f"bad config line: {line!r}")
-            key, val = (part.strip() for part in line.split("=", 1))
-            if key not in _NONDIM_KEYS + _DIM_KEYS:
-                raise ParameterError(f"unknown parameter {key!r} in {path}")
+    for line in text.splitlines():
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParameterError(f"bad config line: {line!r}")
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key not in _NONDIM_KEYS + _DIM_KEYS:
+            raise ParameterError(f"unknown parameter {key!r} in {path}")
+        try:
             out[key] = float(val)
+        except ValueError:
+            raise ParameterError(
+                f"bad value {val!r} for {key} in {path}") from None
     return out
 
 
@@ -351,6 +359,10 @@ def cmd_bifurcation(args) -> int:
     m_window = _parse_range(args.m_window, "--m-window")
     s_window = _parse_range(args.s_window, "--s-window")
     nm, ns = _parse_grid(args.grid)
+    for flag, count in (("--hopf-points", args.hopf_points),
+                        ("--hom-points", args.hom_points)):
+        if count < 1:
+            raise ParameterError(f"{flag} must be >= 1, got {count}")
     out = _out_dir(args)
     diagram = compute_diagram(q, c, m_window, s_window,
                               n_hopf=args.hopf_points,

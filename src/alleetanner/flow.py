@@ -12,8 +12,10 @@ Termination events, checked after every accepted step:
   keeps a slow saddle passage from being misread as convergence),
 * limit-cycle convergence: successive same-direction crossings of the
   Poincare section v = u + C (the predator nullcline, which carries every
-  interior equilibrium and is transversal to the flow elsewhere) form a
-  geometrically contracting sequence within ``rho_cyc``,
+  interior equilibrium and is transversal to the flow elsewhere) differ by
+  less than ``rho_cyc``, and their differences contract geometrically or,
+  once the integrator's global error is as large as they are, change sign
+  (the exact return map is monotone; see ``_cycle_found``),
 * horizon ``tau_max`` exceeded, domain exit, or step-size underflow.
 
 Basin rasters run many seeds at once (``_lockstep``): the same attempts
@@ -61,8 +63,9 @@ _P7 = (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423)
 # The same, one row per stage (k1, k3..k7), for (6, n) weight arrays.
 _P = np.array((_P1, _P3, _P4, _P5, _P6, _P7))[:, :, None]
 
-# Successive return-map differences must shrink at least this fast before a
-# cycle is declared; a slow drift toward a boundary contour has ratio -> 1.
+# Successive return-map differences of one sign must shrink at least this
+# fast before a cycle is declared; a slow drift toward a boundary contour
+# has ratio -> 1 and keeps its sign.
 _CYCLE_CONTRACTION = 0.98
 # Nearer the anchor than this, a converging return map is closing in on
 # the interior equilibrium, not on a cycle around it.
@@ -329,10 +332,21 @@ def _cycle_found(delta, last_delta, u_c, anchor: float, cfg: IntegratorConfig):
     crossings beyond the anchor, NaN until there are that many (NaN never
     passes); ``u_c`` is the prey value of the latest crossing.  Floats give
     a bool, equal-shape arrays a mask with the same answer per element.
+
+    Converged means |delta| < rho_cyc, |last_delta| < 10 rho_cyc, the
+    crossing at least ``_MIN_CYCLE_RADIUS`` from the anchor, and either
+    |delta| <= ``_CYCLE_CONTRACTION`` |last_delta| or a sign change from
+    ``last_delta`` to ``delta``.  The first-return map on a transversal
+    section of a planar flow is monotone (Perko, Differential Equations and
+    Dynamical Systems, 3.4), so exact differences never change sign: a flip
+    is rounding and truncation noise at the integrator's global-error
+    floor, where contraction can no longer be seen.  A slow one-signed
+    drift still fails both tests.
     """
     return ((abs(delta) < cfg.rho_cyc)
             & (abs(last_delta) < 10.0 * cfg.rho_cyc)
-            & (abs(delta) <= _CYCLE_CONTRACTION * abs(last_delta))
+            & ((abs(delta) <= _CYCLE_CONTRACTION * abs(last_delta))
+               | (delta * last_delta < 0.0))
             & (abs(u_c - anchor) >= _MIN_CYCLE_RADIUS))
 
 
@@ -692,8 +706,10 @@ def classify_omega_limit(p: Params, s0: State,
 
     Returns Equilibrium(id) only for attracting equilibria (convergence onto
     a saddle or a degenerate point is reported as Undecided), LimitCycle when
-    the return map on v = u + C contracts to a fixed point away from the
-    interior equilibrium, and Undecided at the horizon or on underflow.
+    the return map on v = u + C converges to a fixed point away from the
+    interior equilibrium (its differences fall below ``rho_cyc`` and
+    contract, or flip sign at the integrator's noise floor), and Undecided
+    at the horizon or on underflow.
     """
     cfg = cfg or IntegratorConfig()
     ctx = _context(p)
@@ -714,8 +730,9 @@ def find_limit_cycle(p: Params, seed: State,
 
     Iterates crossings of the section v = u + C (through the interior
     equilibrium, along direction (1, 1)) until successive crossings differ by
-    less than ``rho_cyc``.  Returns None when crossings run into an
-    equilibrium or the horizon, or when no interior anchor exists.
+    less than ``rho_cyc`` and their differences contract or, at the
+    integrator's noise floor, change sign.  Returns None when crossings run
+    into an equilibrium or the horizon, or when no interior anchor exists.
     """
     cfg = cfg or IntegratorConfig()
     ctx = _context(p)

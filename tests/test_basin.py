@@ -55,8 +55,9 @@ def test_undecided_small_away_from_loci(raster_bistable_200):
 
 def test_undecided_small_in_cycle_region():
     # generic blue-region point (the W2c cycle point sits on the locus where
-    # the saddle collides with (0,C); its deep axis excursions are honestly
-    # undecided within any finite horizon)
+    # the saddle collides with (0,C); its deep axis excursions give a
+    # multiplier of ~6e-12, so its return map sits at the noise floor from
+    # the first revolution and the cycle is found by a difference's sign flip)
     p = Params(0.04, 0.082, 0.45, 0.07)
     r = compute_basins(p, 40, FAST_CFG)
     assert r.undecided_fraction < 0.05

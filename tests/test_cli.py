@@ -57,8 +57,13 @@ BIF = ["bifurcation", "-Q", "0.5", "-C", "0.1"]
     ["classify", *BASE, "--tau-max", "-1"],
     ["basin", *BASE, "--resolution", "0"],
     ["sweep", *BASE, "--sweep", "M=0.04:0.05:2", "--resolution", "0"],
+    BIF + ["--hopf-points", "-1"],
+    BIF + ["--hopf-points", "0"],
+    BIF + ["--hom-points", "-1"],
+    BIF + ["--hom-points", "0"],
 ], ids=["grid", "m-window", "s-window", "bifurcation-rel-tol", "rel-tol",
-        "tau-max", "basin-resolution", "sweep-resolution"])
+        "tau-max", "basin-resolution", "sweep-resolution", "hopf-points-neg",
+        "hopf-points-zero", "hom-points-neg", "hom-points-zero"])
 def test_malformed_arguments_are_parameter_errors(argv, tmp_path, capsys):
     assert run(argv + ["--out-dir", str(tmp_path)]) == 2
     assert "parameter error" in capsys.readouterr().err
@@ -79,6 +84,22 @@ def test_params_file_with_flag_override(tmp_path, capsys):
                 "-M", "0.04"]) == 0
     out = capsys.readouterr().out
     assert "params: M=0.04 S=0.1 Q=0.45 C=0.07" in out
+
+
+@pytest.mark.parametrize("content", ["M=abc\nS=0.1\nQ=0.45\nC=0.07\n",
+                                     "S=\n", None, "dir", b"M=0.04\xff\n"],
+                         ids=["not-a-number", "empty-value", "missing",
+                              "directory", "not-utf8"])
+def test_bad_params_file_is_parameter_error(content, tmp_path, capsys):
+    cfgfile = tmp_path / "params.txt"
+    if content == "dir":
+        cfgfile.mkdir()
+    elif isinstance(content, bytes):
+        cfgfile.write_bytes(content)
+    elif content is not None:
+        cfgfile.write_text(content)
+    assert run(["classify", "--params-file", str(cfgfile)]) == 2
+    assert "parameter error" in capsys.readouterr().err
 
 
 def test_portrait_outputs(tmp_path, capsys):

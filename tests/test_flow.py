@@ -9,17 +9,21 @@ from alleetanner import (
     Params,
     Termination,
     classify_omega_limit,
+    compute_basins,
     find_limit_cycle,
     integrate,
     interior_equilibria,
     is_global_extinction,
+    jacobian,
 )
-from alleetanner.flow import _cycle_found, _refine_crossing, _Stepper
+from alleetanner.flow import (_context, _cycle_found, _drive,
+                              _refine_crossing, _Stepper, sample_path)
 from alleetanner.model import field_closure
 from alleetanner.stability import classify
 from alleetanner.equilibria import all_equilibria
 
-from conftest import CYCLE_POINT, BISTABLE, SINGLE_STABLE, random_params
+from conftest import (BISTABLE, CYCLE_POINT, FAST_CFG, SINGLE_STABLE,
+                      random_params)
 
 FAST = IntegratorConfig(rel_tol=1e-7, abs_tol=1e-10, rho_eq=1e-5,
                         tau_max=3e4)
@@ -241,6 +245,18 @@ def test_cycle_predicate_same_on_floats_and_arrays():
         (0.5 * last, last, 1e-3, True),            # |u_c - anchor| = 1e-3
         (0.5 * last, last, -1e-3, True),
         (0.5 * last, last, np.nextafter(1e-3, 0.0), False),
+        # a sign flip is noise at the floor, even where |delta| grew
+        (-0.5 * last, last, 0.5, True),
+        (np.nextafter(r, 0.0), -0.5 * r, 0.5, True),
+        (-np.nextafter(r, 0.0), 0.5 * r, 0.5, True),
+        (r, -0.5 * r, 0.5, False),                 # |delta| = rho_cyc
+        (-r, 0.5 * r, 0.5, False),
+        (0.5 * r, -10.0 * r, 0.5, False),          # |last| = 10 rho_cyc
+        (-0.5 * last, last, np.nextafter(1e-3, 0.0), False),
+        (0.0, last, 0.5, True),                    # a zero is no flip
+        # a same-sign slow drift, ratio 0.99, is not convergence
+        (0.99 * last, last, 0.5, False),
+        (-0.99 * last, -last, 0.5, False),
     ]
     want = [c[3] for c in cases]
     got = [_cycle_found(float(d), float(ld), float(u), 0.0, cfg)
@@ -248,3 +264,71 @@ def test_cycle_predicate_same_on_floats_and_arrays():
     assert got == want
     cols = np.array([c[:3] for c in cases], dtype=float).T
     assert _cycle_found(*cols, 0.0, cfg).tolist() == want
+
+
+def test_cycle_predicate_rejects_slow_monotone_drift():
+    # a return map with multiplier 0.99: differences keep their sign and
+    # shrink too slowly to pass, from 10 rho_cyc to below 1e-5 rho_cyc
+    cfg = IntegratorConfig()
+    for sign in (1.0, -1.0):
+        deltas = sign * 9.9e-7 * 0.99 ** np.arange(1400)
+        assert not _cycle_found(deltas[1:], deltas[:-1], 0.5, 0.0,
+                                cfg).any()
+        assert not any(_cycle_found(float(d), float(ld), 0.5, 0.0, cfg)
+                       for d, ld in zip(deltas[1:], deltas[:-1]))
+
+
+GENERIC_CYCLE = Params(0.04, 0.082, 0.45, 0.07)
+# tight enough that return-map differences over 2e-3 resolve a multiplier
+# of 6e-12
+TIGHT = IntegratorConfig(rel_tol=1e-13, abs_tol=1e-15)
+
+
+def _first_return(ctx, x, cfg):
+    """Prey value of the first upward crossing of v = u + C beyond the
+    anchor, from the section point (x, x + C)."""
+    C = ctx.p.C
+    st = _Stepper(ctx.f, (x, x + C), cfg, cfg.tau_max)
+    while st.step():
+        if st.prev_v - st.prev_u - C < 0.0 <= st.v - st.u - C:
+            tau, u, _ = _refine_crossing(st, C)
+            # the start itself lies on the section
+            if u > ctx.anchor and tau > 1.0:
+                return u
+    raise AssertionError("no return to the section")
+
+
+@pytest.mark.parametrize("p", [CYCLE_POINT, GENERIC_CYCLE],
+                         ids=["cycle-point", "generic"])
+def test_cycle_cells_end_on_the_attracting_cycle(p):
+    """Oracle for the return-map test: the cycle's multiplier, by finite
+    differences of the first-return map, is in (0, 1) and equals Liouville's
+    exp(integral of the divergence over one period); every raster cell
+    labelled as the cycle ends, through ``_drive``, near
+    ``find_limit_cycle``'s crossing.  "Near" is 3 rho_cyc / (1 - m): with
+    multiplier m, a crossing whose next difference is below rho_cyc lies
+    within rho_cyc * m / (1 - m) of the fixed point."""
+    ctx = _context(p)
+    u, v = interior_equilibria(p)[-1].location
+    cyc = find_limit_cycle(p, (min(u + 0.05, 0.98), v), FAST_CFG)
+    x = cyc.crossing[0]
+    eps = 1e-3
+    m = (_first_return(ctx, x + eps, TIGHT)
+         - _first_return(ctx, x - eps, TIGHT)) / (2.0 * eps)
+    assert 0.0 < m < 1.0
+    taus = np.linspace(0.0, cyc.period, 1001)
+    path = sample_path(ctx.f, (x, x + p.C), TIGHT, cyc.period, taus)
+    tr = np.array([np.trace(jacobian(p, s)) for s in path])
+    div = float(np.sum(0.5 * (tr[1:] + tr[:-1]) * np.diff(taus)))
+    assert abs(math.log(m) - div) < 0.1
+
+    raster = compute_basins(p, 6, FAST_CFG)
+    code = [a.code for a in raster.attractors if a.kind == "cycle"][0]
+    rows, cols = np.nonzero(raster.labels == code)
+    assert len(rows) > 0
+    for i, j in zip(rows, cols):
+        s0 = ((j + 0.5) / 6, (i + 0.5) / 6)
+        res = _drive(ctx, s0, FAST_CFG, want_samples=False)
+        assert res.termination is Termination.REACHED_CYCLE
+        assert (abs(res.cycle.crossing[0] - x)
+                < 3.0 * FAST_CFG.rho_cyc / (1.0 - m))

@@ -55,8 +55,8 @@ REGIMES = {
     "bistable": (BISTABLE, 16, IntegratorConfig(), ((0.0, 1.0), (0.0, 1.0))),
     "weak_bistable": (WEAK_BISTABLE, 16, FAST_CFG, ((0.0, 1.0), (0.0, 1.0))),
     "extinction": (EXTINCTION, 12, FAST_CFG, ((0.0, 1.0), (0.0, 1.0))),
-    # few cells, several of them at the horizon: the live set falls below
-    # the hand-over size long before they finish
+    # few cells, each of several ~300-long revolutions: the live set falls
+    # below the hand-over size long before they finish
     "cycle": (CYCLE_POINT, 8, FAST_CFG, ((0.0, 1.0), (0.0, 1.0))),
     # a horizon that cuts some cells' last revolution short, after the
     # crossing that found their cycle
