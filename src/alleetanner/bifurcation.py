@@ -131,16 +131,14 @@ def _bisect_hom(m: float, q: float, c: float,
         s = float(fr * s_hopf)
         g = _gap_or_none(Params(m, s, q, c), cfg)
         if g is not None and prev is not None and g * prev[1] < 0.0:
-            bracket = (prev[0], s) if prev[0] < s else (s, prev[0])
+            # (lo, hi, gap at lo), the gap just computed at the same float S
+            bracket = (prev[0], s, prev[1]) if prev[0] < s else (s, prev[0], g)
             break
         if g is not None:
             prev = (s, g)
     if bracket is None:
         return None
-    lo, hi = bracket
-    g_lo = _gap_or_none(Params(m, lo, q, c), cfg)
-    if g_lo is None:
-        return None
+    lo, hi, g_lo = bracket
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         g_mid = _gap_or_none(Params(m, mid, q, c), cfg)

@@ -454,9 +454,9 @@ def _parse_sweep(spec: str) -> tuple[str, np.ndarray]:
         if key not in _NONDIM_KEYS:
             raise ValueError(f"swept parameter must be one of {_NONDIM_KEYS}")
         n = int(count)
-        values = np.linspace(float(start), float(stop), n) if n > 0 \
-            else np.empty(0)
-        return key, values
+        if n < 1:
+            raise ValueError(f"count must be >= 1, got {n}")
+        return key, np.linspace(float(start), float(stop), n)
     except ValueError as exc:
         raise ParameterError(f"bad sweep spec {spec!r}: {exc}")
 

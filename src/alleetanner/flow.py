@@ -119,7 +119,9 @@ class Cycle:
     period: float
     polyline: np.ndarray          # closed (N, 2) loop of states
     crossing: State               # section crossing point on v = u + C
-    residual: float               # final return-map difference
+    # last return-map difference |P(x) - x|, not a bound on the distance to
+    # the cycle (see find_limit_cycle)
+    residual: float
 
 
 @dataclass(frozen=True)
@@ -360,7 +362,9 @@ def _refine_crossing(stepper: _Stepper, C: float) -> tuple[float, float, float]:
 
     The crossing may run either way: its direction comes from the step's
     ends, and g = v - u - C is split into g < 0 and g >= 0.  The returned
-    time lies on the step end's side of that split.
+    time lies on the step end's side of that split.  Like
+    ``_bisect_crossings`` it stops at the first halving that moves neither
+    end, a fixed point of the rest of the 64.
     """
     lo, hi = stepper.prev_tau, stepper.tau
     up = stepper.prev_v - stepper.prev_u - C < stepper.v - stepper.u - C
@@ -368,9 +372,11 @@ def _refine_crossing(stepper: _Stepper, C: float) -> tuple[float, float, float]:
         mid = 0.5 * (lo + hi)
         u, v = stepper.state_at(mid)
         if (v - u - C < 0.0) == up:
-            lo = mid
+            lo, moved = mid, mid != lo
         else:
-            hi = mid
+            hi, moved = mid, mid != hi
+        if not moved:
+            break
     u, v = stepper.state_at(hi)
     return hi, u, v
 
@@ -475,13 +481,12 @@ _HANDOVER = 40
 # 73^2 raster is 2.6 MB above the scalar path's (4.7 MB with 4096 cells,
 # which take 5-10% less time); a 400^2 raster peaks at 41 MB.
 _POOL = 2048
-# A section crossing waits, with its step, until this many wait, its cell
-# crosses again or is handed over, or its cell ends while the crossing
-# could still have ended it first.  On the same VM a numpy bisection pass
-# costs 1.2-1.8 ms for up to 64 cells and 4.3 ms for 256 (17 us a cell),
-# a scalar one ~70 us per cell.
-_SETTLE = 256
 
+# A section crossing waits with its step.  All waiting crossings are bisected
+# in one batch when a waiting cell crosses again, when one ends while its
+# crossing could have ended it (last difference below 10 rho_cyc), and
+# before the hand-over; a bisection depends only on its own step.
+#
 # Rows of the lockstep state, one column per live cell: time, state, FSAL
 # derivative, next step size, exit box, last section crossing (prey and
 # time) and last crossing difference (NaN for none yet); then a crossing that
@@ -570,28 +575,25 @@ def _lockstep(ctx: _Context, seeds: np.ndarray, cfg: IntegratorConfig,
             block[_XU, i], block[_XV, i] = _exit_box(u, v, C)
         return block[:, keep], idx[keep]
 
-    def cross(state, cols, tau_c, u_c):
-        """The section test of ``_drive`` for crossings of cells ``cols``;
-        returns the mask of those whose return map has converged."""
-        delta = u_c - state[_PCU, cols]
+    def settle(state, done):
+        """Bisect every waiting crossing and apply it with the section test
+        of ``_drive``.  A return map found converged ends its cell as a
+        cycle, at that crossing, whatever the cell did after it."""
+        cols = np.flatnonzero(~np.isnan(state[_QT]))
+        if not len(cols):
+            return
+        q = state[:, cols]
+        tau_c, u_c = _bisect_crossings(C, q[_QT], q[_QU:_QH], q[_QH],
+                                       q[_QK:].reshape(6, 2, -1))
+        delta = u_c - q[_PCU]
         side = u_c > anchor
-        cycle = side & _cycle_found(delta, state[_PD, cols], u_c, anchor, cfg)
+        cycle = side & _cycle_found(delta, q[_PD], u_c, anchor, cfg)
         moved = side & ~cycle
         for row, new in ((_PD, delta), (_PCU, u_c), (_PCT, tau_c)):
             state[row, cols[moved]] = new[moved]
-        return cycle
-
-    def settle(state, done, cols):
-        """Bisect the waiting crossings of cells ``cols`` and apply them in
-        turn.  A return map found converged ends its cell as a cycle, at
-        that crossing, whatever the cell did after it."""
-        if len(cols):
-            q = state[:, cols]
-            cycle = cross(state, cols, *_bisect_crossings(
-                C, q[_QT], q[_QU:_QH], q[_QH], q[_QK:].reshape(6, 2, -1)))
-            labels[cells[cols[cycle]]] = cycle_code
-            done[cols[cycle]] = True
-            state[_QT, cols] = math.nan
+        labels[cells[cols[cycle]]] = cycle_code
+        done[cols[cycle]] = True
+        state[_QT, cols] = math.nan
 
     state = np.empty((_ROWS, 0))
     cells = np.empty(0, dtype=np.intp)
@@ -644,10 +646,12 @@ def _lockstep(ctx: _Context, seeds: np.ndarray, cfg: IntegratorConfig,
                 g0 = v0 - u0 - C
                 g1 = v5 - u5 - C
                 ci = np.flatnonzero(acc & ~done & (g0 < 0.0) & (g1 >= 0.0))
-                if waiting[ci].any():
-                    # a cell crosses again: its earlier crossing goes first
-                    settle(state, done, np.flatnonzero(waiting))
-                    waiting[:] = False
+                # a waiting crossing goes before its cell's next crossing,
+                # and before its cell's end whenever it could have ended it
+                if waiting[ci].any() or (
+                        waiting & done
+                        & (np.abs(state[_PD]) < 10.0 * cfg.rho_cyc)).any():
+                    settle(state, done)
                     ci = ci[~done[ci]]
                 if len(ci):
                     state[_QT, ci] = tau[ci]
@@ -655,15 +659,6 @@ def _lockstep(ctx: _Context, seeds: np.ndarray, cfg: IntegratorConfig,
                     state[_QV, ci] = v0[ci]
                     state[_QH, ci] = h[ci]
                     state[_QK:, ci] = np.stack([k[ci] for k in ks])
-                    waiting[ci] = True
-                if np.count_nonzero(waiting) >= _SETTLE:
-                    settle(state, done, np.flatnonzero(waiting))
-                else:
-                    # only a crossing whose cell's last difference is small
-                    # can have ended a cell that ends now
-                    settle(state, done, np.flatnonzero(
-                        done & waiting
-                        & (np.abs(state[_PD]) < 10.0 * cfg.rho_cyc)))
 
             state[_H] = h * factor
             for row, new in ((_TAU, tau + h), (_U, u5), (_V, v5),
@@ -673,7 +668,7 @@ def _lockstep(ctx: _Context, seeds: np.ndarray, cfg: IntegratorConfig,
                 state = state[:, ~done]
                 cells = cells[~done]
         done = np.zeros(state.shape[1], dtype=bool)
-        settle(state, done, np.flatnonzero(~np.isnan(state[_QT])))
+        settle(state, done)
         state, cells = state[:, ~done], cells[~done]
 
     for col, cell in zip(state[:_QT].T.tolist(), cells.tolist()):
@@ -733,6 +728,10 @@ def find_limit_cycle(p: Params, seed: State,
     less than ``rho_cyc`` and their differences contract or, at the
     integrator's noise floor, change sign.  Returns None when crossings run
     into an equilibrium or the horizon, or when no interior anchor exists.
+
+    ``Cycle.residual`` is that last difference, not the crossing's distance
+    from the cycle: at Params(0.04, 0.082, 0.45, 0.07), rel_tol 1e-6 and
+    abs_tol 1e-9 it reads 4.5e-8, and the map's fixed point is 1.1e-6 away.
     """
     cfg = cfg or IntegratorConfig()
     ctx = _context(p)

@@ -57,12 +57,15 @@ BIF = ["bifurcation", "-Q", "0.5", "-C", "0.1"]
     ["classify", *BASE, "--tau-max", "-1"],
     ["basin", *BASE, "--resolution", "0"],
     ["sweep", *BASE, "--sweep", "M=0.04:0.05:2", "--resolution", "0"],
+    ["sweep", *BASE, "--sweep", "M=0:1:0"],
+    ["sweep", *BASE, "--sweep", "M=0.04:0.05:-2"],
     BIF + ["--hopf-points", "-1"],
     BIF + ["--hopf-points", "0"],
     BIF + ["--hom-points", "-1"],
     BIF + ["--hom-points", "0"],
 ], ids=["grid", "m-window", "s-window", "bifurcation-rel-tol", "rel-tol",
-        "tau-max", "basin-resolution", "sweep-resolution", "hopf-points-neg",
+        "tau-max", "basin-resolution", "sweep-resolution", "sweep-count-zero",
+        "sweep-count-neg", "hopf-points-neg",
         "hopf-points-zero", "hom-points-neg", "hom-points-zero"])
 def test_malformed_arguments_are_parameter_errors(argv, tmp_path, capsys):
     assert run(argv + ["--out-dir", str(tmp_path)]) == 2
@@ -213,16 +216,6 @@ def test_sweep_region_transitions_in_s(tmp_path):
     _, rows = read_csv_rows(tmp_path / "sweep.csv")
     regions = [r[1] for r in rows]
     assert regions == ["repeller", "cycle", "bistable"]
-
-
-def test_sweep_empty_range(tmp_path):
-    code = run(["sweep", "-M", "0.04", "-S", "0.12", "-Q", "0.45",
-                "-C", "0.07", "--sweep", "M=0:1:0",
-                "--out-dir", str(tmp_path)])
-    assert code == 0
-    cols, rows = read_csv_rows(tmp_path / "sweep.csv")
-    assert cols == ["M", "region", "interior_fraction"]
-    assert rows == []
 
 
 def test_out_dir_from_environment(tmp_path, monkeypatch, capsys):

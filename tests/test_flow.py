@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alleetanner import (
     AttractorTag,
@@ -16,8 +18,9 @@ from alleetanner import (
     is_global_extinction,
     jacobian,
 )
-from alleetanner.flow import (_context, _cycle_found, _drive,
-                              _refine_crossing, _Stepper, sample_path)
+from alleetanner.flow import (_bisect_crossings, _context, _cycle_found,
+                              _drive, _refine_crossing, _Stepper,
+                              sample_path)
 from alleetanner.model import field_closure
 from alleetanner.stability import classify
 from alleetanner.equilibria import all_equilibria
@@ -224,6 +227,49 @@ def test_refine_crossing_locates_both_directions(reverse):
         assert abs(v - u - C) < 1e-12
         directions.append(g0 < g1)
     assert directions.count(True) >= 3 and directions.count(False) >= 3
+
+
+def _bisect_64(stepper, C):
+    """Brute-force reference: 64 halvings of the last step, with no stop."""
+    lo, hi = stepper.prev_tau, stepper.tau
+    up = stepper.prev_v - stepper.prev_u - C < stepper.v - stepper.u - C
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        u, v = stepper.state_at(mid)
+        if (v - u - C < 0.0) == up:
+            lo = mid
+        else:
+            hi = mid
+    return (hi, *stepper.state_at(hi))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([BISTABLE, CYCLE_POINT]),
+       st.sampled_from([FAST_CFG, IntegratorConfig()]),
+       st.floats(0.01, 1.0), st.floats(0.01, 1.0))
+def test_refine_crossing_equals_64_halvings(p, cfg, u0, v0):
+    # both locators stop at the bracket's fixed point, which a full
+    # 64-halving bisection reaches too: same bytes, both directions
+    C = p.C
+    stepper = _Stepper(field_closure(p), (u0, v0), cfg, 1000.0)
+    found, up_steps, up_want = 0, [], []
+    while found < 16 and stepper.step():
+        g0 = stepper.prev_v - stepper.prev_u - C
+        g1 = stepper.v - stepper.u - C
+        if (g0 < 0.0) == (g1 < 0.0):
+            continue
+        found += 1
+        want = _bisect_64(stepper, C)
+        assert _refine_crossing(stepper, C) == want
+        if g0 < g1:
+            up_want.append(want[:2])
+            up_steps.append((stepper.prev_tau, stepper.prev_u, stepper.prev_v,
+                             stepper.h_last, *stepper.ks))
+    if up_steps:
+        a = np.array(up_steps).T
+        tau_c, u_c = _bisect_crossings(C, a[0], a[1:3], a[3],
+                                       a[4:].reshape(6, 2, -1))
+        assert list(zip(tau_c.tolist(), u_c.tolist())) == up_want
 
 
 def test_cycle_predicate_same_on_floats_and_arrays():

@@ -1,9 +1,10 @@
 """The lockstep raster against the scalar reference, label byte for byte.
 
 ``compute_basins`` advances every live cell at once; ``classify_omega_limit``
-integrates one seed at a time and stays the reference.  Shrinking the pool,
-hand-over and settle sizes runs the same rasters through pool refills,
-early hand-overs and many small batches of section crossings.
+integrates one seed at a time and stays the reference.  Shrinking the pool
+and hand-over sizes runs the same rasters through pool refills, early
+hand-overs and small batches of section crossings; no hand-over at all
+ends every cell, with its waiting crossing, in the lockstep loop.
 """
 
 import numpy as np
@@ -40,12 +41,13 @@ def scalar_labels(p, resolution, cfg, bounds, codes):
 
 @pytest.fixture(params=["default", "small", "late"])
 def sizes(request, monkeypatch):
-    if request.param != "default":
+    if request.param == "small":
         monkeypatch.setattr(flow, "_POOL", 23)
         monkeypatch.setattr(flow, "_HANDOVER", 5)
-        # "late": a crossing waits until its cell crosses again or ends
-        monkeypatch.setattr(flow, "_SETTLE",
-                            3 if request.param == "small" else 10**9)
+    elif request.param == "late":
+        # no hand-over: every cell ends in the lockstep loop, each ending
+        # under the settle rule
+        monkeypatch.setattr(flow, "_HANDOVER", 0)
     return request.param
 
 
