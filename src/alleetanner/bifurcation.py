@@ -19,10 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibria import CaseLabel, case_label, interior_equilibria
+from .equilibria import CaseLabel, Equilibrium, case_label, \
+    interior_equilibria
 from .flow import IntegratorConfig, find_limit_cycle
 from .manifolds import GapUndefinedError, homoclinic_gap
-from .model import Params, jacobian
+from .model import Params, State, _real_eigenvalues, _unit_eigenvector, \
+    jacobian
 from .stability import hopf_threshold, is_global_extinction
 
 _GAP_TOL = 1e-6      # |gap| at which the bisection returns its midpoint
@@ -184,11 +186,15 @@ def region_classify(p: Params, cfg: IntegratorConfig | None = None,
         return RegionLabel.NEAR_LOCUS
     if p.S > s_hopf:
         return stable_label
-    eqs = interior_equilibria(p)
-    u_star, v_star = eqs[-1].location
-    seed = (min(u_star + 0.05, 0.98), v_star)
+    seed = _cycle_seed(interior_equilibria(p)[-1])
     cyc = find_limit_cycle(p, seed, cfg)
     return RegionLabel.CYCLE if cyc is not None else RegionLabel.REPELLER
+
+
+def _cycle_seed(e: Equilibrium) -> State:
+    """The cycle hunt's start beside the largest interior point ``e``."""
+    u_star, v_star = e.location
+    return min(u_star + 0.05, 0.98), v_star
 
 
 def sotomayor_check(q: float, c: float, s: float = 0.2,
@@ -208,25 +214,22 @@ def sotomayor_check(q: float, c: float, s: float = 0.2,
     e = 0.5 * (1.0 + m - q)
     x = (e, e + c)
     J = jacobian(p, x)
-    lam, vecs = np.linalg.eig(J)
-    lam = lam.real
-    order = np.argsort(np.abs(lam))
-    lam0, lam1 = lam[order[0]], lam[order[1]]
+    try:
+        lam0, lam1 = sorted(_real_eigenvalues(J), key=abs)
+    except ValueError as exc:
+        raise DegenerateSaddleNodeError(f"no zero eigenvalue at M={m}: {exc}")
     if abs(lam0) > 1e-6:
         raise DegenerateSaddleNodeError(
             f"no zero eigenvalue at M={m}: |lambda|min = {abs(lam0):.3e}")
     if abs(lam1) <= 1e-6:
         raise DegenerateSaddleNodeError(
             "zero eigenvalue is not simple (both eigenvalues vanish)")
-    U = vecs.real[:, order[0]]
-    U = U / np.linalg.norm(U)
-    if np.linalg.norm(J @ U) > 1e-8:
+    # J and its transpose share the eigenvalue lam0
+    U = _unit_eigenvector(J, lam0)
+    if math.hypot(*(J @ U)) > 1e-8:
         raise DegenerateSaddleNodeError("kernel vector residual too large")
-    lamT, vecsT = np.linalg.eig(J.T)
-    iw = int(np.argmin(np.abs(lamT.real)))
-    W = vecsT.real[:, iw]
-    W = W / np.linalg.norm(W)
-    if np.linalg.norm(J.T @ W) > 1e-8:
+    W = _unit_eigenvector(J.T, lam0)
+    if math.hypot(*(J.T @ W)) > 1e-8:
         raise DegenerateSaddleNodeError("left kernel vector residual too large")
 
     u, v = x

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .basin import basin_fractions, compute_basins, config_hash, save_raster
-from .bifurcation import compute_diagram, region_classify
+from .bifurcation import _cycle_seed, compute_diagram, region_classify
 from .equilibria import all_equilibria, case_label
 from .flow import IntegratorConfig, find_limit_cycle, integrate
 from .manifolds import GapUndefinedError, separatrix
@@ -209,6 +209,21 @@ def _write_csv(path: str, header_lines: list[str], columns: list[str],
             fh.write(",".join(str(x) for x in row) + "\n")
 
 
+def _write_svg(path: str, renderer: str, *args, **kwargs) -> bool:
+    """Write ``svgplot.<renderer>(*args, **kwargs)`` to ``path``; False,
+    with the failure reported, when either step fails.  The renderer is
+    looked up at call time, so a wrapper installed on svgplot is called."""
+    try:
+        from . import svgplot
+        svg = getattr(svgplot, renderer)(*args, **kwargs)
+        with open(path, "w") as fh:
+            fh.write(svg)
+    except Exception as exc:
+        print(f"render failure: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 # ---------------------------------------------------------------- classify
 
 def cmd_classify(args) -> int:
@@ -245,11 +260,13 @@ def cmd_classify(args) -> int:
 # ---------------------------------------------------------------- portrait
 
 def _floats(text: str) -> list[float]:
-    """Comma-separated floats; empty when any of them is not a number."""
+    """Comma-separated floats; empty when any of them is not a finite
+    number."""
     try:
-        return [float(x) for x in text.split(",")]
+        vals = [float(x) for x in text.split(",")]
     except ValueError:
         return []
+    return vals if all(map(math.isfinite, vals)) else []
 
 
 def _parse_window(text: str) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -296,8 +313,7 @@ def portrait_data(p: Params, cfg: IntegratorConfig, window, n_orbits: int):
     except GapUndefinedError:
         pass
     if interior_attractor is not None:
-        u_star, v_star = interior_attractor.location
-        cyc = find_limit_cycle(p, (min(u_star + 0.05, 0.98), v_star), cfg)
+        cyc = find_limit_cycle(p, _cycle_seed(interior_attractor), cfg)
         if cyc is not None:
             curves["cycle"] = cyc.polyline
     for k, seed in enumerate(_orbit_seeds(window, n_orbits)):
@@ -319,14 +335,8 @@ def cmd_portrait(args) -> int:
     header = _header_lines(args, p, cfg, {"window": args.window})
     _write_csv(os.path.join(out, "portrait.csv"), header,
                ["curve", "index", "u", "v"], rows)
-    try:
-        from .svgplot import render_portrait
-        svg = render_portrait(window, curves, glyphs,
-                              comments=header)
-        with open(os.path.join(out, "portrait.svg"), "w") as fh:
-            fh.write(svg)
-    except Exception as exc:  # CSV already on disk; report render failure
-        print(f"render failure: {exc}", file=sys.stderr)
+    if not _write_svg(os.path.join(out, "portrait.svg"), "render_portrait",
+                      window, curves, glyphs, comments=header):
         return EXIT_RENDER
     print(f"wrote portrait.svg and portrait.csv to {out}")
     return EXIT_OK
@@ -353,8 +363,8 @@ def _parse_grid(text: str) -> tuple[int, int]:
 
 def cmd_bifurcation(args) -> int:
     q, c = args.Q, args.C
-    if q <= 0 or c <= 0:
-        raise ParameterError("Q and C must be positive")
+    if not (0.0 < q < math.inf and 0.0 < c < math.inf):
+        raise ParameterError("Q and C must be finite and positive")
     cfg = resolve_config(args)
     m_window = _parse_range(args.m_window, "--m-window")
     s_window = _parse_range(args.s_window, "--s-window")
@@ -396,13 +406,8 @@ def cmd_bifurcation(args) -> int:
     _write_csv(os.path.join(out, "regions.csv"), header,
                ["M", "S", "region"],
                [(f"{m!r}", f"{s!r}", lab.value) for m, s, lab in grid])
-    try:
-        from .svgplot import render_bifurcation
-        svg = render_bifurcation(diagram, grid, comments=header)
-        with open(os.path.join(out, "diagram.svg"), "w") as fh:
-            fh.write(svg)
-    except Exception as exc:
-        print(f"render failure: {exc}", file=sys.stderr)
+    if not _write_svg(os.path.join(out, "diagram.svg"), "render_bifurcation",
+                      diagram, grid, comments=header):
         return EXIT_RENDER
     print(f"wrote loci CSVs and diagram.svg to {out}")
     return EXIT_OK
@@ -428,13 +433,8 @@ def cmd_basin(args) -> int:
         sep_poly = separatrix(p, cfg).polyline
     except GapUndefinedError:
         pass
-    try:
-        from .svgplot import render_basin
-        svg = render_basin(raster, sep_poly, comments=header)
-        with open(os.path.join(out, "basin.svg"), "w") as fh:
-            fh.write(svg)
-    except Exception as exc:
-        print(f"render failure: {exc}", file=sys.stderr)
+    if not _write_svg(os.path.join(out, "basin.svg"), "render_basin",
+                      raster, sep_poly, comments=header):
         return EXIT_RENDER
     print(f"wrote basin.bin, basin.svg, fractions.csv to {out}")
     if raster.undecided_fraction > 0.20:

@@ -84,8 +84,8 @@ class IntegratorConfig:
 
     def __post_init__(self):
         for name in ("rel_tol", "abs_tol", "tau_max", "rho_eq", "rho_cyc"):
-            if not getattr(self, name) > 0.0:
-                raise ParameterError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ParameterError(f"{name} must be finite and positive")
         if self.rel_tol < 1e-13:
             raise ParameterError("rel_tol must be >= 1e-13")
 

@@ -32,7 +32,8 @@ from .equilibria import Equilibrium, all_equilibria, interior_equilibria
 from .flow import IntegratorConfig, _Context, _context, _Stepper, \
     _target_within
 from .flow import _refine_crossing as _refine_section
-from .model import Params, State, field_closure, jacobian, vector_field
+from .model import Params, State, _real_eigenvalues, _unit_eigenvector, \
+    field_closure, jacobian, vector_field
 from .stability import StabilityTag, classify
 
 BOX_MARGIN = 0.05          # enlargement of the trapping box for clipping
@@ -92,24 +93,19 @@ def _saddle_eigvecs(J: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     Vectors are unit length, oriented to positive u-component (positive
     v-component when the u-component vanishes).
     """
-    lam, vecs = np.linalg.eig(J)
-    if np.iscomplexobj(lam) and np.abs(lam.imag).max() > 0.0:
-        raise ValueError("complex eigenvalues: not a saddle")
-    lam = lam.real
-    vecs = vecs.real
-    if not (min(lam) < 0.0 < max(lam)):
-        raise ValueError(f"eigenvalues {lam} do not straddle zero")
-    i_s, i_u = (0, 1) if lam[0] < 0 else (1, 0)
+    lams = _real_eigenvalues(J)
+    if not lams[0] < 0.0 < lams[1]:
+        raise ValueError(f"eigenvalues {lams} do not straddle zero")
     out = []
-    for i in (i_s, i_u):
-        v = vecs[:, i] / np.linalg.norm(vecs[:, i])
+    for lam in lams:
+        v = _unit_eigenvector(J, lam)
         if v[0] < 0.0 or (v[0] == 0.0 and v[1] < 0.0):
             v = -v
-        resid = np.linalg.norm(J @ v - lam[i] * v)
+        resid = math.hypot(*(J @ v - lam * v))
         if resid > _EIG_RESIDUAL:
             raise ValueError(f"eigenvector residual {resid:.2e} too large")
         out.append(v)
-    return out[0], out[1], lam[i_s], lam[i_u]
+    return out[0], out[1], lams[0], lams[1]
 
 
 def saddle_directions(p: Params, e: Equilibrium) -> tuple[np.ndarray,
@@ -122,14 +118,21 @@ def saddle_directions(p: Params, e: Equilibrium) -> tuple[np.ndarray,
 
 
 def _newton_polish(p: Params, x: State) -> State:
-    """One Newton step of the field onto the exact equilibrium."""
-    J = jacobian(p, x)
-    fu, fv = vector_field(p, x)
-    try:
-        du, dv = np.linalg.solve(J, [fu, fv])
-    except np.linalg.LinAlgError:
+    """One Newton step of the field onto the exact equilibrium, by
+    Cramer's rule; ``x`` itself when the Jacobian is singular."""
+    (a, b), (c, d) = jacobian(p, x).tolist()
+    det = a * d - b * c
+    if det == 0.0:
         return x
-    return x[0] - du, x[1] - dv
+    fu, fv = vector_field(p, x)
+    return x[0] - (fu * d - b * fv) / det, x[1] - (a * fv - c * fu) / det
+
+
+def _saddle_frame(p: Params, e: Equilibrium) -> tuple[State, np.ndarray,
+                                                      np.ndarray]:
+    """The saddle's polished base and its unit stable and unstable vectors."""
+    vs, vu = saddle_directions(p, e)
+    return _newton_polish(p, e.location), vs, vu
 
 
 class _TraceResult:
@@ -213,27 +216,26 @@ def trace_manifold(p: Params, e: Equilibrium, kind: BranchKind,
     field.  Budget exhaustion is flagged and the partial polyline
     returned.
     """
-    base, res = _branch(_context(p), e, kind, direction,
-                        cfg or IntegratorConfig(), max_arc)
-    return ManifoldBranch(e.id, base, kind, direction,
+    frame = _saddle_frame(p, e)
+    res = _branch(_context(p), frame, kind, direction,
+                  cfg or IntegratorConfig(), max_arc)
+    return ManifoldBranch(e.id, frame[0], kind, direction,
                           np.array(res.points), np.array(res.arcs),
                           res.termination, res.equilibrium_id)
 
 
-def _branch(ctx: _Context, e: Equilibrium, kind: BranchKind,
+def _branch(ctx: _Context, frame: tuple, kind: BranchKind,
             direction: BranchDirection, cfg: IntegratorConfig,
             max_arc: float = _MAX_ARC,
-            section: bool = False) -> tuple[State, _TraceResult]:
-    """Seed one branch of the saddle ``e`` and trace it; returns the
-    polished base and the trace."""
-    vs, vu = saddle_directions(ctx.p, e)
-    base = _newton_polish(ctx.p, e.location)
+            section: bool = False) -> _TraceResult:
+    """Seed one branch of a saddle from its frame and trace it."""
+    base, vs, vu = frame
     vec = vs if kind is BranchKind.STABLE else vu
     if direction is BranchDirection.DOWN_LEFT:
         vec = -vec
     seed = (base[0] + _SEED_OFFSET * vec[0], base[1] + _SEED_OFFSET * vec[1])
-    return base, _trace(ctx, base, seed, kind is BranchKind.STABLE, cfg,
-                        max_arc, section)
+    return _trace(ctx, base, seed, kind is BranchKind.STABLE, cfg, max_arc,
+                  section)
 
 
 def _interior_saddle(p: Params) -> Equilibrium:
@@ -256,12 +258,12 @@ def homoclinic_gap(p: Params, cfg: IntegratorConfig | None = None) -> float:
     without crossing.
     """
     cfg = cfg or IntegratorConfig()
-    p1 = _interior_saddle(p)
+    frame = _saddle_frame(p, _interior_saddle(p))
     ctx = _context(p)   # its anchor is P2's prey value
     crossing_u = []
     for kind in (BranchKind.UNSTABLE, BranchKind.STABLE):
-        _, res = _branch(ctx, p1, kind, BranchDirection.UP_RIGHT, cfg,
-                         section=True)
+        res = _branch(ctx, frame, kind, BranchDirection.UP_RIGHT, cfg,
+                      section=True)
         if res.crossing is None:
             raise GapUndefinedError(
                 f"{kind.value} branch ended ({res.termination.value}) before "
@@ -315,10 +317,10 @@ def separatrix(p: Params, cfg: IntegratorConfig | None = None) -> Separatrix:
     the saddle, out the up-right branch end.
     """
     cfg = cfg or IntegratorConfig()
-    p1 = _interior_saddle(p)
+    frame = _saddle_frame(p, _interior_saddle(p))
     ctx = _context(p)
-    base, down = _branch(ctx, p1, BranchKind.STABLE,
-                         BranchDirection.DOWN_LEFT, cfg)
-    _, up = _branch(ctx, p1, BranchKind.STABLE, BranchDirection.UP_RIGHT, cfg)
-    curve = np.vstack([down.points[::-1], [base], up.points])
-    return Separatrix(_clip_to_unit_box(curve), base)
+    down = _branch(ctx, frame, BranchKind.STABLE, BranchDirection.DOWN_LEFT,
+                   cfg)
+    up = _branch(ctx, frame, BranchKind.STABLE, BranchDirection.UP_RIGHT, cfg)
+    curve = np.vstack([down.points[::-1], [frame[0]], up.points])
+    return Separatrix(_clip_to_unit_box(curve), frame[0])

@@ -21,6 +21,7 @@ where u + C > 0 keeps the predator term regular.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -59,12 +60,14 @@ class DimensionalParams(NamedTuple):
 
 
 def validate_params(p: Params) -> Params:
-    """Check the invariants M in (-1,1), S,Q,C > 0; raise ParameterError."""
+    """Check the invariants M in (-1,1), S,Q,C finite and > 0; raise
+    ParameterError."""
     if not (-1.0 < p.M < 1.0):
         raise ParameterError(f"M must lie in (-1, 1), got {p.M}")
     for name, value in (("S", p.S), ("Q", p.Q), ("C", p.C)):
-        if not value > 0.0:
-            raise ParameterError(f"{name} must be positive, got {value}")
+        if not 0.0 < value < math.inf:
+            raise ParameterError(
+                f"{name} must be finite and positive, got {value}")
     return p
 
 
@@ -125,6 +128,38 @@ def jacobian(p: Params, state: State) -> np.ndarray:
     j21 = S * v * v / (w * w)
     j22 = S * (w - 2.0 * v) / w
     return np.array([[j11, j12], [j21, j22]])
+
+
+def _unit_scale(J: np.ndarray, *xs: float) -> tuple[list[float], int]:
+    """J's entries, then ``xs``, over 2**e just above J's largest entry, and
+    e: exact, and no product of the scaled entries over- or underflows."""
+    (a, b), (c, d) = J.tolist()
+    e = math.frexp(max(abs(a), abs(b), abs(c), abs(d)))[1]
+    return [math.ldexp(x, -e) for x in (a, b, c, d, *xs)], e
+
+
+def _real_eigenvalues(J: np.ndarray) -> tuple[float, float]:
+    """(low, high) eigenvalues of a 2x2 matrix; ValueError for a complex
+    pair.  tr^2/4 - det is formed as ((J11 - J22)/2)^2 + J12*J21, which
+    rounding cannot make negative for a triangular or symmetric matrix."""
+    (a, b, c, d), e = _unit_scale(J)
+    disc = (0.5 * (a - d)) ** 2 + b * c
+    if not disc >= 0.0:
+        raise ValueError(f"no real eigenvalues (discriminant {disc:.3e})")
+    half, root = 0.5 * (a + d), math.sqrt(disc)
+    return math.ldexp(half - root, e), math.ldexp(half + root, e)
+
+
+def _unit_eigenvector(J: np.ndarray, lam: float) -> np.ndarray:
+    """Unit eigenvector of a 2x2 matrix for its real eigenvalue ``lam``: the
+    larger of the null vectors (J12, lam - J11) and (lam - J22, J21) of the
+    rows of J - lam*I, so a triangular J gives an exact axis vector; (1, 0)
+    when both vanish, as J is then lam*I."""
+    (a, b, c, d, lam), _ = _unit_scale(J, lam)
+    n1, n2 = (b, lam - a), (lam - d, c)
+    x, y = n1 if math.hypot(*n1) >= math.hypot(*n2) else n2
+    norm = math.hypot(x, y)
+    return np.array([x / norm, y / norm] if norm else [1.0, 0.0])
 
 
 def field_closure(p: Params):

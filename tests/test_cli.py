@@ -63,10 +63,18 @@ BIF = ["bifurcation", "-Q", "0.5", "-C", "0.1"]
     BIF + ["--hopf-points", "0"],
     BIF + ["--hom-points", "-1"],
     BIF + ["--hom-points", "0"],
+    ["basin", *BASE, "--resolution", "4", "--rho-cyc", "inf"],
+    ["classify", "-M", "0.04", "-S", "0.12", "-Q", "inf", "-C", "0.07"],
+    ["bifurcation", "-Q", "nan", "-C", "0.1", "--grid", "1x1",
+     "--hopf-points", "1", "--hom-points", "1"],
+    BIF + ["--m-window=nan,0.01"],
+    BIF + ["--s-window=0.005,inf"],
 ], ids=["grid", "m-window", "s-window", "bifurcation-rel-tol", "rel-tol",
         "tau-max", "basin-resolution", "sweep-resolution", "sweep-count-zero",
         "sweep-count-neg", "hopf-points-neg",
-        "hopf-points-zero", "hom-points-neg", "hom-points-zero"])
+        "hopf-points-zero", "hom-points-neg", "hom-points-zero",
+        "rho-cyc-inf", "q-inf", "bifurcation-q-nan", "m-window-nan",
+        "s-window-inf"])
 def test_malformed_arguments_are_parameter_errors(argv, tmp_path, capsys):
     assert run(argv + ["--out-dir", str(tmp_path)]) == 2
     assert "parameter error" in capsys.readouterr().err
@@ -134,19 +142,27 @@ def test_portrait_cycle_curve(tmp_path):
     assert 'class="cycle"' in svg
 
 
-def test_portrait_render_failure_keeps_csv(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("renderer,argv,csv,svg", [
+    ("render_portrait", ["portrait", *BASE, "--n-orbits", "2"],
+     "portrait.csv", "portrait.svg"),
+    ("render_basin", ["basin", *BASE, "--resolution", "4"],
+     "fractions.csv", "basin.svg"),
+    ("render_bifurcation", BIF + ["--grid", "1x1", "--hopf-points", "3",
+                                  "--hom-points", "1"],
+     "regions.csv", "diagram.svg"),
+], ids=["portrait", "basin", "bifurcation"])
+def test_render_failure_keeps_csv(renderer, argv, csv, svg, tmp_path,
+                                  monkeypatch, capsys):
     import alleetanner.svgplot as svgplot
 
     def boom(*a, **k):
         raise RuntimeError("injected")
 
-    monkeypatch.setattr(svgplot, "render_portrait", boom)
-    code = run(["portrait", "-M", "0.04", "-S", "0.12", "-Q", "0.45",
-                "-C", "0.07", "--n-orbits", "2", "--out-dir", str(tmp_path)]
-               + FAST_FLAGS)
-    assert code == 3
-    assert (tmp_path / "portrait.csv").exists()
-    assert not (tmp_path / "portrait.svg").exists()
+    monkeypatch.setattr(svgplot, renderer, boom)
+    assert run(argv + ["--out-dir", str(tmp_path)] + FAST_FLAGS) == 3
+    assert (tmp_path / csv).exists()
+    assert not (tmp_path / svg).exists()
+    assert "render failure: injected" in capsys.readouterr().err
 
 
 def test_basin_outputs_and_determinism(tmp_path):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from alleetanner import (
     DimensionalParams,
@@ -15,7 +17,8 @@ from alleetanner import (
     vector_field,
 )
 from alleetanner.flow import IntegratorConfig, sample_path
-from alleetanner.model import field_closure
+from alleetanner.model import _real_eigenvalues, _unit_eigenvector, \
+    field_closure
 
 from conftest import random_params
 
@@ -170,3 +173,75 @@ def test_flows_topologically_equivalent_quick():
         tol = 10.0 * (cfg.rel_tol * np.maximum(1.0, np.abs(nondim))
                       + cfg.abs_tol)
         assert (np.abs(mapped - nondim) <= tol).all()
+
+
+# ------------------------------------------------- closed-form 2x2 eigenpairs
+
+_EPS = np.finfo(float).eps
+# spacing of the subnormal floats: no result below 1e-308 is finer
+_TINY = np.finfo(float).smallest_subnormal
+_entry = st.floats(-10.0, 10.0, allow_nan=False)
+
+
+@st.composite
+def real_spectrum_matrices(draw):
+    """2x2 matrices with a real spectrum by construction, over 16 decades
+    of scale."""
+    kind = draw(st.sampled_from(["upper", "lower", "symmetric", "similar"]))
+    a, b, c = draw(_entry), draw(_entry), draw(_entry)
+    if kind == "upper":
+        J = np.array([[a, b], [0.0, c]])
+    elif kind == "lower":
+        J = np.array([[a, 0.0], [b, c]])
+    elif kind == "symmetric":
+        J = np.array([[a, b], [b, c]])
+    else:
+        # V diag(a, b) V^-1 with cond(V) <= ~6, so both eigenvalues are
+        # well conditioned, and a, b apart so rounding keeps them real
+        assume(abs(a - b) > 1e-6 * (abs(a) + abs(b)))
+        x, y = draw(st.floats(-0.7, 0.7)), draw(st.floats(-0.7, 0.7))
+        V = np.array([[1.0, x], [y, 1.0]])
+        J = V @ np.diag([a, b]) @ np.linalg.inv(V)
+    return J * 10.0 ** draw(st.integers(-8, 8))
+
+
+@settings(max_examples=400, deadline=None)
+@given(real_spectrum_matrices())
+# tr^2/4 - det cancels to 0 here and loses the 2e-9 eigenvalue gap
+@example(np.array([[1.0, 1e-9], [1e-9, 1.0]]))
+def test_closed_form_eigenpairs_match_lapack(J):
+    norm = np.abs(J).max()   # np.linalg.norm squares, so tiny J underflow
+    ref = np.linalg.eigvals(J)
+    assert np.all(ref.imag == 0.0)
+    low, high = _real_eigenvalues(J)
+    assert low <= high
+    assert np.allclose([low, high], np.sort(ref.real), rtol=0.0,
+                       atol=64 * _EPS * norm + 4 * _TINY)
+    # the residual relative to |J|, taken at unit scale so that subnormal
+    # entries do not round the check itself
+    e = math.frexp(norm)[1]
+    for lam in (low, high):
+        v = _unit_eigenvector(J, lam)
+        assert abs(math.hypot(*v) - 1.0) < 4 * _EPS
+        r = np.ldexp(J, -e) @ v - math.ldexp(lam, -e) * v
+        assert math.hypot(*r) <= 64 * _EPS + math.ldexp(4 * _TINY, -e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_entry, _entry, _entry, _entry, st.booleans())
+def test_complex_pair_raises(a, b, c, d, rotation):
+    J = np.array([[a, -b], [b, a]] if rotation else [[a, b], [c, d]])
+    # clearly complex: a pair whose imaginary part is within rounding of
+    # the entries belongs to a matrix within rounding of a real spectrum
+    assume(np.abs(np.linalg.eigvals(J).imag).max() > 1e-6 * np.abs(J).max())
+    with pytest.raises(ValueError):
+        _real_eigenvalues(J)
+
+
+def test_triangular_jacobian_gives_exact_axis_vector():
+    # at (1, 0) the Jacobian is upper triangular: the stable direction is
+    # the u-axis, exactly
+    J = jacobian(Params(0.04, 0.12, 0.45, 0.07), (1.0, 0.0))
+    assert J[1, 0] == 0.0
+    low, _ = _real_eigenvalues(J)
+    assert list(_unit_eigenvector(J, low)) in ([1.0, 0.0], [-1.0, 0.0])
