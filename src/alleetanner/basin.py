@@ -239,9 +239,22 @@ def load_raster(path: str) -> BasinRaster:
         raise ValueError(f"truncated raster file: header of {length} bytes "
                          f"has {len(data) - 12}")
     header = json.loads(data[12:body].decode())
-    if header["version"] != FORMAT_VERSION:
-        raise ValueError(f"unsupported raster version {header['version']}")
-    res = header["resolution"]
+    # a well-framed header can still be any JSON value, or lack a field
+    try:
+        if header["version"] != FORMAT_VERSION:
+            raise ValueError(
+                f"unsupported raster version {header['version']}")
+        res = header["resolution"]
+        pd = header["params"]
+        params = Params(pd["M"], pd["S"], pd["Q"], pd["C"])
+        bounds = (tuple(header["bounds"][0]), tuple(header["bounds"][1]))
+        attractors = tuple(
+            AttractorInfo(a["code"], a["id"], a["kind"],
+                          tuple(a["location"]) if a["location"] else None)
+            for a in header["attractors"])
+        digest = header["config_hash"]
+    except (KeyError, TypeError, IndexError) as exc:
+        raise ValueError(f"malformed raster header: {exc!r}") from None
     if not isinstance(res, int) or res < 1:
         raise ValueError(f"bad raster resolution {res!r}")
     size = len(data) - body
@@ -253,16 +266,9 @@ def load_raster(path: str) -> BasinRaster:
                          f"{res * res} label bytes")
     labels = np.frombuffer(data, dtype=np.uint8, offset=body).reshape(
         res, res).copy()
-    pd = header["params"]
-    attractors = tuple(
-        AttractorInfo(a["code"], a["id"], a["kind"],
-                      tuple(a["location"]) if a["location"] else None)
-        for a in header["attractors"])
     unknown = set(np.unique(labels).tolist()) - {0} - {
         a.code for a in attractors}
     if unknown:
         raise ValueError(f"label bytes {sorted(unknown)} are neither 0 nor "
                          f"an attractor code")
-    bounds = (tuple(header["bounds"][0]), tuple(header["bounds"][1]))
-    return BasinRaster(Params(pd["M"], pd["S"], pd["Q"], pd["C"]), bounds,
-                       res, labels, attractors, header["config_hash"])
+    return BasinRaster(params, bounds, res, labels, attractors, digest)

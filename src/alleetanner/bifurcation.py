@@ -7,8 +7,15 @@ discriminant vanishes; solving (1+M-Q)^2 = 4(M+CQ) for M gives
 
 The Hopf locus is the trace-zero curve S = sigma(u_high(M)), the
 Bogdanov-Takens point sits at (M*, S2) where the fold and Hopf curves meet,
-and the homoclinic locus is found numerically by bisecting the signed
-manifold gap in S at each M.
+and the homoclinic locus is found numerically as a root in S of the signed
+manifold gap at each M, below the Hopf value.  Along the grid it is
+continued by natural-parameter continuation (Kuznetsov, Elements of Applied
+Bifurcation Theory, 3rd ed., sec. 10.3): a secant predictor through the last
+two roots, read as shares of S_hopf, then a bracket stepped outward from the
+prediction and refined by Illinois regula falsi.  A 12-point scan below the
+Hopf value finds the first bracket and any that the predictor misses.  The
+returned S is any point with |gap| < _GAP_TOL, not a unique root, so it can
+depend on the grid points solved before it.
 """
 
 from __future__ import annotations
@@ -27,8 +34,9 @@ from .model import Params, State, _real_eigenvalues, _unit_eigenvector, \
     jacobian
 from .stability import hopf_threshold, is_global_extinction
 
-_GAP_TOL = 1e-6      # |gap| at which the bisection returns its midpoint
-_SCAN_POINTS = 12    # gap evaluations in each M's bracket scan
+_GAP_TOL = 1e-6      # |gap| at which the root solve returns its iterate
+_SCAN_POINTS = 12    # gap evaluations in the fallback bracket scan
+_MIN_STEP = 1e-2     # least first step out of the predictor, in S/S_hopf
 
 
 class DegenerateSaddleNodeError(RuntimeError):
@@ -53,7 +61,7 @@ class BifurcationDiagram:
     sn: list[float]                        # saddle-node M* values in window
     bt: tuple[float, float] | None         # (M*, S2)
     hopf: np.ndarray                       # (k, 2) of (M, S)
-    hom: list[tuple[float, float | None]]  # (M, S) with None for no bracket
+    hom: list[tuple[float, float | None]]  # (M, S) with None for no root
 
 
 def saddle_node_M(q: float, c: float) -> list[float]:
@@ -95,63 +103,153 @@ def hopf_locus(q: float, c: float, m_grid) -> np.ndarray:
 def homoclinic_locus(q: float, c: float, m_grid,
                      cfg: IntegratorConfig | None = None
                      ) -> list[tuple[float, float | None]]:
-    """Bisect the homoclinic S value for each M on the grid.
+    """Solve the signed manifold gap for the homoclinic S at each grid M.
 
-    For each M a bracket is sought below the Hopf value by scanning the
-    signed gap; failures (no saddle, no bracket, branch escapes) are
-    recorded as (M, None), never fabricated.
+    Each M is solved below its Hopf value.  The first M, and any M after
+    one that did not converge, scans the gap for a sign change; the others
+    start from a secant predictor through the last two converged roots and
+    step outward from it until the gap changes sign.  The bracket is then
+    refined by Illinois regula falsi.  An S is any point with |gap| below
+    the tolerance, so where the gap is flat the value returned can depend
+    on the grid points solved before it.  Failures (no saddle, no bracket,
+    branch escapes) are recorded as (M, None), never fabricated.
     """
     cfg = cfg or IntegratorConfig()
     out: list[tuple[float, float | None]] = []
+    roots: list[_Root] = []   # the last two converged points, in order
     for m in np.asarray(m_grid, dtype=float):
-        out.append((float(m), _bisect_hom(m, q, c, cfg)))
+        root = _hom_root(float(m), q, c, cfg, roots)
+        roots = roots[-1:] + [root] if root is not None else []
+        out.append((float(m), None if root is None else root.s))
     return out
 
 
-def _gap_or_none(p: Params, cfg: IntegratorConfig) -> float | None:
-    try:
-        return homoclinic_gap(p, cfg)
-    except GapUndefinedError:
-        return None
+@dataclass(frozen=True)
+class _Root:
+    m: float
+    s: float
+    frac: float        # s / S_hopf(m)
+    upper: bool        # the gap is positive above the root
 
 
-def _bisect_hom(m: float, q: float, c: float,
-                cfg: IntegratorConfig) -> float | None:
-    m = float(m)
+def _hom_root(m: float, q: float, c: float, cfg: IntegratorConfig,
+              roots: list[_Root]) -> _Root | None:
+    """The homoclinic root at M, or None; ``roots`` are the last converged
+    points before it, none when the scan must find the bracket."""
     p_probe = Params(m, 1.0, q, c)
     if case_label(p_probe) not in (CaseLabel.S1AII, CaseLabel.W2AII):
         return None
     s_hopf = hopf_threshold(p_probe)
     if s_hopf is None or s_hopf <= 0.0:
         return None
+
+    def gap(s: float) -> float:
+        return homoclinic_gap(Params(m, s, q, c), cfg)
+
+    def probe(s: float) -> float | None:
+        try:
+            return gap(s)
+        except GapUndefinedError:
+            return None
+
     # near the Bogdanov-Takens point the homoclinic value hugs the Hopf
     # value from below, so the scan is geometrically dense near S_hopf
     fracs = 1.0 - np.geomspace(1e-4, 0.9, _SCAN_POINTS)
-    bracket = None
+    found = _continue_bracket(probe, m, s_hopf, float(fracs[-1]),
+                              float(fracs[0]), roots) if roots else None
+    if found is None:
+        found = _scan_bracket(probe, s_hopf, fracs)
+    if found is None:
+        return None
+    if isinstance(found, float):   # a probe landed inside the tolerance
+        return _Root(m, found, found / s_hopf, roots[-1].upper)
+    try:
+        s = _illinois(gap, *found)
+    except GapUndefinedError:
+        return None
+    if s is None:
+        return None
+    a, ga, b, gb = found
+    return _Root(m, s, s / s_hopf, (ga if a > b else gb) > 0.0)
+
+
+_Bracket = tuple[float, float, float, float]   # (a, gap(a), b, gap(b))
+
+
+def _scan_bracket(probe, s_hopf: float, fracs) -> _Bracket | None:
+    """The first sign change of the gap scanning S down from the Hopf
+    value."""
     prev = None  # (S, gap)
     for fr in fracs:
         s = float(fr * s_hopf)
-        g = _gap_or_none(Params(m, s, q, c), cfg)
+        g = probe(s)
         if g is not None and prev is not None and g * prev[1] < 0.0:
-            # (lo, hi, gap at lo), the gap just computed at the same float S
-            bracket = (prev[0], s, prev[1]) if prev[0] < s else (s, prev[0], g)
-            break
+            return prev[0], prev[1], s, g
         if g is not None:
             prev = (s, g)
-    if bracket is None:
+    return None
+
+
+def _continue_bracket(probe, m: float, s_hopf: float, lo: float, hi: float,
+                      roots: list[_Root]) -> _Bracket | float | None:
+    """A bracket found by stepping outward from the secant predictor
+    through the last two roots, with S in units of S_hopf kept in [lo, hi].
+
+    Returns an S directly when a probe lands inside the gap tolerance,
+    and None, which sends the caller to the scan, when a gap is undefined
+    or the steps reach lo or hi without a sign change.
+    """
+    last = roots[-1]
+    frac = last.frac
+    if len(roots) == 2 and roots[0].m != last.m:
+        frac += (last.frac - roots[0].frac) / (last.m - roots[0].m) \
+            * (m - last.m)
+    frac = min(max(frac, lo), hi)
+    g0 = probe(frac * s_hopf)
+    if g0 is None:
         return None
-    lo, hi, g_lo = bracket
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        g_mid = _gap_or_none(Params(m, mid, q, c), cfg)
-        if g_mid is None:
+    if abs(g0) < _GAP_TOL:
+        return frac * s_hopf
+    # the root lies on the side where the gap has the other sign; the
+    # first step is half the predictor's own move from the last root
+    step = max(0.5 * abs(frac - last.frac), _MIN_STEP)
+    if (g0 > 0.0) == last.upper:
+        step = -step
+    while True:
+        nxt = min(max(frac + step, lo), hi)
+        if nxt == frac:
             return None
-        if abs(g_mid) < _GAP_TOL:
-            return mid
-        if (g_mid > 0.0) == (g_lo > 0.0):
-            lo, g_lo = mid, g_mid
+        g1 = probe(nxt * s_hopf)
+        if g1 is None:
+            return None
+        if abs(g1) < _GAP_TOL:
+            return nxt * s_hopf
+        if g0 * g1 < 0.0:
+            return frac * s_hopf, g0, nxt * s_hopf, g1
+        frac, g0, step = nxt, g1, 2.0 * step
+
+
+def _illinois(gap, a: float, ga: float, b: float, gb: float) -> float | None:
+    """An S with |gap| < _GAP_TOL inside the sign change (a, b), or None
+    after 60 evaluations.
+
+    Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971): the secant
+    through the bracket ends, where a new point with the sign of the last
+    one halves the value kept at the far end; a step outside the bracket
+    becomes the midpoint.
+    """
+    for _ in range(60):
+        x = b - gb * (b - a) / (gb - ga)
+        if not min(a, b) < x < max(a, b):
+            x = 0.5 * (a + b)
+        gx = gap(x)
+        if abs(gx) < _GAP_TOL:
+            return x
+        if (gx > 0.0) != (gb > 0.0):
+            a, ga = b, gb
         else:
-            hi = mid
+            ga *= 0.5
+        b, gb = x, gx
     return None
 
 

@@ -326,6 +326,8 @@ def cmd_portrait(args) -> int:
     p = resolve_params(args)
     cfg = resolve_config(args)
     window = _parse_window(args.window)
+    if args.n_orbits < 0:
+        raise ParameterError(f"--n-orbits must be >= 0, got {args.n_orbits}")
     out = _out_dir(args)
     curves, glyphs = portrait_data(p, cfg, window, args.n_orbits)
     rows = []
@@ -363,11 +365,12 @@ def _parse_grid(text: str) -> tuple[int, int]:
 
 def cmd_bifurcation(args) -> int:
     q, c = args.Q, args.C
-    if not (0.0 < q < math.inf and 0.0 < c < math.inf):
-        raise ParameterError("Q and C must be finite and positive")
     cfg = resolve_config(args)
     m_window = _parse_range(args.m_window, "--m-window")
     s_window = _parse_range(args.s_window, "--s-window")
+    # both corners inside the model's domain, so every point between is
+    for m, s in zip(m_window, s_window):
+        validate_params(Params(m, s, q, c))
     nm, ns = _parse_grid(args.grid)
     for flag, count in (("--hopf-points", args.hopf_points),
                         ("--hom-points", args.hom_points)):
@@ -396,8 +399,8 @@ def cmd_bifurcation(args) -> int:
                  int(s is not None))
                 for m, s in sorted(diagram.hom)])
     if n_fail:
-        print(f"warning: homoclinic bisection found no bracket at {n_fail} "
-              f"of {len(diagram.hom)} grid points", file=sys.stderr)
+        print(f"warning: no homoclinic S found at {n_fail} of "
+              f"{len(diagram.hom)} grid points", file=sys.stderr)
     grid = []
     for m in np.linspace(m_window[0], m_window[1], nm * 2 + 1)[1::2]:
         for s in np.linspace(s_window[0], s_window[1], ns * 2 + 1)[1::2]:

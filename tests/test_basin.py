@@ -1,4 +1,6 @@
+import json
 import os
+import struct
 import tempfile
 
 import numpy as np
@@ -177,6 +179,48 @@ def test_load_rejects_truncated_file(tmp_path):
         path.write_bytes(data[:-cut])
         with pytest.raises(ValueError, match="truncated"):
             load_raster(str(path))
+
+
+def _rewrite_header(path, edit):
+    """Replace a saved raster's JSON header by ``edit(header)``, keeping the
+    file well framed."""
+    data = path.read_bytes()
+    (length,) = struct.unpack_from("<I", data, 8)
+    blob = json.dumps(edit(json.loads(data[12:12 + length]))).encode()
+    path.write_bytes(data[:8] + struct.pack("<I", len(blob)) + blob
+                     + data[12 + length:])
+
+
+def _without(key):
+    return lambda h: {k: v for k, v in h.items() if k != key}
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: [h],
+    lambda h: None,
+    _without("params"),
+    _without("bounds"),
+    _without("attractors"),
+    lambda h: dict(h, params=[0.04, 0.12, 0.45, 0.07]),
+    lambda h: dict(h, bounds=[[0.0, 1.0]]),
+    lambda h: dict(h, attractors=[7]),
+], ids=["list", "null", "no-params", "no-bounds", "no-attractors",
+        "params-list", "one-bound", "attractor-not-object"])
+def test_load_rejects_malformed_header(edit, tmp_path):
+    path = _saved(tmp_path)
+    _rewrite_header(path, edit)
+    with pytest.raises(ValueError, match="malformed raster header"):
+        load_raster(str(path))
+
+
+def test_cache_entry_without_params_is_recomputed(tmp_path):
+    r1 = compute_basins(EXTINCTION, 4, FAST_CFG, cache_dir=str(tmp_path))
+    (path,) = tmp_path.iterdir()
+    _rewrite_header(path, _without("params"))
+    r2 = compute_basins(EXTINCTION, 4, FAST_CFG, cache_dir=str(tmp_path))
+    assert np.array_equal(r2.labels, r1.labels)
+    assert load_raster(str(path)).params == EXTINCTION
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_config_hash_sensitive_to_algorithm_version(monkeypatch):

@@ -69,12 +69,18 @@ BIF = ["bifurcation", "-Q", "0.5", "-C", "0.1"]
      "--hopf-points", "1", "--hom-points", "1"],
     BIF + ["--m-window=nan,0.01"],
     BIF + ["--s-window=0.005,inf"],
+    BIF + ["--s-window=-1,0.1", "--grid", "1x1", "--hopf-points", "1",
+           "--hom-points", "1"],
+    BIF + ["--m-window=-3,0.01", "--grid", "1x1", "--hopf-points", "1",
+           "--hom-points", "1"],
+    ["portrait", *BASE, "--n-orbits", "-1"],
 ], ids=["grid", "m-window", "s-window", "bifurcation-rel-tol", "rel-tol",
         "tau-max", "basin-resolution", "sweep-resolution", "sweep-count-zero",
         "sweep-count-neg", "hopf-points-neg",
         "hopf-points-zero", "hom-points-neg", "hom-points-zero",
         "rho-cyc-inf", "q-inf", "bifurcation-q-nan", "m-window-nan",
-        "s-window-inf"])
+        "s-window-inf", "s-window-negative", "m-window-below-domain",
+        "n-orbits-neg"])
 def test_malformed_arguments_are_parameter_errors(argv, tmp_path, capsys):
     assert run(argv + ["--out-dir", str(tmp_path)]) == 2
     assert "parameter error" in capsys.readouterr().err

@@ -18,17 +18,19 @@ ROOT = Path(__file__).resolve().parents[1]
 FAST_FLAGS = ["--rel-tol", "1e-06", "--abs-tol", "1e-09", "--rho-eq", "1e-05"]
 
 
-@pytest.mark.parametrize("argv,counters", [
+@pytest.mark.parametrize("argv,counters,samples", [
     (["basin", "-M", "0.04", "-S", "0.12", "-Q", "0.45", "-C", "0.07",
       "--resolution", "4"] + FAST_FLAGS,
-     ["model.rhs_evals", "equilibria.calls", "basin.cells"]),
+     ["model.rhs_evals", "equilibria.calls", "basin.cells"], []),
     (["bifurcation", "-Q", "0.5", "-C", "0.1", "--m-window=-0.04,0.01",
       "--s-window=0.005,0.15", "--hom-points", "2", "--hopf-points", "3",
       "--grid", "2x2"] + FAST_FLAGS,
      ["model.rhs_evals", "equilibria.calls", "manifolds.trace_steps",
-      "manifolds.refine_calls"]),
+      "manifolds.refine_calls", "bifurcation.locus_points"],
+     # the homoclinic solve calls homoclinic_gap through bifurcation's name
+     ["manifolds.gap_ms"]),
 ], ids=["basin", "bifurcation"])
-def test_traced_command(argv, counters, tmp_path):
+def test_traced_command(argv, counters, samples, tmp_path):
     report = tmp_path / "report.json"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
@@ -41,3 +43,5 @@ def test_traced_command(argv, counters, tmp_path):
     counts = out["trace"]["counts"]
     for key in counters:
         assert counts.get(key, 0) > 0, (key, counts)
+    for key in samples:
+        assert out["trace"]["samples"].get(key), (key, out["trace"].keys())
