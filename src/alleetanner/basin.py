@@ -6,8 +6,9 @@ byte per cell (0 = undecided).  Identical inputs produce byte-identical
 rasters: all cells advance in lockstep with elementwise float arithmetic,
 in the scalar integrator's order of operations, so a cell's label does not
 depend on which cells share its batch; the last few cells finish in the
-scalar loop from their exact state.  The output is reproducible and
-cacheable.
+scalar loop from their exact state.  A raster larger than one lockstep pool
+is split over the available CPUs by forked worker processes, with the same
+labels.  The output is reproducible and cacheable.
 
 Raster file layout (version 1):
 
@@ -29,13 +30,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__
+from . import __version__, flow
 from .equilibria import all_equilibria
 # classify_omega_limit is the per-cell reference of the lockstep raster;
 # perfbench/tracing.py wraps it here, as it does all_equilibria
-from .flow import IntegratorConfig, _context, _lockstep, classify_omega_limit
+from .flow import IntegratorConfig, _context, classify_omega_limit
 from .manifolds import Separatrix
-from .model import ParameterError, Params
+from .model import ParameterError, Params, validate_params
 
 MAGIC = b"PPBASIN1"
 FORMAT_VERSION = 1
@@ -95,6 +96,7 @@ def compute_basins(p: Params, resolution: int,
     configuration hash is loaded instead of recomputed; an entry that
     fails to load is recomputed and replaced.
     """
+    validate_params(p)
     if resolution < 1:
         raise ParameterError("resolution must be >= 1")
     cfg = cfg or IntegratorConfig()
@@ -125,7 +127,7 @@ def compute_basins(p: Params, resolution: int,
     steps = np.arange(resolution) + 0.5
     vs, us = np.meshgrid(v0 + steps * dv, u0 + steps * du, indexing="ij")
     seeds = np.column_stack((us.ravel(), vs.ravel()))
-    labels = _lockstep(ctx, seeds, cfg, codes, cycle_code).reshape(
+    labels = _split_lockstep(ctx, seeds, cfg, codes, cycle_code).reshape(
         resolution, resolution)
     if (labels == cycle_code).any():
         infos.append(AttractorInfo(cycle_code, "cycle", "cycle", None))
@@ -135,6 +137,63 @@ def compute_basins(p: Params, resolution: int,
         os.makedirs(cache_dir, exist_ok=True)
         save_raster(raster, cache_path)
     return raster
+
+
+def _workers(n: int) -> int:
+    """Processes for a raster of n cells: one per CPU this process may run
+    on, and no more than the lockstep pools the raster fills.  A raster
+    that fits one pool runs in process: below that size a split gained
+    little or lost (see ``flow._POOL``)."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    k = min(len(os.sched_getaffinity(0)), -(-n // flow._POOL))
+    if k == 1:
+        return 1
+    # imported for a split only: at start-up it takes ~30 ms
+    import multiprocessing
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon):
+        return 1   # no fork, or a daemon, which may not have children
+    return k
+
+
+_job = None   # (ctx, seeds, cfg, codes, cycle_code, k), in a forked worker
+
+
+def _take_job(job) -> None:
+    global _job
+    _job = job
+
+
+def _part(i: int, job=None) -> np.ndarray:
+    """Labels of seeds i, i + k, i + 2k, ... of the job (a forked worker's
+    own when none is given).  Neighbouring cells cost about the same, so
+    interleaved parts take about the same time."""
+    ctx, seeds, cfg, codes, cycle_code, k = job or _job
+    return flow._lockstep(ctx, seeds[i::k], cfg, codes, cycle_code)
+
+
+def _split_lockstep(ctx, seeds: np.ndarray, cfg: IntegratorConfig,
+                    codes: dict[str, int], cycle_code: int) -> np.ndarray:
+    """``flow._lockstep`` over ``seeds``, split into ``_workers``
+    interleaved parts.  The job holds the RHS closure, which cannot be
+    pickled, so workers inherit it through fork; only a part's index and
+    its labels cross the pipe.  Labels do not depend on which cells share a
+    batch, so they are the in-process labels byte for byte."""
+    k = _workers(len(seeds))
+    job = (ctx, seeds, cfg, codes, cycle_code, k)
+    if k == 1:
+        return _part(0, job)
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+    labels = np.empty(len(seeds), dtype=np.uint8)
+    # leaving the block joins every worker, also when a part raised
+    with ProcessPoolExecutor(k, mp_context=get_context("fork"),
+                             initializer=_take_job,
+                             initargs=(job,)) as pool:
+        for i, part in enumerate(pool.map(_part, range(k))):
+            labels[i::k] = part
+    return labels
 
 
 def basin_fractions(raster: BasinRaster) -> dict[str, float]:

@@ -31,7 +31,7 @@ from .equilibria import CaseLabel, Equilibrium, case_label, \
 from .flow import IntegratorConfig, find_limit_cycle
 from .manifolds import GapUndefinedError, homoclinic_gap
 from .model import Params, State, _real_eigenvalues, _unit_eigenvector, \
-    jacobian
+    jacobian, validate_params
 from .stability import hopf_threshold, is_global_extinction
 
 _GAP_TOL = 1e-6      # |gap| at which the root solve returns its iterate
@@ -114,10 +114,13 @@ def homoclinic_locus(q: float, c: float, m_grid,
     on the grid points solved before it.  Failures (no saddle, no bracket,
     branch escapes) are recorded as (M, None), never fabricated.
     """
+    m_grid = np.asarray(m_grid, dtype=float)
+    for m in m_grid:
+        validate_params(Params(float(m), 1.0, q, c))
     cfg = cfg or IntegratorConfig()
     out: list[tuple[float, float | None]] = []
     roots: list[_Root] = []   # the last two converged points, in order
-    for m in np.asarray(m_grid, dtype=float):
+    for m in m_grid:
         root = _hom_root(float(m), q, c, cfg, roots)
         roots = roots[-1:] + [root] if root is not None else []
         out.append((float(m), None if root is None else root.s))
@@ -265,6 +268,7 @@ def region_classify(p: Params, cfg: IntegratorConfig | None = None,
     loci themselves; the homoclinic curve has no cheap test and is left to
     the cycle hunt).
     """
+    validate_params(p)
     cfg = cfg or IntegratorConfig()
     for m_star in saddle_node_M(p.Q, p.C):
         if abs(p.M - m_star) < guard and 1.0 + m_star - p.Q > 0.0:
@@ -346,6 +350,9 @@ def compute_diagram(q: float, c: float,
                     n_hopf: int = 121, n_hom: int = 13,
                     cfg: IntegratorConfig | None = None) -> BifurcationDiagram:
     """Assemble all loci for a parameter window (used by the CLI)."""
+    # both corners inside the model's domain, so every point between is
+    for m, s in zip(m_window, s_window):
+        validate_params(Params(m, s, q, c))
     cfg = cfg or IntegratorConfig()
     sn = [m for m in saddle_node_M(q, c) if m_window[0] <= m <= m_window[1]]
     try:

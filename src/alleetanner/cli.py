@@ -368,18 +368,15 @@ def cmd_bifurcation(args) -> int:
     cfg = resolve_config(args)
     m_window = _parse_range(args.m_window, "--m-window")
     s_window = _parse_range(args.s_window, "--s-window")
-    # both corners inside the model's domain, so every point between is
-    for m, s in zip(m_window, s_window):
-        validate_params(Params(m, s, q, c))
     nm, ns = _parse_grid(args.grid)
     for flag, count in (("--hopf-points", args.hopf_points),
                         ("--hom-points", args.hom_points)):
         if count < 1:
             raise ParameterError(f"{flag} must be >= 1, got {count}")
-    out = _out_dir(args)
     diagram = compute_diagram(q, c, m_window, s_window,
                               n_hopf=args.hopf_points,
                               n_hom=args.hom_points, cfg=cfg)
+    out = _out_dir(args)
     header = _header_lines(args, None, cfg,
                            {"Q": q, "C": c, "m_window": args.m_window,
                             "s_window": args.s_window})

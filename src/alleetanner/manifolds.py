@@ -33,7 +33,7 @@ from .flow import IntegratorConfig, _Context, _context, _Stepper, \
     _target_within
 from .flow import _refine_crossing as _refine_section
 from .model import Params, State, _real_eigenvalues, _unit_eigenvector, \
-    field_closure, jacobian, vector_field
+    field_closure, jacobian, validate_params, vector_field
 from .stability import StabilityTag, classify
 
 BOX_MARGIN = 0.05          # enlargement of the trapping box for clipping
@@ -257,6 +257,7 @@ def homoclinic_gap(p: Params, cfg: IntegratorConfig | None = None) -> float:
     GapUndefinedError when P1/P2 are missing or either branch leaves the box
     without crossing.
     """
+    validate_params(p)
     cfg = cfg or IntegratorConfig()
     frame = _saddle_frame(p, _interior_saddle(p))
     ctx = _context(p)   # its anchor is P2's prey value
@@ -316,6 +317,7 @@ def separatrix(p: Params, cfg: IntegratorConfig | None = None) -> Separatrix:
     The polyline is ordered along the curve: down-left branch end, through
     the saddle, out the up-right branch end.
     """
+    validate_params(p)
     cfg = cfg or IntegratorConfig()
     frame = _saddle_frame(p, _interior_saddle(p))
     ctx = _context(p)

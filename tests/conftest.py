@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from alleetanner import IntegratorConfig, Params, compute_basins
+from alleetanner.flow import _Stepper
 
 # Paper-figure parameter points used across test modules.
 BISTABLE = Params(0.04, 0.12, 0.45, 0.07)
@@ -13,6 +14,33 @@ EXTINCTION = Params(0.0, 0.1, 1.2, 0.5)
 # Looser tolerances for basin sweeps: labels away from the separatrix are
 # insensitive to them and cells classify several times faster.
 FAST_CFG = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-9, rho_eq=1e-5)
+
+
+def sample_path(f, s0, cfg: IntegratorConfig, tau_end: float,
+                taus) -> np.ndarray:
+    """Integrate a raw planar field and dense-sample it at given times.
+
+    For cross-checks (e.g. dimensional vs nondimensional flows): no
+    equilibrium or cycle events, just positivity-preserving stepping.
+    """
+    taus = np.asarray(taus, dtype=float)
+    out = np.empty((len(taus), 2))
+    stepper = _Stepper(f, s0, cfg, tau_end)
+    i = 0
+    while i < len(taus) and taus[i] <= 0.0:
+        out[i] = s0
+        i += 1
+    while stepper.step():
+        while i < len(taus) and taus[i] <= stepper.tau:
+            out[i] = stepper.state_at(taus[i])
+            i += 1
+        if i >= len(taus):
+            break
+    if i < len(taus):
+        raise RuntimeError(
+            f"integration stopped at tau={stepper.tau:.6g} before reaching "
+            f"all requested sample times")
+    return out
 
 
 def random_params(rng, n):

@@ -36,7 +36,7 @@ from alleetanner import (
     threshold_S4,
 )
 from alleetanner.equilibria import EquilibriumKind
-from alleetanner.flow import AttractorTag, Termination, sample_path
+from alleetanner.flow import AttractorTag, Termination
 from alleetanner.model import dimensional_vector_field, field_closure
 from alleetanner.stability import sigma
 
@@ -46,6 +46,7 @@ from conftest import (
     WEAK_BISTABLE,
     fold_params,
     random_params,
+    sample_path,
     two_root_params,
     w2c_params,
     w2d_params,

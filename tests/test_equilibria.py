@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from alleetanner import (
     CaseLabel,
@@ -182,3 +184,53 @@ def test_interior_points_are_exact_equilibria():
         for eq in interior_equilibria(p):
             du, dv = vector_field(p, eq.location)
             assert math.hypot(du, dv) < 1e-12
+
+
+# ------------------------------------------------- drawn parameter vectors
+
+drawn_params = st.builds(Params, st.floats(-0.99, 0.99), st.floats(0.01, 1.0),
+                         st.floats(0.05, 2.0), st.floats(0.02, 1.5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn_params)
+def test_case_tree_counts_the_positive_roots(p):
+    # away from the eps bands of the case tree, its count is the number of
+    # distinct positive real roots of d(u), found here as the eigenvalues
+    # of the companion matrix
+    a = 1.0 + p.M - p.Q
+    b = p.M + p.C * p.Q
+    assume(min(abs(a), abs(b), abs(discriminant(p))) > 1e-6)
+    roots = np.roots([1.0, -a, b])
+    real = roots[np.isreal(roots)].real
+    count = int(np.count_nonzero(real > 0.0))
+    assert case_label(p).interior_count == count
+    assert len(interior_equilibria(p)) == count
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(1e-3, 0.999), st.floats(1e-3, 0.999), st.floats(0.01, 0.99),
+       st.floats(0.01, 1.0))
+def test_constructed_roots_are_returned(r1, r2, t, s):
+    # choose the two roots, then parameters that give them.  Vieta reads
+    # r1 + r2 = 1 + M - Q and r1 * r2 = M + C * Q; Q = t (1 - r1)(1 - r2)
+    # then puts M in (-1, 1) and C = (1 - t) / t > 0
+    lo, hi = sorted((r1, r2))
+    assume(hi - lo > 1e-3)
+    q = t * (1.0 - lo) * (1.0 - hi)
+    p = Params(lo + hi - 1.0 + q, s, q, (1.0 - t) / t)
+    eqs = interior_equilibria(p)
+    assert [e.kind for e in eqs] == [EquilibriumKind.INTERIOR_LOW,
+                                     EquilibriumKind.INTERIOR_HIGH]
+    u1, u2 = (e.location[0] for e in eqs)
+    a = 1.0 + p.M - p.Q
+    b = p.M + p.C * p.Q
+    assert abs(u1 + u2 - a) <= 1e-12 * max(1.0, abs(a))
+    assert abs(u1 * u2 - b) <= 1e-12 * max(1.0, abs(b))
+    assert u1 <= 0.5 * a <= u2
+    assert u1 == pytest.approx(lo, abs=1e-9)
+    assert u2 == pytest.approx(hi, abs=1e-9)
+    for e in eqs:
+        assert e.location[1] == e.location[0] + p.C
+        assert abs(quadratic(e.location[0], p)) < 1e-12
+        assert math.hypot(*vector_field(p, e.location)) < 1e-12

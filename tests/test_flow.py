@@ -19,14 +19,13 @@ from alleetanner import (
     jacobian,
 )
 from alleetanner.flow import (_bisect_crossings, _context, _cycle_found,
-                              _drive, _refine_crossing, _Stepper,
-                              sample_path)
+                              _drive, _refine_crossing, _Stepper)
 from alleetanner.model import field_closure
 from alleetanner.stability import classify
 from alleetanner.equilibria import all_equilibria
 
 from conftest import (BISTABLE, CYCLE_POINT, FAST_CFG, SINGLE_STABLE,
-                      random_params)
+                      random_params, sample_path)
 
 FAST = IntegratorConfig(rel_tol=1e-7, abs_tol=1e-10, rho_eq=1e-5,
                         tau_max=3e4)

@@ -4,8 +4,14 @@
 integrates one seed at a time and stays the reference.  Shrinking the pool
 and hand-over sizes runs the same rasters through pool refills, early
 hand-overs and small batches of section crossings; no hand-over at all
-ends every cell, with its waiting crossing, in the lockstep loop.
+ends every cell, with its waiting crossing, in the lockstep loop.  With
+two CPUs, a raster of more than one pool is split over forked workers.
 """
+
+import faulthandler
+import multiprocessing
+import os
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -18,7 +24,7 @@ from alleetanner import (
     classify_omega_limit,
     compute_basins,
 )
-from alleetanner import flow
+from alleetanner import basin, flow
 
 from conftest import (BISTABLE, CYCLE_POINT, EXTINCTION, FAST_CFG,
                       WEAK_BISTABLE)
@@ -73,13 +79,68 @@ REGIMES = {
 }
 
 
+def set_cpus(monkeypatch, k):
+    """Let ``compute_basins`` see k CPUs, whatever the host has."""
+    monkeypatch.setattr(basin.os, "sched_getaffinity",
+                        lambda pid: set(range(k)), raising=False)
+
+
 @pytest.mark.parametrize("regime", sorted(REGIMES))
-def test_lockstep_equals_scalar(regime, sizes):
+def test_lockstep_equals_scalar(regime, sizes, monkeypatch):
     p, res, cfg, bounds = REGIMES[regime]
-    raster = compute_basins(p, res, cfg, bounds)
-    codes = {a.id: a.code for a in raster.attractors}
-    assert np.array_equal(raster.labels,
-                          scalar_labels(p, res, cfg, bounds, codes))
+    # one CPU runs in process; two split rasters above one pool ("small")
+    rasters = []
+    for k in (1, 2):
+        set_cpus(monkeypatch, k)
+        rasters.append(compute_basins(p, res, cfg, bounds))
+    assert multiprocessing.active_children() == []
+    codes = {a.id: a.code for a in rasters[0].attractors}
+    want = scalar_labels(p, res, cfg, bounds, codes)
+    for raster in rasters:
+        assert raster.attractors == rasters[0].attractors
+        assert raster.labels.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("fault, error, match", [
+    ("raise", ValueError, "in a worker"),
+    ("die", BrokenProcessPool, None)])
+def test_worker_fault_reaches_the_caller(fault, error, match, monkeypatch):
+    # a part that raises re-raises in the caller, and a worker that dies
+    # breaks the pool; neither hangs, and no worker outlives the call
+    parent = os.getpid()
+
+    def broken(*args):
+        if os.getpid() == parent:
+            raise AssertionError("the raster was not split")
+        if fault == "raise":
+            raise ValueError("in a worker")
+        os._exit(3)
+
+    monkeypatch.setattr(flow, "_POOL", 23)
+    monkeypatch.setattr(flow, "_lockstep", broken)
+    set_cpus(monkeypatch, 2)
+    faulthandler.dump_traceback_later(120, exit=True)
+    try:
+        with pytest.raises(error, match=match):
+            compute_basins(BISTABLE, 8, FAST_CFG)
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+    assert multiprocessing.active_children() == []
+
+
+def _raster_labels(p, res, cfg):
+    return compute_basins(p, res, cfg).labels
+
+
+def test_daemon_rasters_in_process(monkeypatch):
+    # a daemon, such as a multiprocessing.Pool worker, may not have
+    # children: there a raster of several pools runs in process
+    monkeypatch.setattr(flow, "_POOL", 23)
+    set_cpus(monkeypatch, 2)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        got = pool.apply_async(_raster_labels,
+                               (BISTABLE, 8, FAST_CFG)).get(120)
+    assert got.tobytes() == _raster_labels(BISTABLE, 8, FAST_CFG).tobytes()
 
 
 def _labels(p, seeds, cfg):

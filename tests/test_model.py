@@ -9,18 +9,24 @@ from alleetanner import (
     DimensionalParams,
     ParameterError,
     Params,
+    compute_basins,
+    compute_diagram,
     dimensional_vector_field,
+    homoclinic_gap,
+    homoclinic_locus,
     jacobian,
     map_state,
     nondimensionalize,
+    region_classify,
+    separatrix,
     unmap_state,
     vector_field,
 )
-from alleetanner.flow import IntegratorConfig, sample_path
+from alleetanner.flow import IntegratorConfig
 from alleetanner.model import _real_eigenvalues, _unit_eigenvector, \
     field_closure
 
-from conftest import random_params
+from conftest import FAST_CFG, random_params, sample_path
 
 
 def test_nondimensionalize_unit_parameters():
@@ -42,6 +48,22 @@ def test_nondimensionalize_rejects_allee_outside_range():
     with pytest.raises(ParameterError):
         nondimensionalize(DimensionalParams(r=1, s=1, q=1, n=1, K=1,
                                             m=1.5, c=0.1))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: compute_basins(Params(0.0, -0.725, 0.5, 0.1), 2, FAST_CFG),
+    lambda: region_classify(Params(-2.2475, 0.05, 0.5, 0.1)),
+    lambda: region_classify(Params(0.0, -0.725, 0.5, 0.1)),
+    lambda: compute_diagram(0.5, 0.1, (-1.5, 0.01), (0.01, 0.2)),
+    lambda: homoclinic_gap(Params(0.04, -0.12, 0.45, 0.07)),
+    lambda: separatrix(Params(0.04, -0.12, 0.45, 0.07)),
+    lambda: homoclinic_locus(0.5, 0.1, [0.0, 1.2]),
+    lambda: homoclinic_locus(-0.5, 0.1, [0.0]),
+], ids=["basins", "region-M", "region-S", "diagram", "gap", "separatrix",
+        "locus-M", "locus-Q"])
+def test_library_entries_reject_points_outside_the_domain(call):
+    with pytest.raises(ParameterError):
+        call()
 
 
 def test_map_state_carrying_capacity():
