@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -73,6 +74,20 @@ class BasinRaster:
         return (u1 - u0) / self.resolution, (v1 - v0) / self.resolution
 
 
+def _check_bounds(bounds) -> None:
+    """Raise ParameterError unless ``bounds`` is two finite (low, high)
+    pairs with low < high."""
+    try:
+        (u0, u1), (v0, v1) = bounds
+        ok = (all(math.isfinite(x) for x in (u0, u1, v0, v1))
+              and u0 < u1 and v0 < v1)
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise ParameterError(f"bounds must be two finite (low, high) pairs "
+                             f"with low < high, got {bounds!r}")
+
+
 def config_hash(p: Params, bounds: Bounds, resolution: int,
                 cfg: IntegratorConfig) -> str:
     """Stable digest of everything the raster depends on."""
@@ -99,6 +114,7 @@ def compute_basins(p: Params, resolution: int,
     validate_params(p)
     if resolution < 1:
         raise ParameterError("resolution must be >= 1")
+    _check_bounds(bounds)
     cfg = cfg or IntegratorConfig()
     digest = config_hash(p, bounds, resolution, cfg)
     cache_path = None
@@ -305,14 +321,17 @@ def load_raster(path: str) -> BasinRaster:
                 f"unsupported raster version {header['version']}")
         res = header["resolution"]
         pd = header["params"]
-        params = Params(pd["M"], pd["S"], pd["Q"], pd["C"])
+        params = validate_params(Params(pd["M"], pd["S"], pd["Q"], pd["C"]))
         bounds = (tuple(header["bounds"][0]), tuple(header["bounds"][1]))
+        _check_bounds(bounds)
         attractors = tuple(
             AttractorInfo(a["code"], a["id"], a["kind"],
                           tuple(a["location"]) if a["location"] else None)
             for a in header["attractors"])
         digest = header["config_hash"]
-    except (KeyError, TypeError, IndexError) as exc:
+        if not isinstance(digest, str):
+            raise TypeError(f"config hash {digest!r} is not a string")
+    except (KeyError, TypeError, IndexError, ParameterError) as exc:
         raise ValueError(f"malformed raster header: {exc!r}") from None
     if not isinstance(res, int) or res < 1:
         raise ValueError(f"bad raster resolution {res!r}")

@@ -227,7 +227,8 @@ class _Stepper:
         rtol, atol = self.rtol, self.atol
         h = min(self.h, self.tau_end - self.tau)
         while True:
-            if h <= 1e-13 * max(1.0, abs(self.tau)):
+            # written so that a NaN step, from a non-finite seed, fails it
+            if not h > 1e-13 * max(1.0, abs(self.tau)):
                 self.status = self.UNDERFLOW
                 return False
             try:
@@ -477,9 +478,10 @@ def _drive(ctx: _Context, s0: State, cfg: IntegratorConfig, *,
 # its exact lockstep state.
 _HANDOVER = 40
 # Cells advanced together; pending cells refill the pool as cells finish,
-# which bounds the working set.  On the same VM the CLI's peak RSS for a
-# 73^2 raster is 2.6 MB above the scalar path's (4.7 MB with 4096 cells,
-# which take 5-10% less time); a 400^2 raster peaks at 41 MB.
+# which bounds the working set.  On the same VM the CLI's default-tolerance
+# bistable raster, split over two workers, peaks at 36 MB in the parent and
+# 27 MB in the larger worker at 73^2 (RUSAGE_CHILDREN, which counts the pages
+# the worker shares with its parent), and at 40 and 34 MB at 400^2.
 #
 # ``basin.compute_basins`` splits a raster of more than one pool over up to
 # one forked worker per CPU.  On the same VM a forced two-way split of the
@@ -490,19 +492,20 @@ _HANDOVER = 40
 # 0.40 -> 0.45 s).  So a raster that fits one pool stays in process.
 _POOL = 2048
 
-# A section crossing waits with its step.  All waiting crossings are bisected
-# in one batch when a waiting cell crosses again, when one ends while its
-# crossing could have ended it (last difference below 10 rho_cyc), and
-# before the hand-over; a bisection depends only on its own step.
+# A section crossing waits with its step's inputs.  All waiting crossings
+# are bisected in one batch when a waiting cell crosses again, when one ends
+# while its crossing could have ended it (last difference below 10
+# rho_cyc), and before the hand-over; a bisection depends only on its own
+# step, whose stages it recomputes with ``_dp_attempt``.
 #
 # Rows of the lockstep state, one column per live cell: time, state, FSAL
 # derivative, next step size, exit box, last section crossing (prey and
 # time) and last crossing difference (NaN for none yet); then a crossing that
-# waits: its step's start time (NaN for none), start state, size and
-# stages k1, k3..k7.
+# waits: its step's start time (NaN for none), start state, FSAL derivative
+# and size, in the order of the first six rows.
 (_TAU, _U, _V, _K1U, _K1V, _H, _XU, _XV, _PCU, _PCT, _PD,
- _QT, _QU, _QV, _QH, _QK) = range(16)
-_ROWS = _QK + 12
+ _QT, _QU, _QV, _QK1U, _QK1V, _QH) = range(17)
+_ROWS = _QH + 1
 
 
 def _bisect_crossings(C: float, prev_tau, prev, h, K):
@@ -511,7 +514,7 @@ def _bisect_crossings(C: float, prev_tau, prev, h, K):
     ``prev`` is (2, n), ``K`` the stages k1, k3..k7 as (6, 2, n).  Returns
     crossing times and prey values.
     """
-    def state_at(tau_q, prev_tau, prev, h, K):
+    def state_at(tau_q):
         th = (tau_q - prev_tau) / h
         b = th * (_P[:, 0] + th * (_P[:, 1] + th * (_P[:, 2] + th * _P[:, 3])))
         terms = b[:, None, :] * K
@@ -520,27 +523,19 @@ def _bisect_crossings(C: float, prev_tau, prev, h, K):
             acc += term
         return prev + h * acc
 
-    # A halving that moves neither end is a fixed point of the next ones:
-    # such cells leave with their bracket as it will stay.
-    tau_c = np.empty(len(h))
-    cells = np.arange(len(h))
+    # A halving that moves neither end is a fixed point of the next ones,
+    # so a cell whose bracket stops early keeps it to the last halving.
     lo, hi = prev_tau, prev_tau + h
-    now = prev_tau, prev, h, K
     for _ in range(64):
         mid = 0.5 * (lo + hi)
-        u, v = state_at(mid, *now)
+        u, v = state_at(mid)
         below = v - u - C < 0.0
         moved = below & (mid != lo) | ~below & (mid != hi)
+        if not moved.any():
+            break
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
-        if not moved.all():
-            tau_c[cells[~moved]] = hi[~moved]
-            cells, lo, hi = cells[moved], lo[moved], hi[moved]
-            now = tuple(a[..., moved] for a in now)
-            if not len(cells):
-                break
-    tau_c[cells] = hi
-    return tau_c, state_at(tau_c, prev_tau, prev, h, K)[0]
+    return hi, state_at(hi)[0]
 
 
 def _lockstep(ctx: _Context, seeds: np.ndarray, cfg: IntegratorConfig,
@@ -591,8 +586,9 @@ def _lockstep(ctx: _Context, seeds: np.ndarray, cfg: IntegratorConfig,
         if not len(cols):
             return
         q = state[:, cols]
-        tau_c, u_c = _bisect_crossings(C, q[_QT], q[_QU:_QH], q[_QH],
-                                       q[_QK:].reshape(6, 2, -1))
+        ks = _dp_attempt(f, q[_QH], q[_QU], q[_QV], q[_QK1U], q[_QK1V])[4]
+        tau_c, u_c = _bisect_crossings(C, q[_QT], q[_QU:_QK1U], q[_QH],
+                                       np.stack(ks).reshape(6, 2, -1))
         delta = u_c - q[_PCU]
         side = u_c > anchor
         cycle = side & _cycle_found(delta, q[_PD], u_c, anchor, cfg)
@@ -618,9 +614,10 @@ def _lockstep(ctx: _Context, seeds: np.ndarray, cfg: IntegratorConfig,
                 break
             tau, u0, v0 = state[_TAU], state[_U], state[_V]
             h = np.minimum(state[_H], tau_end - tau)
-            # horizon or step underflow: Undecided, label stays 0
+            # horizon or step underflow (a NaN step too): Undecided, label
+            # stays 0
             done = ((tau >= tau_end)
-                    | (h <= 1e-13 * np.maximum(1.0, np.abs(tau))))
+                    | ~(h > 1e-13 * np.maximum(1.0, np.abs(tau))))
             u5, v5, eu, ev, ks = _dp_attempt(f, h, u0, v0, state[_K1U],
                                              state[_K1V])
             scu = atol + rtol * np.maximum(np.abs(u0), np.abs(u5))
@@ -662,11 +659,8 @@ def _lockstep(ctx: _Context, seeds: np.ndarray, cfg: IntegratorConfig,
                     settle(state, done)
                     ci = ci[~done[ci]]
                 if len(ci):
-                    state[_QT, ci] = tau[ci]
-                    state[_QU, ci] = u0[ci]
-                    state[_QV, ci] = v0[ci]
+                    state[_QT:_QH, ci] = state[_TAU:_H, ci]
                     state[_QH, ci] = h[ci]
-                    state[_QK:, ci] = np.stack([k[ci] for k in ks])
 
             state[_H] = h * factor
             for row, new in ((_TAU, tau + h), (_U, u5), (_V, v5),

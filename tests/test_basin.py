@@ -204,8 +204,15 @@ def _without(key):
     lambda h: dict(h, params=[0.04, 0.12, 0.45, 0.07]),
     lambda h: dict(h, bounds=[[0.0, 1.0]]),
     lambda h: dict(h, attractors=[7]),
+    lambda h: dict(h, params=dict(h["params"], M="x")),
+    lambda h: dict(h, params=dict(h["params"], M=5.0, S=-1)),
+    lambda h: dict(h, bounds=[[0, "a"], [0, 1]]),
+    lambda h: dict(h, bounds=[[1, 0], [0, 1]]),
+    lambda h: dict(h, config_hash=5),
 ], ids=["list", "null", "no-params", "no-bounds", "no-attractors",
-        "params-list", "one-bound", "attractor-not-object"])
+        "params-list", "one-bound", "attractor-not-object", "params-str",
+        "params-outside-domain", "bound-str", "bounds-reversed",
+        "hash-int"])
 def test_load_rejects_malformed_header(edit, tmp_path):
     path = _saved(tmp_path)
     _rewrite_header(path, edit)
@@ -239,7 +246,11 @@ def rasters(draw):
     res = draw(st.integers(1, 6))
     (u0, v0), (du, dv) = (draw(st.tuples(finite, finite)) for _ in range(2))
     bounds = ((u0, u0 + abs(du) + 1.0), (v0, v0 + abs(dv) + 1.0))
-    params = Params(*draw(st.tuples(finite, finite, finite, finite)))
+    # in the model's domain: a header outside it is rejected when loaded
+    params = Params(draw(st.floats(-1.0, 1.0, exclude_min=True,
+                                   exclude_max=True)),
+                    *draw(st.tuples(*[st.floats(0.0, 10.0, exclude_min=True)
+                                      for _ in range(3)])))
     table = []
     for code in sorted(draw(st.sets(st.integers(1, 255), max_size=5))):
         loc = draw(st.none() | st.tuples(finite, finite))

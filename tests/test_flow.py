@@ -1,3 +1,4 @@
+import faulthandler
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from alleetanner import (
     jacobian,
 )
 from alleetanner.flow import (_bisect_crossings, _context, _cycle_found,
-                              _drive, _refine_crossing, _Stepper)
+                              _drive, _lockstep, _refine_crossing, _Stepper)
 from alleetanner.model import field_closure
 from alleetanner.stability import classify
 from alleetanner.equilibria import all_equilibria
@@ -200,6 +201,27 @@ def test_seed_on_singular_line_is_underflow():
     assert tr.taus.tolist() == [0.0]
     assert tr.states.tolist() == [list(s0)]
     assert find_limit_cycle(BISTABLE, s0) is None
+
+
+@pytest.mark.parametrize("s0", [(math.nan, 0.5), (math.inf, 0.5),
+                                (0.5, math.inf)],
+                         ids=["nan-prey", "inf-prey", "inf-predator"])
+def test_non_finite_seed_ends_at_once(s0):
+    # the first step size is NaN: the underflow test fails it, in both
+    # integrator loops, instead of quartering it forever
+    faulthandler.dump_traceback_later(60, exit=True)
+    try:
+        tr = integrate(BISTABLE, s0)
+        assert tr.termination is Termination.STEP_UNDERFLOW
+        assert len(tr.taus) == 1
+        lab = classify_omega_limit(BISTABLE, s0)
+        assert lab.tag is AttractorTag.UNDECIDED
+        ctx = _context(BISTABLE)
+        codes = {t.id: k + 1 for k, t in enumerate(ctx.targets)}
+        labels = _lockstep(ctx, np.array([s0]), FAST_CFG, codes, 99)
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+    assert labels.tolist() == [0]
 
 
 @pytest.mark.parametrize("reverse", [False, True])

@@ -76,6 +76,9 @@ REGIMES = {
     "axes": (EXTINCTION, 10, LOOSE_CFG, ((0.0, 0.1), (0.0, 0.1))),
     # one seed exactly on the singular line u = -C
     "singular": (BISTABLE, 1, IntegratorConfig(), ((-0.14, 0.0), (0.0, 0.5))),
+    # one seed at (-C, 0), where dv/dtau = 0*0/0: a NaN first step size
+    "nan_field": (BISTABLE, 1, IntegratorConfig(),
+                  ((-0.14, 0.0), (-0.5, 0.5))),
 }
 
 
@@ -90,12 +93,17 @@ def test_lockstep_equals_scalar(regime, sizes, monkeypatch):
     p, res, cfg, bounds = REGIMES[regime]
     # one CPU runs in process; two split rasters above one pool ("small")
     rasters = []
-    for k in (1, 2):
-        set_cpus(monkeypatch, k)
-        rasters.append(compute_basins(p, res, cfg, bounds))
-    assert multiprocessing.active_children() == []
-    codes = {a.id: a.code for a in rasters[0].attractors}
-    want = scalar_labels(p, res, cfg, bounds, codes)
+    # a cell that never ends fails the run instead of hanging it
+    faulthandler.dump_traceback_later(120, exit=True)
+    try:
+        for k in (1, 2):
+            set_cpus(monkeypatch, k)
+            rasters.append(compute_basins(p, res, cfg, bounds))
+        assert multiprocessing.active_children() == []
+        codes = {a.id: a.code for a in rasters[0].attractors}
+        want = scalar_labels(p, res, cfg, bounds, codes)
+    finally:
+        faulthandler.cancel_dump_traceback_later()
     for raster in rasters:
         assert raster.attractors == rasters[0].attractors
         assert raster.labels.tobytes() == want.tobytes()
@@ -237,7 +245,12 @@ def test_batch_bisection_equals_refine_crossing(p):
                 steps.append((st.prev_tau, st.prev_u, st.prev_v, st.h_last,
                               *st.ks))
     a = np.array(steps).T
+    # a waiting crossing keeps only its step's start time, state, FSAL
+    # derivative and size: the stages rebuilt from them on arrays are the
+    # stepper's, bit for bit
+    ks = np.stack(flow._dp_attempt(f, a[3], a[1], a[2], a[4], a[5])[4])
+    assert ks.tobytes() == a[4:].tobytes()
     tau_c, u_c = flow._bisect_crossings(p.C, a[0], a[1:3], a[3],
-                                        a[4:].reshape(6, 2, -1))
+                                        ks.reshape(6, 2, -1))
     assert len(want) >= 10
     assert list(zip(tau_c.tolist(), u_c.tolist())) == want

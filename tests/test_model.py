@@ -26,7 +26,7 @@ from alleetanner.flow import IntegratorConfig
 from alleetanner.model import _real_eigenvalues, _unit_eigenvector, \
     field_closure
 
-from conftest import FAST_CFG, random_params, sample_path
+from conftest import BISTABLE, FAST_CFG, random_params, sample_path
 
 
 def test_nondimensionalize_unit_parameters():
@@ -52,6 +52,12 @@ def test_nondimensionalize_rejects_allee_outside_range():
 
 @pytest.mark.parametrize("call", [
     lambda: compute_basins(Params(0.0, -0.725, 0.5, 0.1), 2, FAST_CFG),
+    lambda: compute_basins(BISTABLE, 2, FAST_CFG, ((1.0, 0.0), (0.0, 1.0))),
+    lambda: compute_basins(BISTABLE, 2, FAST_CFG, ((0.0, 1.0), (0.5, 0.5))),
+    lambda: compute_basins(BISTABLE, 2, FAST_CFG,
+                           ((0.0, math.nan), (0.0, 1.0))),
+    lambda: compute_basins(BISTABLE, 2, FAST_CFG,
+                           ((0.0, 1.0), (-math.inf, 1.0))),
     lambda: region_classify(Params(-2.2475, 0.05, 0.5, 0.1)),
     lambda: region_classify(Params(0.0, -0.725, 0.5, 0.1)),
     lambda: compute_diagram(0.5, 0.1, (-1.5, 0.01), (0.01, 0.2)),
@@ -59,8 +65,9 @@ def test_nondimensionalize_rejects_allee_outside_range():
     lambda: separatrix(Params(0.04, -0.12, 0.45, 0.07)),
     lambda: homoclinic_locus(0.5, 0.1, [0.0, 1.2]),
     lambda: homoclinic_locus(-0.5, 0.1, [0.0]),
-], ids=["basins", "region-M", "region-S", "diagram", "gap", "separatrix",
-        "locus-M", "locus-Q"])
+], ids=["basins", "basins-reversed-u", "basins-empty-v", "basins-nan-bound",
+        "basins-inf-bound", "region-M", "region-S", "diagram", "gap",
+        "separatrix", "locus-M", "locus-Q"])
 def test_library_entries_reject_points_outside_the_domain(call):
     with pytest.raises(ParameterError):
         call()
