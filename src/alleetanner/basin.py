@@ -25,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 import os
 import struct
 from dataclasses import dataclass
@@ -111,9 +112,13 @@ def compute_basins(p: Params, resolution: int,
     configuration hash is loaded instead of recomputed; an entry that
     fails to load is recomputed and replaced.
     """
-    validate_params(p)
+    ctx = _context(p)
+    try:
+        resolution = operator.index(resolution)
+    except TypeError:
+        resolution = 0   # not an integer
     if resolution < 1:
-        raise ParameterError("resolution must be >= 1")
+        raise ParameterError("resolution must be an integer >= 1")
     _check_bounds(bounds)
     cfg = cfg or IntegratorConfig()
     digest = config_hash(p, bounds, resolution, cfg)
@@ -127,7 +132,6 @@ def compute_basins(p: Params, resolution: int,
         if raster is not None and raster.config_hash == digest:
             return raster
 
-    ctx = _context(p)
     codes: dict[str, int] = {}
     infos: list[AttractorInfo] = []
     for t in ctx.targets:
@@ -274,8 +278,7 @@ def save_raster(raster: BasinRaster, path: str) -> None:
         "version": FORMAT_VERSION,
         "bounds": [list(raster.bounds[0]), list(raster.bounds[1])],
         "resolution": raster.resolution,
-        "params": {"M": raster.params.M, "S": raster.params.S,
-                   "Q": raster.params.Q, "C": raster.params.C},
+        "params": raster.params._asdict(),
         "attractors": [
             {"code": a.code, "id": a.id, "kind": a.kind,
              "location": list(a.location) if a.location else None}
@@ -298,6 +301,21 @@ def save_raster(raster: BasinRaster, path: str) -> None:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def _attractor_info(a) -> AttractorInfo:
+    """A header's attractor row: an int code in 1..255, a string id, and an
+    equilibrium at two finite floats or a cycle at null; else ValueError."""
+    code, loc = a["code"], a["location"]
+    if a["kind"] == "equilibrium":
+        ok = (isinstance(loc, list) and len(loc) == 2 and all(
+            isinstance(x, float) and math.isfinite(x) for x in loc))
+    else:
+        ok = a["kind"] == "cycle" and loc is None
+    if not (ok and type(code) is int and 1 <= code <= 255
+            and isinstance(a["id"], str)):
+        raise ValueError(f"bad attractor {a!r}")
+    return AttractorInfo(code, a["id"], a["kind"], loc and tuple(loc))
 
 
 def load_raster(path: str) -> BasinRaster:
@@ -324,17 +342,16 @@ def load_raster(path: str) -> BasinRaster:
         params = validate_params(Params(pd["M"], pd["S"], pd["Q"], pd["C"]))
         bounds = (tuple(header["bounds"][0]), tuple(header["bounds"][1]))
         _check_bounds(bounds)
-        attractors = tuple(
-            AttractorInfo(a["code"], a["id"], a["kind"],
-                          tuple(a["location"]) if a["location"] else None)
-            for a in header["attractors"])
+        attractors = tuple(map(_attractor_info, header["attractors"]))
+        if len({a.code for a in attractors}) < len(attractors):
+            raise ValueError("repeated attractor code")
         digest = header["config_hash"]
         if not isinstance(digest, str):
             raise TypeError(f"config hash {digest!r} is not a string")
-    except (KeyError, TypeError, IndexError, ParameterError) as exc:
+        if type(res) is not int or res < 1:
+            raise ValueError(f"bad raster resolution {res!r}")
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ValueError(f"malformed raster header: {exc!r}") from None
-    if not isinstance(res, int) or res < 1:
-        raise ValueError(f"bad raster resolution {res!r}")
     size = len(data) - body
     if size < res * res:
         raise ValueError(f"truncated raster file: {size} label bytes, "

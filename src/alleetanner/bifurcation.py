@@ -65,7 +65,9 @@ class BifurcationDiagram:
 
 
 def saddle_node_M(q: float, c: float) -> list[float]:
-    """All solutions of Delta(M)=0 with M in (-1, 1), ascending."""
+    """All solutions of Delta(M)=0 with M in (-1, 1), ascending;
+    ParameterError unless Q and C are finite and positive."""
+    validate_params(Params(0.0, 1.0, q, c))
     root = 2.0 * math.sqrt(q * (1.0 + c))
     cands = [1.0 + q - root, 1.0 + q + root]
     return [m for m in cands if -1.0 < m < 1.0]
@@ -87,8 +89,10 @@ def hopf_locus(q: float, c: float, m_grid) -> np.ndarray:
 
     S_hopf is the trace-zero value of the largest interior root; points
     where no interior root exists or where the value is non-positive (the
-    root is then stable for every S > 0) are dropped.
+    root is then stable for every S > 0) are dropped.  ParameterError
+    unless Q and C are finite and positive.
     """
+    validate_params(Params(0.0, 1.0, q, c))
     pts = []
     for m in np.asarray(m_grid, dtype=float):
         if not -1.0 < m < 1.0:

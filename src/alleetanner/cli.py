@@ -18,9 +18,11 @@ current directory.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -43,28 +45,22 @@ EXIT_QUALITY = 4
 
 ENV_OUT_DIR = "ALLEETANNER_OUT"
 
-_NONDIM_KEYS = ("M", "S", "Q", "C")
-_DIM_KEYS = ("r", "s", "q", "n", "K", "m", "c")
-
 
 def _add_common(sp, with_params=True):
     sp.add_argument("--out-dir", default=None,
                     help=f"output directory (default ${ENV_OUT_DIR} or .)")
     sp.add_argument("--seed", type=int, default=0,
                     help="seed recorded in output headers")
-    sp.add_argument("--rel-tol", type=float, default=None)
-    sp.add_argument("--abs-tol", type=float, default=None)
-    sp.add_argument("--tau-max", type=float, default=None)
-    sp.add_argument("--rho-eq", type=float, default=None)
-    sp.add_argument("--rho-cyc", type=float, default=None)
+    for f in fields(IntegratorConfig):
+        sp.add_argument(f"--{f.name.replace('_', '-')}", type=float,
+                        default=None)
     if with_params:
         sp.add_argument("-M", "--allee-threshold", dest="M", type=float)
         sp.add_argument("-S", "--predator-growth", dest="S", type=float)
         sp.add_argument("-Q", "--predation-rate", dest="Q", type=float)
         sp.add_argument("-C", "--alternative-food", dest="C", type=float)
-        for key in _DIM_KEYS:
-            sp.add_argument(f"-{key}", dest=f"dim_{key}", type=float,
-                            help=argparse.SUPPRESS)
+        for key in DimensionalParams._fields:
+            sp.add_argument(f"-{key}", type=float, help=argparse.SUPPRESS)
         sp.add_argument("--params-file", default=None,
                         help="key=value lines; flags override file values")
 
@@ -128,7 +124,7 @@ def _read_params_file(path: str) -> dict[str, float]:
         if "=" not in line:
             raise ParameterError(f"bad config line: {line!r}")
         key, val = (part.strip() for part in line.split("=", 1))
-        if key not in _NONDIM_KEYS + _DIM_KEYS:
+        if key not in Params._fields + DimensionalParams._fields:
             raise ParameterError(f"unknown parameter {key!r} in {path}")
         try:
             out[key] = float(val)
@@ -141,22 +137,17 @@ def _read_params_file(path: str) -> dict[str, float]:
 def resolve_params(args) -> Params:
     """Merge config file and flags into a validated parameter vector."""
     values = _read_params_file(args.params_file) if args.params_file else {}
-    for key in _NONDIM_KEYS:
+    for key in Params._fields + DimensionalParams._fields:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
-    for key in _DIM_KEYS:
-        flag = getattr(args, f"dim_{key}", None)
-        if flag is not None:
-            values[key] = flag
-    have_nondim = [k for k in _NONDIM_KEYS if k in values]
-    have_dim = [k for k in _DIM_KEYS if k in values]
+    have_nondim = [k for k in Params._fields if k in values]
+    have_dim = [k for k in DimensionalParams._fields if k in values]
     if len(have_nondim) == 4:
-        return validate_params(Params(values["M"], values["S"], values["Q"],
-                                      values["C"]))
+        return validate_params(Params(**{k: values[k] for k in have_nondim}))
     if len(have_dim) == 7:
-        d = DimensionalParams(**{k: values[k] for k in _DIM_KEYS})
-        p = nondimensionalize(d)
+        p = nondimensionalize(
+            DimensionalParams(**{k: values[k] for k in have_dim}))
         print(f"nondimensional: M={p.M:.6g} S={p.S:.6g} Q={p.Q:.6g} "
               f"C={p.C:.6g}")
         return p
@@ -167,14 +158,9 @@ def resolve_params(args) -> Params:
 
 
 def resolve_config(args) -> IntegratorConfig:
-    kwargs = {}
-    for attr, flag in (("rel_tol", "rel_tol"), ("abs_tol", "abs_tol"),
-                       ("tau_max", "tau_max"), ("rho_eq", "rho_eq"),
-                       ("rho_cyc", "rho_cyc")):
-        val = getattr(args, flag, None)
-        if val is not None:
-            kwargs[attr] = val
-    return IntegratorConfig(**kwargs)
+    return IntegratorConfig(**{
+        f.name: getattr(args, f.name) for f in fields(IntegratorConfig)
+        if getattr(args, f.name, None) is not None})
 
 
 def _out_dir(args) -> str:
@@ -451,8 +437,9 @@ def _parse_sweep(spec: str) -> tuple[str, np.ndarray]:
         key, rng = spec.split("=", 1)
         start, stop, count = rng.split(":")
         key = key.strip()
-        if key not in _NONDIM_KEYS:
-            raise ValueError(f"swept parameter must be one of {_NONDIM_KEYS}")
+        if key not in Params._fields:
+            raise ValueError(
+                f"swept parameter must be one of {Params._fields}")
         n = int(count)
         if n < 1:
             raise ValueError(f"count must be >= 1, got {n}")
@@ -477,20 +464,12 @@ def cmd_sweep(args) -> int:
     names = [k for k, _ in axes]
     columns = names + ["region", "interior_fraction"]
     rows = []
-    if len(axes) == 1:
-        points = [((names[0], float(v)),) for v in axes[0][1]]
-    else:
-        points = [((names[0], float(a)), (names[1], float(b)))
-                  for a in axes[0][1] for b in axes[1][1]]
-    for point in points:
-        values = dict(zip(_NONDIM_KEYS, base))
-        values.update(dict(point))
-        p = validate_params(Params(values["M"], values["S"], values["Q"],
-                                   values["C"]))
+    for point in itertools.product(*(vals.tolist() for _, vals in axes)):
+        p = validate_params(base._replace(**dict(zip(names, point))))
         region = region_classify(p, cfg)
         raster = compute_basins(p, args.resolution, cfg)
         frac = _interior_fraction(basin_fractions(raster))
-        rows.append([f"{v!r}" for _, v in point] + [region.value, f"{frac!r}"])
+        rows.append([f"{v!r}" for v in point] + [region.value, f"{frac!r}"])
     header = _header_lines(args, base, cfg,
                            {"sweep": ";".join(args.sweep),
                             "resolution": args.resolution,

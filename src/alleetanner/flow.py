@@ -27,13 +27,14 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .equilibria import EquilibriumKind, all_equilibria
-from .model import ParameterError, Params, State, field_closure
+from .model import ParameterError, Params, State, field_closure, \
+    validate_params
 from .stability import classify
 
 # Dormand-Prince 5(4) tableau.
@@ -83,9 +84,9 @@ class IntegratorConfig:
     rho_cyc: float = 1e-7
 
     def __post_init__(self):
-        for name in ("rel_tol", "abs_tol", "tau_max", "rho_eq", "rho_cyc"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ParameterError(f"{name} must be finite and positive")
+        for f in fields(self):
+            if not 0.0 < getattr(self, f.name) < math.inf:
+                raise ParameterError(f"{f.name} must be finite and positive")
         if self.rel_tol < 1e-13:
             raise ParameterError("rel_tol must be >= 1e-13")
 
@@ -306,6 +307,7 @@ class _Context(NamedTuple):
 
 
 def _context(p: Params) -> _Context:
+    validate_params(p)   # the one check of every integration entry
     targets = []
     anchor = None
     for eq in all_equilibria(p):

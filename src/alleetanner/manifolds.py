@@ -33,7 +33,7 @@ from .flow import IntegratorConfig, _Context, _context, _Stepper, \
     _target_within
 from .flow import _refine_crossing as _refine_section
 from .model import Params, State, _real_eigenvalues, _unit_eigenvector, \
-    field_closure, jacobian, validate_params, vector_field
+    field_closure, jacobian, vector_field
 from .stability import StabilityTag, classify
 
 BOX_MARGIN = 0.05          # enlargement of the trapping box for clipping
@@ -216,8 +216,9 @@ def trace_manifold(p: Params, e: Equilibrium, kind: BranchKind,
     field.  Budget exhaustion is flagged and the partial polyline
     returned.
     """
+    ctx = _context(p)
     frame = _saddle_frame(p, e)
-    res = _branch(_context(p), frame, kind, direction,
+    res = _branch(ctx, frame, kind, direction,
                   cfg or IntegratorConfig(), max_arc)
     return ManifoldBranch(e.id, frame[0], kind, direction,
                           np.array(res.points), np.array(res.arcs),
@@ -257,10 +258,9 @@ def homoclinic_gap(p: Params, cfg: IntegratorConfig | None = None) -> float:
     GapUndefinedError when P1/P2 are missing or either branch leaves the box
     without crossing.
     """
-    validate_params(p)
+    ctx = _context(p)   # its anchor is P2's prey value
     cfg = cfg or IntegratorConfig()
     frame = _saddle_frame(p, _interior_saddle(p))
-    ctx = _context(p)   # its anchor is P2's prey value
     crossing_u = []
     for kind in (BranchKind.UNSTABLE, BranchKind.STABLE):
         res = _branch(ctx, frame, kind, BranchDirection.UP_RIGHT, cfg,
@@ -317,10 +317,9 @@ def separatrix(p: Params, cfg: IntegratorConfig | None = None) -> Separatrix:
     The polyline is ordered along the curve: down-left branch end, through
     the saddle, out the up-right branch end.
     """
-    validate_params(p)
+    ctx = _context(p)
     cfg = cfg or IntegratorConfig()
     frame = _saddle_frame(p, _interior_saddle(p))
-    ctx = _context(p)
     down = _branch(ctx, frame, BranchKind.STABLE, BranchDirection.DOWN_LEFT,
                    cfg)
     up = _branch(ctx, frame, BranchKind.STABLE, BranchDirection.UP_RIGHT, cfg)

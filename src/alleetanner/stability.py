@@ -36,9 +36,6 @@ EPS_CLASS = 1e-9
 # inflated case tolerance still pass.
 RESIDUAL_REJECT = 1e-8
 
-_EXTINCTION_CASES = frozenset(
-    {CaseLabel.S1AI, CaseLabel.S1B, CaseLabel.W2AI, CaseLabel.W2E})
-
 
 class ThresholdUndefinedError(ValueError):
     """Raised when a threshold is requested outside its parameter regime."""
@@ -189,4 +186,4 @@ def is_global_extinction(p: Params, eps: float = EPS_CASE) -> bool:
 
     Holds when (1+M-Q>0, M+CQ>0, Delta<0) or (1+M-Q<=0, M+CQ>=0).
     """
-    return case_label(p, eps) in _EXTINCTION_CASES
+    return case_label(p, eps).interior_count == 0

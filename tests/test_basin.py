@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import struct
 import tempfile
@@ -195,6 +196,11 @@ def _without(key):
     return lambda h: {k: v for k, v in h.items() if k != key}
 
 
+def _row(**fields):
+    """An edit that replaces the first attractor row's ``fields``."""
+    return lambda h: dict(h, attractors=[dict(h["attractors"][0], **fields)])
+
+
 @pytest.mark.parametrize("edit", [
     lambda h: [h],
     lambda h: None,
@@ -209,10 +215,31 @@ def _without(key):
     lambda h: dict(h, bounds=[[0, "a"], [0, 1]]),
     lambda h: dict(h, bounds=[[1, 0], [0, 1]]),
     lambda h: dict(h, config_hash=5),
+    _row(id=5, kind="nope", location=[1, 2, 3]),
+    _row(id=5),
+    _row(kind="nope"),
+    _row(location=[0.0, 0.5, 1.0]),
+    _row(location=[0.0, math.nan]),
+    _row(location=["0", 0.5]),
+    _row(location=None),
+    _row(kind="cycle"),
+    _row(code=0),
+    _row(code=256),
+    _row(code=1.0),
+    _row(code=True),
+    lambda h: dict(h, attractors=h["attractors"] + [
+        dict(h["attractors"][0], id="other")]),
+    lambda h: dict(h, resolution=True),
+    lambda h: dict(h, resolution=4.0),
 ], ids=["list", "null", "no-params", "no-bounds", "no-attractors",
         "params-list", "one-bound", "attractor-not-object", "params-str",
         "params-outside-domain", "bound-str", "bounds-reversed",
-        "hash-int"])
+        "hash-int", "attractor-all-wrong", "attractor-id-int",
+        "attractor-kind", "equilibrium-three-coords", "equilibrium-nan",
+        "equilibrium-str-coord", "equilibrium-no-location",
+        "cycle-with-location", "code-0", "code-256", "code-float",
+        "code-bool", "repeated-code", "resolution-bool",
+        "resolution-float"])
 def test_load_rejects_malformed_header(edit, tmp_path):
     path = _saved(tmp_path)
     _rewrite_header(path, edit)
@@ -228,6 +255,16 @@ def test_cache_entry_without_params_is_recomputed(tmp_path):
     assert np.array_equal(r2.labels, r1.labels)
     assert load_raster(str(path)).params == EXTINCTION
     assert list(tmp_path.iterdir()) == [path]
+
+
+def test_cache_entry_with_malformed_attractor_table_is_recomputed(tmp_path):
+    r1 = compute_basins(EXTINCTION, 4, FAST_CFG, cache_dir=str(tmp_path))
+    (path,) = tmp_path.iterdir()
+    _rewrite_header(path, _row(id=5, kind="nope", location=[1, 2, 3]))
+    r2 = compute_basins(EXTINCTION, 4, FAST_CFG, cache_dir=str(tmp_path))
+    assert r2.attractors == r1.attractors
+    assert np.array_equal(r2.labels, r1.labels)
+    assert load_raster(str(path)).attractors == r1.attractors
 
 
 def test_config_hash_sensitive_to_algorithm_version(monkeypatch):

@@ -1,10 +1,11 @@
+import dataclasses
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from alleetanner import cli
+from alleetanner import IntegratorConfig, cli
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -84,6 +85,19 @@ BIF = ["bifurcation", "-Q", "0.5", "-C", "0.1"]
 def test_malformed_arguments_are_parameter_errors(argv, tmp_path, capsys):
     assert run(argv + ["--out-dir", str(tmp_path)]) == 2
     assert "parameter error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,field", [
+    ("--rel-tol", "rel_tol"), ("--abs-tol", "abs_tol"),
+    ("--tau-max", "tau_max"), ("--rho-eq", "rho_eq"),
+    ("--rho-cyc", "rho_cyc"),
+])
+def test_integrator_flag_sets_its_own_field(flag, field):
+    default = IntegratorConfig()
+    value = 0.5 * getattr(default, field)
+    args = cli.build_parser().parse_args(["classify", flag, repr(value)])
+    assert cli.resolve_config(args) == dataclasses.replace(
+        default, **{field: value})
 
 
 def test_classify_dimensional_mode(capsys):

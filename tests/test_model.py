@@ -6,19 +6,29 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from alleetanner import (
+    BranchDirection,
+    BranchKind,
     DimensionalParams,
     ParameterError,
     Params,
+    bt_point,
+    classify_omega_limit,
     compute_basins,
     compute_diagram,
     dimensional_vector_field,
+    find_limit_cycle,
     homoclinic_gap,
     homoclinic_locus,
+    hopf_locus,
+    integrate,
+    interior_equilibria,
     jacobian,
     map_state,
     nondimensionalize,
     region_classify,
+    saddle_node_M,
     separatrix,
+    trace_manifold,
     unmap_state,
     vector_field,
 )
@@ -65,9 +75,25 @@ def test_nondimensionalize_rejects_allee_outside_range():
     lambda: separatrix(Params(0.04, -0.12, 0.45, 0.07)),
     lambda: homoclinic_locus(0.5, 0.1, [0.0, 1.2]),
     lambda: homoclinic_locus(-0.5, 0.1, [0.0]),
+    lambda: compute_basins(BISTABLE, 2.0, FAST_CFG),
+    lambda: compute_basins(BISTABLE, "2", FAST_CFG),
+    lambda: classify_omega_limit(Params(0.04, -1, 0.45, 0.07), (0.5, 0.5)),
+    lambda: integrate(Params(5, 0.1, 0.4, 0.1), (0.5, 0.5)),
+    lambda: find_limit_cycle(Params(0.04, 0.1, -0.45, 0.07), (0.5, 0.5)),
+    lambda: trace_manifold(Params(0.04, 0.12, 0.45, -0.07),
+                           interior_equilibria(BISTABLE)[0],
+                           BranchKind.STABLE, BranchDirection.UP_RIGHT),
+    lambda: saddle_node_M(0.5, math.inf),
+    lambda: saddle_node_M(-1.0, 0.1),
+    lambda: bt_point(0.5, -0.1),
+    lambda: hopf_locus(-1.0, 0.1, [0.0]),
+    lambda: hopf_locus(0.5, math.nan, [0.0]),
 ], ids=["basins", "basins-reversed-u", "basins-empty-v", "basins-nan-bound",
         "basins-inf-bound", "region-M", "region-S", "diagram", "gap",
-        "separatrix", "locus-M", "locus-Q"])
+        "separatrix", "locus-M", "locus-Q", "basins-float-resolution",
+        "basins-str-resolution", "omega-S", "integrate-M", "cycle-Q",
+        "trace-C", "saddle-node-C", "saddle-node-Q", "bt-C", "hopf-Q",
+        "hopf-C"])
 def test_library_entries_reject_points_outside_the_domain(call):
     with pytest.raises(ParameterError):
         call()
