@@ -43,7 +43,7 @@ from .model import ParameterError, Params, validate_params
 MAGIC = b"PPBASIN1"
 FORMAT_VERSION = 1
 # Part of the cache key: bump it with any change that can move a label.
-ALGORITHM_VERSION = 2
+ALGORITHM_VERSION = 3
 
 Bounds = tuple[tuple[float, float], tuple[float, float]]
 PHI: Bounds = ((0.0, 1.0), (0.0, 1.0))
@@ -345,6 +345,8 @@ def load_raster(path: str) -> BasinRaster:
         attractors = tuple(map(_attractor_info, header["attractors"]))
         if len({a.code for a in attractors}) < len(attractors):
             raise ValueError("repeated attractor code")
+        if len({a.id for a in attractors}) < len(attractors):
+            raise ValueError("repeated attractor id")
         digest = header["config_hash"]
         if not isinstance(digest, str):
             raise TypeError(f"config hash {digest!r} is not a string")

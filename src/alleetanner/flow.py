@@ -9,7 +9,11 @@ Termination events, checked after every accepted step:
 
 * equilibrium convergence: the state is within ``rho_eq`` of a known
   equilibrium AND the field norm there is below ``rho_eq`` (the second test
-  keeps a slow saddle passage from being misread as convergence),
+  keeps a slow saddle passage from being misread as convergence); or, on
+  the classification paths (``classify_omega_limit``, ``find_limit_cycle``
+  and the basin rasters, not ``integrate``), the state is inside the
+  trapping disc of an attracting equilibrium, a disc whose every point
+  provably flows to it (``stability.trapping_radius``),
 * limit-cycle convergence: successive same-direction crossings of the
   Poincare section v = u + C (the predator nullcline, which carries every
   interior equilibrium and is transversal to the flow elsewhere) differ by
@@ -35,7 +39,7 @@ import numpy as np
 from .equilibria import EquilibriumKind, all_equilibria
 from .model import ParameterError, Params, State, field_closure, \
     validate_params
-from .stability import classify
+from .stability import classify, trapping_radius
 
 # Dormand-Prince 5(4) tableau.
 _A21 = 1 / 5
@@ -80,6 +84,10 @@ class IntegratorConfig:
     rel_tol: float = 1e-9
     abs_tol: float = 1e-11
     tau_max: float = 1e5
+    # Proximity and field-norm bound of the equilibrium test: the only one
+    # in integrate and the manifold traces, and on the classification paths
+    # the one for equilibria without a trapping disc (saddles, degenerate
+    # points) or outside their disc.
     rho_eq: float = 1e-6
     rho_cyc: float = 1e-7
 
@@ -288,13 +296,18 @@ class _Stepper:
 
 
 class _EqTarget:
-    __slots__ = ("id", "u", "v", "attracting")
+    """An in-domain equilibrium; ``r2`` is the square of its trapping
+    radius, 0.0 for none (every target that is not attracting)."""
 
-    def __init__(self, eq_id: str, u: float, v: float, attracting: bool):
+    __slots__ = ("id", "u", "v", "attracting", "r2")
+
+    def __init__(self, eq_id: str, u: float, v: float, attracting: bool,
+                 r2: float):
         self.id = eq_id
         self.u = u
         self.v = v
         self.attracting = attracting
+        self.r2 = r2
 
 
 class _Context(NamedTuple):
@@ -315,17 +328,21 @@ def _context(p: Params) -> _Context:
                        EquilibriumKind.INTERIOR_DOUBLE):
             anchor = eq.location[0]
         if eq.in_domain:
+            attracting = classify(p, eq).attracting
+            r = trapping_radius(p, eq.location) if attracting else 0.0
             targets.append(_EqTarget(eq.id, eq.location[0], eq.location[1],
-                                     classify(p, eq).attracting))
+                                     attracting, r * r))
     return _Context(p, field_closure(p), targets, anchor)
 
 
 def _target_within(targets: list[_EqTarget], rho2: float, u: float,
-                   v: float) -> _EqTarget | None:
-    """First target within sqrt(rho2) of (u, v)."""
+                   v: float, trap: bool = False) -> _EqTarget | None:
+    """First target, in table order, within sqrt(rho2) of (u, v) or, with
+    ``trap``, strictly inside its trapping disc."""
     for t in targets:
         du, dv = u - t.u, v - t.v
-        if du * du + dv * dv <= rho2:
+        d2 = du * du + dv * dv
+        if d2 <= rho2 or trap and d2 < t.r2:
             return t
     return None
 
@@ -393,6 +410,9 @@ def _drive(ctx: _Context, s0: State, cfg: IntegratorConfig, *,
     a crossing or difference not seen yet): the seed test is skipped, and
     samples and the cycle segment start at the stepper's state.  A seed on
     the singular line u = -C ends at once as a step-size underflow.
+
+    Without samples a state inside a target's trapping disc ends the
+    trajectory at that target; with them, only the ``rho_eq`` test does.
     """
     targets = ctx.targets
     anchor = ctx.anchor
@@ -400,6 +420,9 @@ def _drive(ctx: _Context, s0: State, cfg: IntegratorConfig, *,
     u0, v0 = float(s0[0]), float(s0[1])
     exit_u, exit_v = _exit_box(u0, v0, C)
     rho2 = cfg.rho_eq * cfg.rho_eq
+    trap = not want_samples
+    # away from the rho_eq test's small field norm only a disc can end it
+    discs = [t for t in targets if t.r2 > 0.0] if trap else []
 
     if resume is None:
         stepper = None
@@ -425,9 +448,11 @@ def _drive(ctx: _Context, s0: State, cfg: IntegratorConfig, *,
         except ZeroDivisionError:
             return finish(Termination.STEP_UNDERFLOW)
         if fu * fu + fv * fv < rho2:
-            t = _target_within(targets, rho2, u0, v0)
-            if t is not None:
-                return finish(Termination.REACHED_EQUILIBRIUM, t.id)
+            t = _target_within(targets, rho2, u0, v0, trap)
+        else:
+            t = _target_within(discs, -1.0, u0, v0, trap)
+        if t is not None:
+            return finish(Termination.REACHED_EQUILIBRIUM, t.id)
         stepper = _Stepper(ctx.f, (u0, v0), cfg, cfg.tau_max)
 
     while stepper.step():
@@ -440,7 +465,11 @@ def _drive(ctx: _Context, s0: State, cfg: IntegratorConfig, *,
             return finish(Termination.LEFT_DOMAIN)
         ku, kv = stepper.k1u, stepper.k1v
         if ku * ku + kv * kv < rho2:
-            t = _target_within(targets, rho2, u1, v1)
+            t = _target_within(targets, rho2, u1, v1, trap)
+            if t is not None:
+                return finish(Termination.REACHED_EQUILIBRIUM, t.id)
+        elif discs:
+            t = _target_within(discs, -1.0, u1, v1, trap)
             if t is not None:
                 return finish(Termination.REACHED_EQUILIBRIUM, t.id)
         if anchor is None:
@@ -553,24 +582,32 @@ def _lockstep(ctx: _Context, seeds: np.ndarray, cfg: IntegratorConfig,
     f, targets, anchor, C = ctx.f, ctx.targets, ctx.anchor, ctx.p.C
     rho2 = cfg.rho_eq * cfg.rho_eq
     tau_end, rtol, atol = cfg.tau_max, cfg.rel_tol, cfg.abs_tol
+    trap = any(t.r2 > 0.0 for t in targets)
 
-    def arrive(near, u, v, idx):
-        """Label the cells of mask ``near`` that lie on a target, the first
-        in table order, as ``_target_within`` does; returns their mask."""
-        hit = np.zeros_like(near)
+    def arrive(live, near, u, v, idx):
+        """Label the cells of mask ``live`` that lie strictly inside a
+        target's trapping disc or, in mask ``near``, within rho_eq of it:
+        the first such target in table order, as ``_target_within`` does;
+        returns their mask."""
+        free = live.copy()
+        some_near = near.any()
         for t in targets:
+            if not (some_near or t.r2 > 0.0):
+                continue
             du, dv = u - t.u, v - t.v
-            new = near & ~hit & (du * du + dv * dv <= rho2)
+            d2 = du * du + dv * dv
+            new = free & ((d2 < t.r2) | near & (d2 <= rho2))
             labels[idx[new]] = codes.get(t.id, 0)
-            hit |= new
-        return hit
+            free &= ~new
+        return live & ~free
 
     def admit(lo: int, hi: int):
         """State columns of seeds lo..hi-1 that do not start on a target."""
         us, vs = seeds[lo:hi, 0], seeds[lo:hi, 1]
         kus, kvs = f(us, vs)
         idx = np.arange(lo, hi)
-        keep = ~arrive(kus * kus + kvs * kvs < rho2, us, vs, idx)
+        keep = ~arrive(np.ones(hi - lo, dtype=bool),
+                       kus * kus + kvs * kvs < rho2, us, vs, idx)
         block = np.full((_ROWS, hi - lo), math.nan)
         block[_TAU] = block[_PCT] = 0.0
         block[_U], block[_V], block[_K1U], block[_K1V] = us, vs, kus, kvs
@@ -645,9 +682,10 @@ def _lockstep(ctx: _Context, seeds: np.ndarray, cfg: IntegratorConfig,
 
             left = acc & ((u5 > state[_XU]) | (v5 > state[_XV]))
             done |= left
-            near = acc & ~left & (k7u * k7u + k7v * k7v < rho2)
-            if near.any():
-                done |= arrive(near, u5, v5, cells)
+            live = acc & ~left
+            near = live & (k7u * k7u + k7v * k7v < rho2)
+            if trap or near.any():
+                done |= arrive(live, near, u5, v5, cells)
             if anchor is not None:
                 waiting = ~np.isnan(state[_QT])
                 g0 = v0 - u0 - C
@@ -704,11 +742,15 @@ def classify_omega_limit(p: Params, s0: State,
     """Classify the forward limit set of ``s0``.
 
     Returns Equilibrium(id) only for attracting equilibria (convergence onto
-    a saddle or a degenerate point is reported as Undecided), LimitCycle when
-    the return map on v = u + C converges to a fixed point away from the
-    interior equilibrium (its differences fall below ``rho_cyc`` and
-    contract, or flip sign at the integrator's noise floor), and Undecided
-    at the horizon or on underflow.
+    a saddle or a degenerate point is reported as Undecided), once the
+    trajectory enters the equilibrium's trapping disc, from which every
+    trajectory provably converges to it (``stability.trapping_radius``), or
+    comes within ``rho_eq`` of it with a field norm below ``rho_eq``, the
+    one rule of ``integrate``.  Returns LimitCycle when the return map on
+    v = u + C converges to a fixed point away from the interior equilibrium
+    (its differences fall below ``rho_cyc`` and contract, or flip sign at
+    the integrator's noise floor), and Undecided at the horizon or on
+    underflow.
     """
     cfg = cfg or IntegratorConfig()
     ctx = _context(p)

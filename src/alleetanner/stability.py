@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 from .equilibria import CaseLabel, Equilibrium, EquilibriumKind, case_label, \
     discriminant
-from .model import EPS_CASE, Params, vector_field
+from .model import EPS_CASE, Params, State, hessian_bound, jacobian, \
+    vector_field
 
 # Hyperbolicity tolerance: det/trace within this of zero -> NonHyperbolic.
 EPS_CLASS = 1e-9
@@ -122,6 +123,59 @@ def classify(p: Params, e: Equilibrium) -> Classification:
     focus = trace * trace - 4.0 * det < 0.0
     tag = StabilityTag.REPELLER if trace > 0.0 else StabilityTag.ATTRACTOR
     return Classification(tag, focus, det, trace)
+
+
+def lyapunov_matrix(J) -> tuple[float, float, float] | None:
+    """(P11, P12, P22) of the symmetric P that solves J^T P + P J = -I for a
+    2x2 ``J`` with trace < -EPS_CLASS and det > EPS_CLASS (Hurwitz, and not
+    what :func:`classify` calls non-hyperbolic), else None.
+
+    For J = [[a, b], [c, d]] the solution is, in closed form,
+    [[det + c^2 + d^2, -(ac + bd)], [-(ac + bd), det + a^2 + b^2]] over
+    -2 trace det; V(y) = y^T P y is then a quadratic Lyapunov function of
+    the linearization (Khalil, Nonlinear Systems, 3rd ed., 4.3).
+    """
+    (a, b), (c, d) = J.tolist()
+    tr, det = a + d, a * d - b * c
+    if not (tr < -EPS_CLASS and det > EPS_CLASS):   # NaN fails too
+        return None
+    k = -0.5 / (tr * det)
+    return k * (det + c * c + d * d), -k * (a * c + b * d), \
+        k * (det + a * a + b * b)
+
+
+def trapping_radius(p: Params, state: State) -> float:
+    """Radius r of a disc about the equilibrium ``state`` whose every point
+    flows into it; 0.0 when none is certified (a Jacobian that is not
+    Hurwitz: saddles, repellers, degenerate points).
+
+    With P from :func:`lyapunov_matrix` of the Jacobian A, eigenvalues
+    lmin <= lmax, and L the :func:`model.hessian_bound` on the disc of
+    radius rho, the Taylor remainder R(y) of the field obeys |R| <= L|y|^2/2,
+    so dV/dt = -|y|^2 + 2 y^T P R(y) <= -|y|^2 (1 - lmax L |y|) <= -|y|^2/2
+    for |y| <= rho = 1/(2 lmax L) (Khalil, 8.2).  rho is found by halving
+    from (u + C)/2, which keeps u + C > 0 on the disc.  The sublevel set
+    V <= lmin rho^2 lies in that disc, so it is positively invariant and
+    every trajectory in it converges to the equilibrium; it contains the
+    disc of radius r = rho sqrt(lmin/lmax).
+    """
+    A = jacobian(p, state)
+    P = lyapunov_matrix(A)
+    if P is None:
+        return 0.0
+    p11, p12, p22 = P
+    tr = p11 + p22
+    lam_max = 0.5 * tr + math.hypot(0.5 * (p11 - p22), p12)
+    # det P = tr P / (2 |tr A|) in the closed form: lmin without cancellation
+    lam_min = tr / (-2.0 * (A[0, 0] + A[1, 1]) * lam_max)
+    rho = 0.5 * (state[0] + p.C)
+    # L grows with rho, so every halving above 1/(2 lmax L(0)) would fail
+    top = 0.5 / (lam_max * hessian_bound(p, state, 0.0))
+    while rho > top:
+        rho *= 0.5
+    while 2.0 * lam_max * hessian_bound(p, state, rho) * rho > 1.0:
+        rho *= 0.5
+    return rho * math.sqrt(lam_min / lam_max)
 
 
 def threshold_S1(p: Params, eps: float = EPS_CASE) -> float:

@@ -247,6 +247,16 @@ def test_load_rejects_malformed_header(edit, tmp_path):
         load_raster(str(path))
 
 
+def test_load_rejects_repeated_attractor_ids(tmp_path):
+    # two rows with one id would share one key in basin_fractions, whose
+    # shares would then no longer sum to 1
+    path = _saved(tmp_path)
+    _rewrite_header(path, lambda h: dict(h, attractors=h["attractors"] + [
+        dict(h["attractors"][0], code=h["attractors"][0]["code"] + 1)]))
+    with pytest.raises(ValueError, match="repeated attractor id"):
+        load_raster(str(path))
+
+
 def test_cache_entry_without_params_is_recomputed(tmp_path):
     r1 = compute_basins(EXTINCTION, 4, FAST_CFG, cache_dir=str(tmp_path))
     (path,) = tmp_path.iterdir()
@@ -289,11 +299,15 @@ def rasters(draw):
                     *draw(st.tuples(*[st.floats(0.0, 10.0, exclude_min=True)
                                       for _ in range(3)])))
     table = []
-    for code in sorted(draw(st.sets(st.integers(1, 255), max_size=5))):
+    codes = sorted(draw(st.sets(st.integers(1, 255), max_size=5)))
+    # a header whose ids repeat is rejected when loaded
+    ids = draw(st.lists(st.text("abcdefgh_", min_size=1, max_size=12),
+                        min_size=len(codes), max_size=len(codes),
+                        unique=True))
+    for code, name in zip(codes, ids):
         loc = draw(st.none() | st.tuples(finite, finite))
         table.append(AttractorInfo(
-            code, draw(st.text("abcdefgh_", min_size=1, max_size=12)),
-            "cycle" if loc is None else "equilibrium", loc))
+            code, name, "cycle" if loc is None else "equilibrium", loc))
     cells = draw(st.lists(st.sampled_from([0] + [a.code for a in table]),
                           min_size=res * res, max_size=res * res))
     labels = np.array(cells, dtype=np.uint8).reshape(res, res)

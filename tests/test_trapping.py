@@ -1,0 +1,226 @@
+"""The trapping disc of an attracting equilibrium, against oracles that do
+not go through ``flow``: the Lyapunov equation's residual against
+``model.jacobian``, the sign of dV/dt from ``model.vector_field``, and the
+final equilibrium of ``integrate``, which keeps the ``rho_eq`` rule.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from alleetanner import (
+    AttractorLabel,
+    AttractorTag,
+    EquilibriumKind,
+    IntegratorConfig,
+    Params,
+    StabilityTag,
+    Termination,
+    all_equilibria,
+    classify,
+    classify_omega_limit,
+    integrate,
+)
+from alleetanner import flow
+from alleetanner.bifurcation import bt_point
+from alleetanner.model import hessian_bound, jacobian, vector_field
+from alleetanner.stability import lyapunov_matrix, trapping_radius
+
+from conftest import BISTABLE, CYCLE_POINT, FAST_CFG, WEAK_BISTABLE
+
+GENERIC_CYCLE = Params(0.04, 0.082, 0.45, 0.07)
+
+params = st.builds(
+    Params,
+    st.floats(-0.9, 0.9),
+    st.floats(0.01, 1.0),
+    st.floats(0.05, 2.0),
+    st.floats(0.02, 1.5))
+
+
+def _matrix(P):
+    p11, p12, p22 = P
+    return np.array([[p11, p12], [p12, p22]])
+
+
+def _attracting(p):
+    return [eq for eq in all_equilibria(p)
+            if eq.in_domain and classify(p, eq).attracting]
+
+
+@settings(max_examples=200, deadline=None)
+@given(params)
+def test_lyapunov_residual_against_the_jacobian(p):
+    for eq in _attracting(p):
+        A = jacobian(p, eq.location)
+        P = lyapunov_matrix(A)
+        assume(P is not None)
+        P = _matrix(P)
+        residual = A.T @ P + P @ A + np.eye(2)
+        scale = np.linalg.norm(A) * np.linalg.norm(P)
+        assert np.abs(residual).max() <= 1e-12 * scale
+        assert np.linalg.eigvalsh(P)[0] > 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(params, st.data())
+def test_field_enters_the_sublevel_set(p, data):
+    # dV/dt = 2 y^T P f(x* + y) <= -|y|^2/2 on the disc of radius rho, so
+    # it is negative inside the certified disc and on the boundary of the
+    # sublevel set V <= lmin rho^2; -|y|^2/4 leaves room for rounding
+    discs = [(eq, trapping_radius(p, eq.location)) for eq in _attracting(p)]
+    discs = [(eq, r) for eq, r in discs if r > 0.0]
+    assume(discs)
+    for eq, r in discs:
+        x = np.array(eq.location)
+        P = _matrix(lyapunov_matrix(jacobian(p, eq.location)))
+        lmin, lmax = np.linalg.eigvalsh(P)
+        rho = r * math.sqrt(lmax / lmin)
+        a, b = (data.draw(st.floats(0.0, 2.0 * math.pi)) for _ in range(2))
+        e_in, e_on = (np.array([math.cos(t), math.sin(t)]) for t in (a, b))
+        inside = data.draw(st.floats(0.01, 1.0)) * r * e_in
+        on_level = math.sqrt(lmin * rho * rho / (e_on @ P @ e_on)) * e_on
+        assert r <= np.linalg.norm(on_level) <= rho * (1.0 + 1e-12)
+        for y in (inside, on_level):
+            dv = 2.0 * y @ P @ np.array(vector_field(p, tuple(x + y)))
+            assert dv < -0.25 * (y @ y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(params, st.floats(0.0, 1.5), st.floats(0.0, 1.5), st.floats(0.0, 1.0),
+       st.floats(0.1, 1.0), st.floats(0.0, 2.0 * math.pi))
+def test_hessian_bound_bounds_the_taylor_remainder(p, u, v, share, t, a):
+    # |f(x + y) - f(x) - J(x) y| <= L |y|^2 / 2 for |y| <= rho
+    x = np.array([u, v])
+    rho = max(1e-3, share * 0.5 * (u + p.C))
+    y = t * rho * np.array([math.cos(a), math.sin(a)])
+    rem = (np.array(vector_field(p, tuple(x + y)))
+           - np.array(vector_field(p, (u, v))) - jacobian(p, (u, v)) @ y)
+    bound = 0.5 * hessian_bound(p, (u, v), rho) * (y @ y)
+    assert np.linalg.norm(rem) <= bound * (1.0 + 1e-9) + 1e-14
+
+
+@settings(max_examples=200, deadline=None)
+@given(params)
+def test_radius_is_the_first_rung_that_meets_the_bound(p):
+    # rho, recovered from r with eigenvalues computed here, meets
+    # 2 lmax L(rho) rho <= 1, and the rung above it, 2 rho, either fails
+    # that or lies above the start (u + C)/2
+    for eq in _attracting(p):
+        r = trapping_radius(p, eq.location)
+        if r == 0.0:
+            continue
+        P = _matrix(lyapunov_matrix(jacobian(p, eq.location)))
+        lmin, lmax = np.linalg.eigvalsh(P)
+        rho = r * math.sqrt(lmax / lmin)
+        assert 2.0 * lmax * hessian_bound(p, eq.location, rho) * rho \
+            <= 1.0 + 1e-9
+        top = 0.5 * (eq.location[0] + p.C)
+        assert (2.0 * rho > top * (1.0 + 1e-9)
+                or 4.0 * lmax * hessian_bound(p, eq.location, 2.0 * rho)
+                * rho > 1.0 - 1e-9)
+
+
+def test_disc_at_the_paper_attractors():
+    # every attractor of the paper's points gets a disc far wider than
+    # rho_eq: 3.3e-4 to 1.1e-2
+    for p in (BISTABLE, GENERIC_CYCLE, WEAK_BISTABLE):
+        for eq in _attracting(p):
+            assert 1e-4 < trapping_radius(p, eq.location) < 0.1
+
+
+@settings(max_examples=200, deadline=None)
+@given(params)
+def test_no_disc_without_an_attractor(p):
+    for eq in all_equilibria(p):
+        if eq.in_domain and not classify(p, eq).attracting:
+            assert trapping_radius(p, eq.location) == 0.0
+
+
+@pytest.mark.parametrize("p", [BISTABLE, WEAK_BISTABLE, CYCLE_POINT,
+                               GENERIC_CYCLE])
+def test_no_disc_at_saddles_and_the_origin(p):
+    for eq in all_equilibria(p):
+        tag = classify(p, eq).tag
+        if eq.kind is EquilibriumKind.ORIGIN or tag is StabilityTag.SADDLE:
+            assert trapping_radius(p, eq.location) == 0.0
+            assert lyapunov_matrix(jacobian(p, eq.location)) is None
+
+
+@pytest.mark.parametrize("q, c", [(0.45, 0.07), (0.5, 0.1), (0.55, 0.1),
+                                  (0.8, 0.05)])
+def test_no_disc_at_the_bogdanov_takens_point(q, c):
+    m, s = bt_point(q, c)
+    p = Params(m, s, q, c)
+    (eq,) = [e for e in all_equilibria(p)
+             if e.kind is EquilibriumKind.INTERIOR_DOUBLE]
+    assert classify(p, eq).tag is StabilityTag.CUSP_BT
+    assert trapping_radius(p, eq.location) == 0.0
+
+
+def test_context_gives_discs_to_attractors_only():
+    ctx = flow._context(BISTABLE)
+    for t in ctx.targets:
+        assert (t.r2 > 0.0) == t.attracting
+        if t.attracting:
+            assert t.r2 == trapping_radius(BISTABLE, (t.u, t.v)) ** 2
+
+
+def test_disc_ends_classification_but_not_integrate():
+    # a seed inside the disc but far outside rho_eq: the classification
+    # ends at the seed, integrate keeps to the rho_eq rule and runs into a
+    # horizon too short to reach it
+    cfg = IntegratorConfig(tau_max=1e-3)
+    for eq in _attracting(BISTABLE):
+        r = trapping_radius(BISTABLE, eq.location)
+        seed = (eq.location[0] + 0.5 * r, eq.location[1] + 0.5 * r)
+        assert classify_omega_limit(BISTABLE, seed, cfg) == AttractorLabel(
+            AttractorTag.EQUILIBRIUM, eq.id)
+        traj = integrate(BISTABLE, seed, cfg)
+        assert traj.termination is Termination.HORIZON_EXCEEDED
+
+
+def _label_of(p, traj):
+    if traj.termination is Termination.REACHED_EQUILIBRIUM:
+        if traj.equilibrium_id in {eq.id for eq in _attracting(p)}:
+            return AttractorLabel(AttractorTag.EQUILIBRIUM,
+                                  traj.equilibrium_id)
+    if traj.termination is Termination.REACHED_CYCLE:
+        return AttractorLabel(AttractorTag.LIMIT_CYCLE, "cycle")
+    return AttractorLabel.undecided()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([BISTABLE, GENERIC_CYCLE]),
+       st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
+def test_classification_agrees_with_integrate(p, seed):
+    traj = integrate(p, seed, FAST_CFG)
+    assert classify_omega_limit(p, seed, FAST_CFG) == _label_of(p, traj)
+
+
+def test_seeds_at_the_trapping_radius():
+    # seeds a few ulp either side of each trapping circle, with a horizon
+    # too short to reach rho_eq: only the disc test labels a cell, and the
+    # lockstep and scalar tests agree on which side each seed lies
+    cfg = IntegratorConfig(tau_max=1e-6)
+    ctx = flow._context(BISTABLE)
+    seeds = []
+    for t in ctx.targets:
+        for a in np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False):
+            u = t.u + math.sqrt(t.r2) * np.cos(a)
+            v = t.v + math.sqrt(t.r2) * np.sin(a)
+            for k in range(-3, 4):
+                seeds.append((u + k * np.spacing(u), v))
+    seeds = np.array([s for s in seeds if min(s) >= 0.0])
+    codes = {t.id: k + 1 for k, t in enumerate(ctx.targets) if t.attracting}
+    want = []
+    for s in seeds.tolist():
+        lab = classify_omega_limit(BISTABLE, s, cfg)
+        want.append(codes[lab.id] if lab.tag is AttractorTag.EQUILIBRIUM
+                    else 0 if lab.tag is AttractorTag.UNDECIDED else 99)
+    assert flow._lockstep(ctx, seeds, cfg, codes, 99).tolist() == want
+    # both sides of both circles occur
+    assert {0, *codes.values()} <= set(want)
