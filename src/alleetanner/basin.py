@@ -132,25 +132,17 @@ def compute_basins(p: Params, resolution: int,
         if raster is not None and raster.config_hash == digest:
             return raster
 
-    codes: dict[str, int] = {}
-    infos: list[AttractorInfo] = []
-    for t in ctx.targets:
-        if t.attracting:
-            codes[t.id] = len(infos) + 1
-            infos.append(AttractorInfo(len(infos) + 1, t.id, "equilibrium",
-                                       (t.u, t.v)))
-    cycle_code = len(infos) + 1
-
+    infos = [AttractorInfo(t.code, t.id, "equilibrium", (t.u, t.v))
+             for t in ctx.targets if t.code]
     (u0, u1), (v0, v1) = bounds
     du = (u1 - u0) / resolution
     dv = (v1 - v0) / resolution
     steps = np.arange(resolution) + 0.5
     vs, us = np.meshgrid(v0 + steps * dv, u0 + steps * du, indexing="ij")
     seeds = np.column_stack((us.ravel(), vs.ravel()))
-    labels = _split_lockstep(ctx, seeds, cfg, codes, cycle_code).reshape(
-        resolution, resolution)
-    if (labels == cycle_code).any():
-        infos.append(AttractorInfo(cycle_code, "cycle", "cycle", None))
+    labels = _split_lockstep(ctx, seeds, cfg).reshape(resolution, resolution)
+    if (labels == ctx.cycle_code).any():
+        infos.append(AttractorInfo(ctx.cycle_code, "cycle", "cycle", None))
 
     raster = BasinRaster(p, bounds, resolution, labels, tuple(infos), digest)
     if cache_path is not None:
@@ -177,7 +169,7 @@ def _workers(n: int) -> int:
     return k
 
 
-_job = None   # (ctx, seeds, cfg, codes, cycle_code, k), in a forked worker
+_job = None   # (ctx, seeds, cfg, k), in a forked worker
 
 
 def _take_job(job) -> None:
@@ -189,19 +181,19 @@ def _part(i: int, job=None) -> np.ndarray:
     """Labels of seeds i, i + k, i + 2k, ... of the job (a forked worker's
     own when none is given).  Neighbouring cells cost about the same, so
     interleaved parts take about the same time."""
-    ctx, seeds, cfg, codes, cycle_code, k = job or _job
-    return flow._lockstep(ctx, seeds[i::k], cfg, codes, cycle_code)
+    ctx, seeds, cfg, k = job or _job
+    return flow._lockstep(ctx, seeds[i::k], cfg)
 
 
-def _split_lockstep(ctx, seeds: np.ndarray, cfg: IntegratorConfig,
-                    codes: dict[str, int], cycle_code: int) -> np.ndarray:
+def _split_lockstep(ctx, seeds: np.ndarray,
+                    cfg: IntegratorConfig) -> np.ndarray:
     """``flow._lockstep`` over ``seeds``, split into ``_workers``
     interleaved parts.  The job holds the RHS closure, which cannot be
     pickled, so workers inherit it through fork; only a part's index and
     its labels cross the pipe.  Labels do not depend on which cells share a
     batch, so they are the in-process labels byte for byte."""
     k = _workers(len(seeds))
-    job = (ctx, seeds, cfg, codes, cycle_code, k)
+    job = (ctx, seeds, cfg, k)
     if k == 1:
         return _part(0, job)
     from concurrent.futures import ProcessPoolExecutor

@@ -222,10 +222,15 @@ def cmd_classify(args) -> int:
     print(f"region: {region.value}")
     print("equilibria:")
     for eq in all_equilibria(p):
-        cls = classify(p, eq)
+        try:
+            desc = classify(p, eq).describe()
+        except ValueError:
+            if eq.in_domain:
+                raise
+            desc = "not classified"   # (M, 0) on the singular line u = -C
         loc = f"({eq.location[0]:.6f}, {eq.location[1]:.6f})"
         note = "" if eq.in_domain else "  [outside domain]"
-        print(f"  {eq.id:<15} {loc:<24} {cls.describe()}{note}")
+        print(f"  {eq.id:<15} {loc:<24} {desc}{note}")
     print("thresholds:")
     shown = False
     for name, fn in (("S1", threshold_S1), ("S2", threshold_S2),

@@ -64,14 +64,12 @@ class Equilibrium:
 
     ``in_domain`` is False for (M, 0) when M <= 0 (the point leaves the
     positive prey range and merges with or hides behind the origin).
-    ``on_boundary`` flags interior roots within EPS of u=0 or u=1.
     """
 
     location: State
     kind: EquilibriumKind
     multiplicity: int = 1
     in_domain: bool = True
-    on_boundary: bool = False
 
     @property
     def id(self) -> str:
@@ -107,10 +105,6 @@ def case_label(p: Params, eps: float = EPS_CASE) -> CaseLabel:
     return CaseLabel.W2E
 
 
-def _flag_boundary(u: float, eps: float) -> bool:
-    return u < eps or u > 1.0 - eps
-
-
 def interior_equilibria(p: Params, eps: float = EPS_CASE) -> list[Equilibrium]:
     """Interior equilibria (u, u+C) with u in (0, 1), per the case tree.
 
@@ -127,17 +121,12 @@ def interior_equilibria(p: Params, eps: float = EPS_CASE) -> list[Equilibrium]:
         sd = math.sqrt(discriminant(p))
         u2 = 0.5 * (a + sd)
         u1 = b / u2
-        return [
-            Equilibrium((u1, u1 + C), EquilibriumKind.INTERIOR_LOW,
-                        on_boundary=_flag_boundary(u1, eps)),
-            Equilibrium((u2, u2 + C), EquilibriumKind.INTERIOR_HIGH,
-                        on_boundary=_flag_boundary(u2, eps)),
-        ]
+        return [Equilibrium((u1, u1 + C), EquilibriumKind.INTERIOR_LOW),
+                Equilibrium((u2, u2 + C), EquilibriumKind.INTERIOR_HIGH)]
     if label in (CaseLabel.S1AIII, CaseLabel.W2AIII):
         e = 0.5 * a
         return [Equilibrium((e, e + C), EquilibriumKind.INTERIOR_DOUBLE,
-                            multiplicity=2,
-                            on_boundary=_flag_boundary(e, eps))]
+                            multiplicity=2)]
     if label is CaseLabel.W2B:
         # b < 0 forces one positive and one negative root.
         sd = math.sqrt(discriminant(p))
@@ -145,16 +134,13 @@ def interior_equilibria(p: Params, eps: float = EPS_CASE) -> list[Equilibrium]:
             u = 0.5 * (a + sd)
         else:
             u = b / (0.5 * (a - sd))
-        return [Equilibrium((u, u + C), EquilibriumKind.INTERIOR_HIGH,
-                            on_boundary=_flag_boundary(u, eps))]
+        return [Equilibrium((u, u + C), EquilibriumKind.INTERIOR_HIGH)]
     if label is CaseLabel.W2C:
         # u1 = 0 collapses onto (0, C); the surviving root is 1+M-Q.
-        return [Equilibrium((a, a + C), EquilibriumKind.INTERIOR_HIGH,
-                            on_boundary=_flag_boundary(a, eps))]
+        return [Equilibrium((a, a + C), EquilibriumKind.INTERIOR_HIGH)]
     if label is CaseLabel.W2D:
         u = math.sqrt(-b)
-        return [Equilibrium((u, u + C), EquilibriumKind.INTERIOR_HIGH,
-                            on_boundary=_flag_boundary(u, eps))]
+        return [Equilibrium((u, u + C), EquilibriumKind.INTERIOR_HIGH)]
     return []
 
 

@@ -24,7 +24,9 @@ Termination events, checked after every accepted step:
 
 Basin rasters run many seeds at once (``_lockstep``): the same attempts
 and events on numpy arrays, elementwise in the same order, so each seed
-gets the bytes it would get alone.
+gets the bytes it would get alone.  Their label codes come from the
+per-parameter context (``_context``), which numbers the attracting targets
+1, 2, ... in table order and gives a cycle the next code.
 """
 
 from __future__ import annotations
@@ -296,17 +298,18 @@ class _Stepper:
 
 
 class _EqTarget:
-    """An in-domain equilibrium; ``r2`` is the square of its trapping
-    radius, 0.0 for none (every target that is not attracting)."""
+    """An in-domain equilibrium.  ``code`` is its raster label: 1, 2, ...
+    for the attracting targets in table order, 0 for the rest; ``r2`` is
+    the square of its trapping radius, 0.0 for none (every target that is
+    not attracting)."""
 
-    __slots__ = ("id", "u", "v", "attracting", "r2")
+    __slots__ = ("id", "u", "v", "code", "r2")
 
-    def __init__(self, eq_id: str, u: float, v: float, attracting: bool,
-                 r2: float):
+    def __init__(self, eq_id: str, u: float, v: float, code: int, r2: float):
         self.id = eq_id
         self.u = u
         self.v = v
-        self.attracting = attracting
+        self.code = code
         self.r2 = r2
 
 
@@ -317,32 +320,42 @@ class _Context(NamedTuple):
     f: Callable
     targets: list[_EqTarget]      # in-domain equilibria, in table order
     anchor: float | None          # prey value of the section's anchor root
+    cycle_code: int               # raster label of a cycle: attractors + 1
+
+    def code(self, eq_id: str) -> int:
+        """Raster label of the target ``eq_id``."""
+        return next(t.code for t in self.targets if t.id == eq_id)
 
 
 def _context(p: Params) -> _Context:
     validate_params(p)   # the one check of every integration entry
     targets = []
     anchor = None
+    attractors = 0
     for eq in all_equilibria(p):
         if eq.kind in (EquilibriumKind.INTERIOR_HIGH,
                        EquilibriumKind.INTERIOR_DOUBLE):
             anchor = eq.location[0]
         if eq.in_domain:
-            attracting = classify(p, eq).attracting
-            r = trapping_radius(p, eq.location) if attracting else 0.0
+            code, r = 0, 0.0
+            if classify(p, eq).attracting:
+                attractors += 1
+                code, r = attractors, trapping_radius(p, eq.location)
             targets.append(_EqTarget(eq.id, eq.location[0], eq.location[1],
-                                     attracting, r * r))
-    return _Context(p, field_closure(p), targets, anchor)
+                                     code, r * r))
+    return _Context(p, field_closure(p), targets, anchor, attractors + 1)
 
 
 def _target_within(targets: list[_EqTarget], rho2: float, u: float,
-                   v: float, trap: bool = False) -> _EqTarget | None:
-    """First target, in table order, within sqrt(rho2) of (u, v) or, with
-    ``trap``, strictly inside its trapping disc."""
+                   v: float, near: bool = True,
+                   trap: bool = False) -> _EqTarget | None:
+    """First target, in table order, that holds (u, v) within sqrt(rho2)
+    when ``near`` (a field norm below rho_eq there) or, with ``trap``,
+    strictly inside its trapping disc."""
     for t in targets:
         du, dv = u - t.u, v - t.v
         d2 = du * du + dv * dv
-        if d2 <= rho2 or trap and d2 < t.r2:
+        if near and d2 <= rho2 or trap and d2 < t.r2:
             return t
     return None
 
@@ -447,10 +460,9 @@ def _drive(ctx: _Context, s0: State, cfg: IntegratorConfig, *,
             fu, fv = ctx.f(u0, v0)
         except ZeroDivisionError:
             return finish(Termination.STEP_UNDERFLOW)
-        if fu * fu + fv * fv < rho2:
-            t = _target_within(targets, rho2, u0, v0, trap)
-        else:
-            t = _target_within(discs, -1.0, u0, v0, trap)
+        near = fu * fu + fv * fv < rho2
+        t = _target_within(targets if near else discs, rho2, u0, v0, near,
+                           trap)
         if t is not None:
             return finish(Termination.REACHED_EQUILIBRIUM, t.id)
         stepper = _Stepper(ctx.f, (u0, v0), cfg, cfg.tau_max)
@@ -464,12 +476,10 @@ def _drive(ctx: _Context, s0: State, cfg: IntegratorConfig, *,
         if u1 > exit_u or v1 > exit_v:
             return finish(Termination.LEFT_DOMAIN)
         ku, kv = stepper.k1u, stepper.k1v
-        if ku * ku + kv * kv < rho2:
-            t = _target_within(targets, rho2, u1, v1, trap)
-            if t is not None:
-                return finish(Termination.REACHED_EQUILIBRIUM, t.id)
-        elif discs:
-            t = _target_within(discs, -1.0, u1, v1, trap)
+        near = ku * ku + kv * kv < rho2
+        if near or discs:
+            t = _target_within(targets if near else discs, rho2, u1, v1,
+                               near, trap)
             if t is not None:
                 return finish(Termination.REACHED_EQUILIBRIUM, t.id)
         if anchor is None:
@@ -569,12 +579,13 @@ def _bisect_crossings(C: float, prev_tau, prev, h, K):
     return hi, state_at(hi)[0]
 
 
-def _lockstep(ctx: _Context, seeds: np.ndarray, cfg: IntegratorConfig,
-              codes: dict[str, int], cycle_code: int) -> np.ndarray:
+def _lockstep(ctx: _Context, seeds: np.ndarray,
+              cfg: IntegratorConfig) -> np.ndarray:
     """Label code of the forward limit set of each row of ``seeds``.
 
-    ``codes`` maps the ids of attracting equilibria to their codes; other
-    equilibria, the horizon, underflow and domain exit give 0.  Equal to
+    The codes are the context's: an equilibrium gives its target's
+    ``code`` (0 unless it attracts), a cycle ``ctx.cycle_code``, and the
+    horizon, underflow and domain exit 0.  Equal to
     :func:`classify_omega_limit` cell by cell, byte for byte.
     """
     n = len(seeds)
@@ -597,7 +608,7 @@ def _lockstep(ctx: _Context, seeds: np.ndarray, cfg: IntegratorConfig,
             du, dv = u - t.u, v - t.v
             d2 = du * du + dv * dv
             new = free & ((d2 < t.r2) | near & (d2 <= rho2))
-            labels[idx[new]] = codes.get(t.id, 0)
+            labels[idx[new]] = t.code
             free &= ~new
         return live & ~free
 
@@ -634,7 +645,7 @@ def _lockstep(ctx: _Context, seeds: np.ndarray, cfg: IntegratorConfig,
         moved = side & ~cycle
         for row, new in ((_PD, delta), (_PCU, u_c), (_PCT, tau_c)):
             state[row, cols[moved]] = new[moved]
-        labels[cells[cols[cycle]]] = cycle_code
+        labels[cells[cols[cycle]]] = ctx.cycle_code
         done[cols[cycle]] = True
         state[_QT, cols] = math.nan
 
@@ -720,9 +731,9 @@ def _lockstep(ctx: _Context, seeds: np.ndarray, cfg: IntegratorConfig,
         res = _drive(ctx, seeds[cell], cfg, want_samples=False,
                      resume=(stepper, last_u, last_tau, last_delta))
         if res.termination is Termination.REACHED_EQUILIBRIUM:
-            labels[cell] = codes.get(res.equilibrium_id, 0)
+            labels[cell] = ctx.code(res.equilibrium_id)
         elif res.termination is Termination.REACHED_CYCLE:
-            labels[cell] = cycle_code
+            labels[cell] = ctx.cycle_code
     return labels
 
 
@@ -755,11 +766,9 @@ def classify_omega_limit(p: Params, s0: State,
     cfg = cfg or IntegratorConfig()
     ctx = _context(p)
     res = _drive(ctx, s0, cfg, want_samples=False)
-    if res.termination is Termination.REACHED_EQUILIBRIUM:
-        for t in ctx.targets:
-            if t.id == res.equilibrium_id and t.attracting:
-                return AttractorLabel(AttractorTag.EQUILIBRIUM, t.id)
-        return AttractorLabel.undecided()
+    if (res.termination is Termination.REACHED_EQUILIBRIUM
+            and ctx.code(res.equilibrium_id)):
+        return AttractorLabel(AttractorTag.EQUILIBRIUM, res.equilibrium_id)
     if res.termination is Termination.REACHED_CYCLE:
         return AttractorLabel(AttractorTag.LIMIT_CYCLE, "cycle")
     return AttractorLabel.undecided()

@@ -96,10 +96,15 @@ def classify(p: Params, e: Equilibrium) -> Classification:
     """Classify an equilibrium of ``p`` from closed-form det/trace.
 
     Raises ValueError when ``e`` is not an equilibrium of ``p`` (residual
-    check).  Points within ``EPS_CLASS`` of a degeneracy are reported as
-    NonHyperbolic rather than guessed, except multiplicity-2 points, which
-    get the saddle-node/cusp side rule on the trace sign.
+    check) or lies on the singular line u = -C, where the field is not
+    defined: (M, 0), off the domain, when M = -C.  Points within
+    ``EPS_CLASS`` of a degeneracy are reported as NonHyperbolic rather than
+    guessed, except multiplicity-2 points, which get the saddle-node/cusp
+    side rule on the trace sign.
     """
+    if e.location[0] + p.C == 0.0:
+        raise ValueError(f"{e.location} lies on the singular line u = -C "
+                         f"for {p}")
     fu, fv = vector_field(p, e.location)
     if math.hypot(fu, fv) > RESIDUAL_REJECT:
         raise ValueError(
@@ -169,10 +174,6 @@ def trapping_radius(p: Params, state: State) -> float:
     # det P = tr P / (2 |tr A|) in the closed form: lmin without cancellation
     lam_min = tr / (-2.0 * (A[0, 0] + A[1, 1]) * lam_max)
     rho = 0.5 * (state[0] + p.C)
-    # L grows with rho, so every halving above 1/(2 lmax L(0)) would fail
-    top = 0.5 / (lam_max * hessian_bound(p, state, 0.0))
-    while rho > top:
-        rho *= 0.5
     while 2.0 * lam_max * hessian_bound(p, state, rho) * rho > 1.0:
         rho *= 0.5
     return rho * math.sqrt(lam_min / lam_max)

@@ -36,6 +36,17 @@ def test_classify_golden(capsys, args, fixture):
     assert out == (GOLDEN / fixture).read_text()
 
 
+def test_classify_lists_a_singular_point_unclassified(capsys):
+    # at M = -C the point (M, 0) lies on u = -C, where the field is not
+    # defined: listed outside the domain, with no classification
+    assert run(["classify", "-M", "-0.5", "-S", "1", "-Q", "1",
+                "-C", "0.5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    (row,) = [line for line in lines if "prey_allee" in line]
+    assert row.split()[3:] == ["not", "classified", "[outside", "domain]"]
+    assert any(line.split()[0] == "predator_only" for line in lines)
+
+
 def test_classify_rejects_bad_allee_threshold(capsys):
     assert run(["classify", "-M", "1.5", "-S", "0.1", "-Q", "0.45",
                 "-C", "0.07"]) == 2

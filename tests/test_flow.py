@@ -216,9 +216,7 @@ def test_non_finite_seed_ends_at_once(s0):
         assert len(tr.taus) == 1
         lab = classify_omega_limit(BISTABLE, s0)
         assert lab.tag is AttractorTag.UNDECIDED
-        ctx = _context(BISTABLE)
-        codes = {t.id: k + 1 for k, t in enumerate(ctx.targets)}
-        labels = _lockstep(ctx, np.array([s0]), FAST_CFG, codes, 99)
+        labels = _lockstep(_context(BISTABLE), np.array([s0]), FAST_CFG)
     finally:
         faulthandler.cancel_dump_traceback_later()
     assert labels.tolist() == [0]

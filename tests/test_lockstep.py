@@ -21,6 +21,8 @@ from hypothesis import strategies as st
 from alleetanner import (
     AttractorTag,
     IntegratorConfig,
+    all_equilibria,
+    classify,
     classify_omega_limit,
     compute_basins,
 )
@@ -109,6 +111,26 @@ def test_lockstep_equals_scalar(regime, sizes, monkeypatch):
         assert raster.labels.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("regime", sorted(REGIMES))
+def test_attractor_table_is_the_contexts(regime):
+    # the context numbers the in-domain attracting equilibria 1..k in table
+    # order; a raster's equilibrium rows are exactly those, and its cycle
+    # row, when a cell reached a cycle, carries the code after them
+    p, res, cfg, bounds = REGIMES[regime]
+    ctx = flow._context(p)
+    attracting = [eq.id for eq in all_equilibria(p)
+                  if eq.in_domain and classify(p, eq).attracting]
+    assert [(t.id, t.code) for t in ctx.targets if t.code] == [
+        (eq_id, k + 1) for k, eq_id in enumerate(attracting)]
+    assert ctx.cycle_code == len(attracting) + 1
+    raster = compute_basins(p, res, cfg, bounds)
+    want = [basin.AttractorInfo(t.code, t.id, "equilibrium", (t.u, t.v))
+            for t in ctx.targets if t.code]
+    if regime in ("cycle", "horizon"):
+        want.append(basin.AttractorInfo(ctx.cycle_code, "cycle", "cycle"))
+    assert raster.attractors == tuple(want)
+
+
 @pytest.mark.parametrize("fault, error, match", [
     ("raise", ValueError, "in a worker"),
     ("die", BrokenProcessPool, None)])
@@ -152,9 +174,13 @@ def test_daemon_rasters_in_process(monkeypatch):
 
 
 def _labels(p, seeds, cfg):
+    # every target gets a code of its own, saddles too, so a cell that ends
+    # at a saddle differs from one that ends at the horizon
     ctx = flow._context(p)
-    codes = {t.id: k + 1 for k, t in enumerate(ctx.targets)}
-    return flow._lockstep(ctx, seeds, cfg, codes, len(codes) + 1)
+    for k, t in enumerate(ctx.targets):
+        t.code = k + 1
+    ctx = ctx._replace(cycle_code=len(ctx.targets) + 1)
+    return flow._lockstep(ctx, seeds, cfg)
 
 
 def test_labels_do_not_depend_on_batch(sizes):
@@ -173,15 +199,15 @@ def test_labels_do_not_depend_on_batch(sizes):
 def test_lockstep_equals_scalar_at_drawn_seeds(points):
     seeds = np.array(points, dtype=float)
     ctx = flow._context(BISTABLE)
-    codes = {t.id: k + 1 for k, t in enumerate(ctx.targets) if t.attracting}
     want = []
     for s in points:
         lab = classify_omega_limit(BISTABLE, s, FAST_CFG)
         if lab.tag is AttractorTag.EQUILIBRIUM:
-            want.append(codes[lab.id])
+            want.append(ctx.code(lab.id))
         else:
-            want.append(0 if lab.tag is AttractorTag.UNDECIDED else 99)
-    got = flow._lockstep(ctx, seeds, FAST_CFG, codes, 99)
+            want.append(0 if lab.tag is AttractorTag.UNDECIDED
+                        else ctx.cycle_code)
+    got = flow._lockstep(ctx, seeds, FAST_CFG)
     assert got.tolist() == want
 
 
@@ -199,13 +225,13 @@ def test_seeds_at_the_proximity_radius(cfg):
             for k in range(-3, 4):
                 seeds.append((u + k * np.spacing(u), v))
     seeds = np.array([s for s in seeds if min(s) >= 0.0])
-    codes = {t.id: k + 1 for k, t in enumerate(ctx.targets) if t.attracting}
     want = []
     for s in seeds.tolist():
         lab = classify_omega_limit(BISTABLE, s, cfg)
-        want.append(codes[lab.id] if lab.tag is AttractorTag.EQUILIBRIUM
-                    else 0 if lab.tag is AttractorTag.UNDECIDED else 99)
-    assert flow._lockstep(ctx, seeds, cfg, codes, 99).tolist() == want
+        want.append(ctx.code(lab.id) if lab.tag is AttractorTag.EQUILIBRIUM
+                    else 0 if lab.tag is AttractorTag.UNDECIDED
+                    else ctx.cycle_code)
+    assert flow._lockstep(ctx, seeds, cfg).tolist() == want
     # both sides of the ring occur, at an attractor and at a saddle
     assert 0 < want.count(0) < len(want)
 

@@ -81,6 +81,17 @@ def test_classify_rejects_foreign_point():
         classify(p, eq)
 
 
+@pytest.mark.parametrize("m_c", [0.5, 0.1, 1e-3])
+def test_classify_rejects_the_singular_line(m_c):
+    # M = -C puts (M, 0), off the domain, on u = -C, where the field
+    # divides by zero: a ValueError, not a ZeroDivisionError
+    p = Params(-m_c, 1.0, 1.0, m_c)
+    eq = eq_by_kind(p, EquilibriumKind.PREY_ALLEE)
+    assert not eq.in_domain
+    with pytest.raises(ValueError, match="singular line"):
+        classify(p, eq)
+
+
 def test_hopf_threshold_strong_bistable():
     p = Params(0.04, 1, 0.45, 0.07)
     s1 = threshold_S1(p)

@@ -164,8 +164,8 @@ def test_no_disc_at_the_bogdanov_takens_point(q, c):
 def test_context_gives_discs_to_attractors_only():
     ctx = flow._context(BISTABLE)
     for t in ctx.targets:
-        assert (t.r2 > 0.0) == t.attracting
-        if t.attracting:
+        assert (t.r2 > 0.0) == (t.code > 0)
+        if t.code:
             assert t.r2 == trapping_radius(BISTABLE, (t.u, t.v)) ** 2
 
 
@@ -215,12 +215,12 @@ def test_seeds_at_the_trapping_radius():
             for k in range(-3, 4):
                 seeds.append((u + k * np.spacing(u), v))
     seeds = np.array([s for s in seeds if min(s) >= 0.0])
-    codes = {t.id: k + 1 for k, t in enumerate(ctx.targets) if t.attracting}
     want = []
     for s in seeds.tolist():
         lab = classify_omega_limit(BISTABLE, s, cfg)
-        want.append(codes[lab.id] if lab.tag is AttractorTag.EQUILIBRIUM
-                    else 0 if lab.tag is AttractorTag.UNDECIDED else 99)
-    assert flow._lockstep(ctx, seeds, cfg, codes, 99).tolist() == want
+        want.append(ctx.code(lab.id) if lab.tag is AttractorTag.EQUILIBRIUM
+                    else 0 if lab.tag is AttractorTag.UNDECIDED
+                    else ctx.cycle_code)
+    assert flow._lockstep(ctx, seeds, cfg).tolist() == want
     # both sides of both circles occur
-    assert {0, *codes.values()} <= set(want)
+    assert {0, *(t.code for t in ctx.targets)} <= set(want)
