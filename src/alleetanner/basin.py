@@ -36,14 +36,15 @@ from . import __version__, flow
 from .equilibria import all_equilibria
 # classify_omega_limit is the per-cell reference of the lockstep raster;
 # perfbench/tracing.py wraps it here, as it does all_equilibria
-from .flow import IntegratorConfig, _context, classify_omega_limit
+from .flow import IntegratorConfig, _context, _section_interval, \
+    classify_omega_limit
 from .manifolds import Separatrix
 from .model import ParameterError, Params, validate_params
 
 MAGIC = b"PPBASIN1"
 FORMAT_VERSION = 1
 # Part of the cache key: bump it with any change that can move a label.
-ALGORITHM_VERSION = 3
+ALGORITHM_VERSION = 4
 
 Bounds = tuple[tuple[float, float], tuple[float, float]]
 PHI: Bounds = ((0.0, 1.0), (0.0, 1.0))
@@ -89,15 +90,23 @@ def _check_bounds(bounds) -> None:
                              f"with low < high, got {bounds!r}")
 
 
-def config_hash(p: Params, bounds: Bounds, resolution: int,
-                cfg: IntegratorConfig) -> str:
-    """Stable digest of everything the raster depends on."""
-    key = (f"version={__version__};algorithm={ALGORITHM_VERSION};"
+def inputs_hash(p: Params, cfg: IntegratorConfig) -> str:
+    """Stable digest of the package version, parameters and tolerances:
+    the inputs of every output that has parameters, without the raster
+    algorithm's version."""
+    key = (f"version={__version__};"
            f"M={p.M!r};S={p.S!r};Q={p.Q!r};C={p.C!r};"
-           f"bounds={bounds!r};res={resolution};"
            f"rtol={cfg.rel_tol!r};atol={cfg.abs_tol!r};"
            f"tau_max={cfg.tau_max!r};rho_eq={cfg.rho_eq!r};"
            f"rho_cyc={cfg.rho_cyc!r}")
+    return hashlib.sha256(key.encode()).hexdigest()
+
+
+def config_hash(p: Params, bounds: Bounds, resolution: int,
+                cfg: IntegratorConfig) -> str:
+    """Stable digest of everything the raster depends on."""
+    key = (f"inputs={inputs_hash(p, cfg)};algorithm={ALGORITHM_VERSION};"
+           f"bounds={bounds!r};res={resolution}")
     return hashlib.sha256(key.encode()).hexdigest()
 
 
@@ -132,6 +141,8 @@ def compute_basins(p: Params, resolution: int,
         if raster is not None and raster.config_hash == digest:
             return raster
 
+    # after the cache lookup: a cached raster pays for no cycle hunt
+    ctx = ctx._replace(interval=_section_interval(ctx, cfg))
     infos = [AttractorInfo(t.code, t.id, "equilibrium", (t.u, t.v))
              for t in ctx.targets if t.code]
     (u0, u1), (v0, v1) = bounds

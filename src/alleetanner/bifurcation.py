@@ -26,11 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibria import CaseLabel, Equilibrium, case_label, \
-    interior_equilibria
-from .flow import IntegratorConfig, find_limit_cycle
+from .equilibria import CaseLabel, case_label, interior_equilibria
+from .flow import IntegratorConfig, _cycle_seed, find_limit_cycle
 from .manifolds import GapUndefinedError, homoclinic_gap
-from .model import Params, State, _real_eigenvalues, _unit_eigenvector, \
+from .model import Params, _real_eigenvalues, _unit_eigenvector, \
     jacobian, validate_params
 from .stability import hopf_threshold, is_global_extinction
 
@@ -292,15 +291,9 @@ def region_classify(p: Params, cfg: IntegratorConfig | None = None,
         return RegionLabel.NEAR_LOCUS
     if p.S > s_hopf:
         return stable_label
-    seed = _cycle_seed(interior_equilibria(p)[-1])
+    seed = _cycle_seed(interior_equilibria(p)[-1].location)
     cyc = find_limit_cycle(p, seed, cfg)
     return RegionLabel.CYCLE if cyc is not None else RegionLabel.REPELLER
-
-
-def _cycle_seed(e: Equilibrium) -> State:
-    """The cycle hunt's start beside the largest interior point ``e``."""
-    u_star, v_star = e.location
-    return min(u_star + 0.05, 0.98), v_star
 
 
 def sotomayor_check(q: float, c: float, s: float = 0.2,

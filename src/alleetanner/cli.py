@@ -18,6 +18,7 @@ current directory.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import itertools
 import math
 import os
@@ -27,10 +28,11 @@ from dataclasses import fields
 import numpy as np
 
 from . import __version__
-from .basin import basin_fractions, compute_basins, config_hash, save_raster
-from .bifurcation import _cycle_seed, compute_diagram, region_classify
-from .equilibria import all_equilibria, case_label
-from .flow import IntegratorConfig, find_limit_cycle, integrate
+from .basin import basin_fractions, compute_basins, inputs_hash, save_raster
+from .bifurcation import compute_diagram, region_classify
+from .equilibria import EquilibriumKind, all_equilibria, case_label
+from .flow import IntegratorConfig, _cycle_seed, find_limit_cycle, \
+    integrate
 from .manifolds import GapUndefinedError, separatrix
 from .model import DimensionalParams, ParameterError, Params, \
     nondimensionalize, validate_params
@@ -174,11 +176,11 @@ def _header_lines(args, p: Params | None, cfg: IntegratorConfig,
     lines = [f"tool: alleetanner {__version__}"]
     if p is not None:
         lines.append(f"params: M={p.M!r} S={p.S!r} Q={p.Q!r} C={p.C!r}")
-        # PHI and resolution 0: this hash names the parameters, tolerances
-        # and versions behind a file and matches no raster; a raster's own
-        # hash is the raster_hash line
-        lines.append("config_hash: "
-                     + config_hash(p, ((0.0, 1.0), (0.0, 1.0)), 0, cfg))
+        # the parameters, tolerances and package version behind a file; the
+        # raster algorithm's version is left to the raster_hash line of the
+        # outputs that come from rasters, so a change to it alone leaves
+        # the other outputs' bytes as they were
+        lines.append(f"config_hash: {inputs_hash(p, cfg)}")
     lines.append(f"seed: {args.seed}")
     for key, val in (extra or {}).items():
         lines.append(f"{key}: {val}")
@@ -221,13 +223,18 @@ def cmd_classify(args) -> int:
     region = region_classify(p, cfg)
     print(f"region: {region.value}")
     print("equilibria:")
+    sink = False   # whether (0, C) attracts, as the raster's codes say
     for eq in all_equilibria(p):
         try:
-            desc = classify(p, eq).describe()
+            cls = classify(p, eq)
         except ValueError:
             if eq.in_domain:
                 raise
             desc = "not classified"   # (M, 0) on the singular line u = -C
+        else:
+            desc = cls.describe()
+            if eq.kind is EquilibriumKind.PREDATOR_ONLY:
+                sink = cls.attracting
         loc = f"({eq.location[0]:.6f}, {eq.location[1]:.6f})"
         note = "" if eq.in_domain else "  [outside domain]"
         print(f"  {eq.id:<15} {loc:<24} {desc}{note}")
@@ -243,7 +250,9 @@ def cmd_classify(args) -> int:
         shown = True
     if not shown:
         print("  (none defined in this regime)")
-    if is_global_extinction(p):
+    # the case tree's claim needs (0, C) to attract; where it is not
+    # hyperbolic (M + C*Q = 0) the raster gives it no code either
+    if is_global_extinction(p) and sink:
         print(f"note: (0, {p.C:.6g}) is globally asymptotically stable")
     return EXIT_OK
 
@@ -304,7 +313,8 @@ def portrait_data(p: Params, cfg: IntegratorConfig, window, n_orbits: int):
     except GapUndefinedError:
         pass
     if interior_attractor is not None:
-        cyc = find_limit_cycle(p, _cycle_seed(interior_attractor), cfg)
+        cyc = find_limit_cycle(p, _cycle_seed(interior_attractor.location),
+                               cfg)
         if cyc is not None:
             curves["cycle"] = cyc.polyline
     for k, seed in enumerate(_orbit_seeds(window, n_orbits)):
@@ -469,17 +479,21 @@ def cmd_sweep(args) -> int:
     names = [k for k, _ in axes]
     columns = names + ["region", "interior_fraction"]
     rows = []
+    rasters = hashlib.sha256()
     for point in itertools.product(*(vals.tolist() for _, vals in axes)):
         p = validate_params(base._replace(**dict(zip(names, point))))
         region = region_classify(p, cfg)
         raster = compute_basins(p, args.resolution, cfg)
+        rasters.update(raster.config_hash.encode())
         frac = _interior_fraction(basin_fractions(raster))
         rows.append([f"{v!r}" for v in point] + [region.value, f"{frac!r}"])
     header = _header_lines(args, base, cfg,
                            {"sweep": ";".join(args.sweep),
                             "resolution": args.resolution,
                             "interior_fraction":
-                               "interior_low+interior_high+interior_double+cycle"})
+                               "interior_low+interior_high+interior_double+cycle",
+                            # digest of the rows' raster hashes, in row order
+                            "raster_hash": rasters.hexdigest()})
     _write_csv(os.path.join(out, "sweep.csv"), header, columns, rows)
     print(f"wrote sweep.csv to {out} ({len(rows)} rows)")
     return EXIT_OK

@@ -19,7 +19,10 @@ Termination events, checked after every accepted step:
   interior equilibrium and is transversal to the flow elsewhere) differ by
   less than ``rho_cyc``, and their differences contract geometrically or,
   once the integrator's global error is as large as they are, change sign
-  (the exact return map is monotone; see ``_cycle_found``),
+  (the exact return map is monotone; see ``_cycle_found``); or, on
+  ``classify_omega_limit`` and the basin rasters, a crossing lies strictly
+  inside the certified section interval of the cycle, an interval that the
+  return map provably maps into itself (``_section_interval``),
 * horizon ``tau_max`` exceeded, domain exit, or step-size underflow.
 
 Basin rasters run many seeds at once (``_lockstep``): the same attempts
@@ -77,6 +80,14 @@ _CYCLE_CONTRACTION = 0.98
 # Nearer the anchor than this, a converging return map is closing in on
 # the interior equilibrium, not on a cycle around it.
 _MIN_CYCLE_RADIUS = 1e-3
+# Half-width of the section interval certified around the hunted cycle's
+# crossing.  P(a) - a grows with it while the error margin does not, so a
+# wide interval certifies nearer the Hopf curve than a narrow one, and ends
+# slowly attracted cells revolutions sooner: at (0.04, 0.082, 0.45, 0.07),
+# multiplier 0.85, a 40^2 default-tolerance raster took 1,982,575 step
+# attempts with 1e-4 and 484,420 with 1e-2.  3e-2 failed at S = 0.95
+# S_hopf there, where the orbit through b leaves for (0, C).
+_SECTION_HALF_WIDTH = 1e-2
 
 _MIN_FACTOR, _MAX_FACTOR, _SAFETY = 0.2, 5.0, 0.9
 
@@ -314,13 +325,23 @@ class _EqTarget:
 
 
 class _Context(NamedTuple):
-    """Per-parameter work shared by every trajectory at one ``Params``."""
+    """Per-parameter work shared by every trajectory at one ``Params``.
+
+    ``interval`` is the certified section interval (a, b) of the cycle, the
+    one piece that also depends on the tolerances: a crossing strictly
+    inside it ends its trajectory on the cycle.  ``_context`` leaves it
+    None; ``classify_omega_limit`` and ``compute_basins`` add it with
+    ``_section_interval``, so the contexts of ``integrate``,
+    ``find_limit_cycle``, the region grid and the manifold traces never pay
+    for its cycle hunt.
+    """
 
     p: Params
     f: Callable
     targets: list[_EqTarget]      # in-domain equilibria, in table order
     anchor: float | None          # prey value of the section's anchor root
     cycle_code: int               # raster label of a cycle: attractors + 1
+    interval: tuple[float, float] | None = None
 
     def code(self, eq_id: str) -> int:
         """Raster label of the target ``eq_id``."""
@@ -385,6 +406,12 @@ def _cycle_found(delta, last_delta, u_c, anchor: float, cfg: IntegratorConfig):
             & (abs(u_c - anchor) >= _MIN_CYCLE_RADIUS))
 
 
+def _cycle_seed(x_star: State) -> State:
+    """The cycle hunt's start beside the largest interior point ``x_star``."""
+    u_star, v_star = x_star
+    return min(u_star + 0.05, 0.98), v_star
+
+
 def _exit_box(u0: float, v0: float, C: float) -> tuple[float, float]:
     """Prey and predator bounds beyond which a trajectory has left."""
     return max(10.0, 2.0 * (u0 + 1.0)), max(10.0, 2.0 * (v0 + 1.0 + C))
@@ -426,10 +453,13 @@ def _drive(ctx: _Context, s0: State, cfg: IntegratorConfig, *,
 
     Without samples a state inside a target's trapping disc ends the
     trajectory at that target; with them, only the ``rho_eq`` test does.
+    A crossing strictly inside ``ctx.interval`` ends it on the cycle, with
+    no ``Cycle``: its period and residual were not measured.
     """
     targets = ctx.targets
     anchor = ctx.anchor
     C = ctx.p.C
+    lo, hi = ctx.interval or (math.nan, math.nan)
     u0, v0 = float(s0[0]), float(s0[1])
     exit_u, exit_v = _exit_box(u0, v0, C)
     rho2 = cfg.rho_eq * cfg.rho_eq
@@ -491,6 +521,8 @@ def _drive(ctx: _Context, s0: State, cfg: IntegratorConfig, *,
         tau_c, u_c, v_c = _refine_crossing(stepper, C)
         if u_c <= anchor:
             continue
+        if lo < u_c < hi:
+            return finish(Termination.REACHED_CYCLE)
         delta = u_c - prev_cross_u
         if _cycle_found(delta, prev_delta, u_c, anchor, cfg):
             segment.append((u_c, u_c + C))
@@ -503,6 +535,94 @@ def _drive(ctx: _Context, s0: State, cfg: IntegratorConfig, *,
     if stepper.status == _Stepper.UNDERFLOW:
         return finish(Termination.STEP_UNDERFLOW)
     return finish(Termination.HORIZON_EXCEEDED)
+
+
+def _first_return(ctx: _Context, cfg: IntegratorConfig,
+                  x: float) -> tuple[float, float, float] | None:
+    """The return map P(x) of the section, from (x, x + C) beyond the anchor.
+
+    Returns P(x), the prey value of the orbit's last downward crossing
+    before it, and the orbit's error margin: the sum over its steps of the
+    tolerance each step's error estimate was held to (``abs_tol`` plus
+    ``rel_tol`` times the largest component at the step's ends).  None when
+    the orbit leaves the domain or reaches the horizon first, or returns at
+    or below the anchor.  The start lies on the section, where g rounds to
+    about +-5e-17, so its first step may read as an upward crossing: a
+    return counts only after a downward crossing.
+    """
+    C = ctx.p.C
+    stepper = _Stepper(ctx.f, (x, x + C), cfg, cfg.tau_max)
+    exit_u, exit_v = _exit_box(x, x + C, C)
+    down, margin = None, 0.0
+    while stepper.step():
+        u0, v0, u1, v1 = stepper.prev_u, stepper.prev_v, stepper.u, stepper.v
+        if u1 > exit_u or v1 > exit_v:
+            return None
+        margin += cfg.abs_tol + cfg.rel_tol * max(abs(u0), abs(v0),
+                                                  abs(u1), abs(v1))
+        g0, g1 = v0 - u0 - C, v1 - u1 - C
+        if g0 >= 0.0 > g1:
+            down = _refine_crossing(stepper, C)[1]
+        elif g0 < 0.0 <= g1 and down is not None:
+            u_c = _refine_crossing(stepper, C)[1]
+            return (u_c, down, margin) if u_c > ctx.anchor else None
+    return None
+
+
+def _certified_interval(ctx: _Context, cfg: IntegratorConfig, a: float,
+                        b: float) -> tuple[float, float] | None:
+    """(a, b) if the return map provably maps [a, b] into itself and the
+    annulus between the orbits through a and b holds no equilibrium;
+    else None.
+
+    Checks that a lies at least ``_MIN_CYCLE_RADIUS`` beyond the anchor,
+    that P(a) - a and b - P(b) exceed their orbits' error margins
+    (``_first_return``), and that no equilibrium lies between the orbits'
+    downward crossings.  The anchor lies inside the inner orbit; the one
+    other equilibrium on the section whose prey value can fall there is the
+    saddle below the anchor.  P is increasing on a transversal section
+    (Perko, Differential Equations and Dynamical Systems, 3.4), so
+    P(a) > a and P(b) < b give P([a, b]) inside (a, b), and by
+    Poincare-Bendixson (Perko 3.7) every orbit through the interval has a
+    periodic orbit in that annulus as its omega-limit.
+    """
+    if a - ctx.anchor < _MIN_CYCLE_RADIUS:
+        return None
+    ra = _first_return(ctx, cfg, a)
+    rb = _first_return(ctx, cfg, b)
+    if ra is None or rb is None:
+        return None
+    (pa, da, ma), (pb, db, mb) = ra, rb
+    if not (pa - a > ma and b - pb > mb):
+        return None
+    if any(min(da, db) <= t.u <= max(da, db) for t in ctx.targets):
+        return None
+    return a, b
+
+
+def _section_interval(ctx: _Context,
+                      cfg: IntegratorConfig) -> tuple[float, float] | None:
+    """The certified section interval of the cycle at ``ctx``, or None.
+
+    Hunts the cycle as ``find_limit_cycle`` does, from ``_cycle_seed``
+    beside the anchor, and certifies the interval of half-width
+    ``_SECTION_HALF_WIDTH`` around its crossing (``_certified_interval``).
+    ``ctx`` carries no interval yet.  Costs one hunt and two returns: on a
+    2-vCPU x86 VM about 4.6 ms at the cycle point (-0.055, 0.03, 0.55, 0.1)
+    with rel_tol 1e-6, 49 ms at (0.04, 0.082, 0.45, 0.07) with the default
+    tolerances, where the cycle attracts slowly, and 1.6 ms at the bistable
+    point (0.04, 0.12, 0.45, 0.07), where the hunt ends in the anchor's
+    trapping disc.
+    """
+    if ctx.anchor is None:
+        return None
+    x_star = (ctx.anchor, ctx.anchor + ctx.p.C)
+    cyc = _drive(ctx, _cycle_seed(x_star), cfg, want_samples=False).cycle
+    if cyc is None:
+        return None
+    u = cyc.crossing[0]
+    return _certified_interval(ctx, cfg, u - _SECTION_HALF_WIDTH,
+                               u + _SECTION_HALF_WIDTH)
 
 
 # Lockstep raster integration.  Every live cell takes one Dormand-Prince
@@ -535,9 +655,12 @@ _POOL = 2048
 
 # A section crossing waits with its step's inputs.  All waiting crossings
 # are bisected in one batch when a waiting cell crosses again, when one ends
-# while its crossing could have ended it (last difference below 10
-# rho_cyc), and before the hand-over; a bisection depends only on its own
-# step, whose stages it recomputes with ``_dp_attempt``.
+# while its crossing could have ended it (with a certified section interval
+# any crossing could, since only its bisection tells whether it lies
+# inside; without one, a last difference below 10 rho_cyc), and before the
+# hand-over; a bisection depends only on its own step, whose stages it
+# recomputes with ``_dp_attempt``.  So a cell whose crossing lies in the
+# interval runs on to its next crossing at most.
 #
 # Rows of the lockstep state, one column per live cell: time, state, FSAL
 # derivative, next step size, exit box, last section crossing (prey and
@@ -584,13 +707,16 @@ def _lockstep(ctx: _Context, seeds: np.ndarray,
     """Label code of the forward limit set of each row of ``seeds``.
 
     The codes are the context's: an equilibrium gives its target's
-    ``code`` (0 unless it attracts), a cycle ``ctx.cycle_code``, and the
-    horizon, underflow and domain exit 0.  Equal to
-    :func:`classify_omega_limit` cell by cell, byte for byte.
+    ``code`` (0 unless it attracts), a cycle ``ctx.cycle_code``, either by
+    the return-map test or by a crossing strictly inside
+    ``ctx.interval``, and the horizon, underflow and domain exit 0.  Equal
+    to :func:`classify_omega_limit` cell by cell, byte for byte, when
+    ``ctx`` carries the interval that function builds.
     """
     n = len(seeds)
     labels = np.zeros(n, dtype=np.uint8)
     f, targets, anchor, C = ctx.f, ctx.targets, ctx.anchor, ctx.p.C
+    lo, hi = ctx.interval or (math.nan, math.nan)
     rho2 = cfg.rho_eq * cfg.rho_eq
     tau_end, rtol, atol = cfg.tau_max, cfg.rel_tol, cfg.abs_tol
     trap = any(t.r2 > 0.0 for t in targets)
@@ -630,8 +756,9 @@ def _lockstep(ctx: _Context, seeds: np.ndarray,
 
     def settle(state, done):
         """Bisect every waiting crossing and apply it with the section test
-        of ``_drive``.  A return map found converged ends its cell as a
-        cycle, at that crossing, whatever the cell did after it."""
+        of ``_drive``.  A crossing inside the interval, or a return map
+        found converged, ends its cell as a cycle, at that crossing,
+        whatever the cell did after it."""
         cols = np.flatnonzero(~np.isnan(state[_QT]))
         if not len(cols):
             return
@@ -641,7 +768,8 @@ def _lockstep(ctx: _Context, seeds: np.ndarray,
                                        np.stack(ks).reshape(6, 2, -1))
         delta = u_c - q[_PCU]
         side = u_c > anchor
-        cycle = side & _cycle_found(delta, q[_PD], u_c, anchor, cfg)
+        cycle = side & ((lo < u_c) & (u_c < hi)
+                        | _cycle_found(delta, q[_PD], u_c, anchor, cfg))
         moved = side & ~cycle
         for row, new in ((_PD, delta), (_PCU, u_c), (_PCT, tau_c)):
             state[row, cols[moved]] = new[moved]
@@ -704,9 +832,10 @@ def _lockstep(ctx: _Context, seeds: np.ndarray,
                 ci = np.flatnonzero(acc & ~done & (g0 < 0.0) & (g1 >= 0.0))
                 # a waiting crossing goes before its cell's next crossing,
                 # and before its cell's end whenever it could have ended it
-                if waiting[ci].any() or (
-                        waiting & done
-                        & (np.abs(state[_PD]) < 10.0 * cfg.rho_cyc)).any():
+                ending = waiting & done
+                if ctx.interval is None:
+                    ending &= np.abs(state[_PD]) < 10.0 * cfg.rho_cyc
+                if waiting[ci].any() or ending.any():
                     settle(state, done)
                     ci = ci[~done[ci]]
                 if len(ci):
@@ -760,11 +889,15 @@ def classify_omega_limit(p: Params, s0: State,
     one rule of ``integrate``.  Returns LimitCycle when the return map on
     v = u + C converges to a fixed point away from the interior equilibrium
     (its differences fall below ``rho_cyc`` and contract, or flip sign at
-    the integrator's noise floor), and Undecided at the horizon or on
-    underflow.
+    the integrator's noise floor), or at the first crossing strictly inside
+    the cycle's certified section interval (``_section_interval``), and
+    Undecided at the horizon or on underflow.  Each call hunts the cycle
+    once to build that interval, as a basin raster does once for all its
+    cells, so the labels are the raster's.
     """
     cfg = cfg or IntegratorConfig()
     ctx = _context(p)
+    ctx = ctx._replace(interval=_section_interval(ctx, cfg))
     res = _drive(ctx, s0, cfg, want_samples=False)
     if (res.termination is Termination.REACHED_EQUILIBRIUM
             and ctx.code(res.equilibrium_id)):

@@ -47,6 +47,21 @@ def test_classify_lists_a_singular_point_unclassified(capsys):
     assert any(line.split()[0] == "predator_only" for line in lines)
 
 
+def test_classify_withholds_the_note_where_predator_only_is_degenerate(
+        capsys):
+    # M + C*Q = 0: (0, C) is not hyperbolic, so neither the note nor the
+    # raster claims it; where it attracts, the note stays (see the
+    # classify_extinction golden)
+    assert run(["classify", "-M", "-0.5", "-S", "1", "-Q", "1",
+                "-C", "0.5"]) == 0
+    out = capsys.readouterr().out
+    (row,) = [line for line in out.splitlines() if "predator_only" in line]
+    assert row.endswith("non hyperbolic")
+    assert "globally asymptotically stable" not in out
+    assert "globally asymptotically stable" in (
+        GOLDEN / "classify_extinction.txt").read_text()
+
+
 def test_classify_rejects_bad_allee_threshold(capsys):
     assert run(["classify", "-M", "1.5", "-S", "0.1", "-Q", "0.45",
                 "-C", "0.07"]) == 2
@@ -282,3 +297,33 @@ def test_headers_embed_configuration(tmp_path):
     assert "# params: M=0.2 S=0.3 Q=0.9 C=0.5" in text
     assert "# seed: 7" in text
     assert "# config_hash:" in text
+
+
+@pytest.mark.parametrize("argv,files", [
+    (["portrait", "-M", "-0.055", "-S", "0.03", "-Q", "0.55", "-C", "0.1",
+      "--n-orbits", "2"], {"portrait.csv": False, "portrait.svg": False}),
+    (["basin", *BASE, "--resolution", "4"],
+     {"fractions.csv": True, "basin.svg": True}),
+    (["sweep", *BASE, "--sweep", "S=0.1:0.12:2", "--resolution", "3"],
+     {"sweep.csv": True}),
+], ids=["portrait", "basin", "sweep"])
+def test_only_raster_outputs_name_the_algorithm_version(argv, files,
+                                                         tmp_path,
+                                                         monkeypatch):
+    # a portrait does not depend on the raster algorithm, so its bytes do
+    # not either; raster outputs differ in their raster_hash line alone
+    from alleetanner import basin
+    texts = []
+    for version in (4, 5):
+        monkeypatch.setattr(basin, "ALGORITHM_VERSION", version)
+        out = tmp_path / str(version)
+        assert run(argv + ["--out-dir", str(out)] + FAST_FLAGS) == 0
+        texts.append({name: (out / name).read_text() for name in files})
+    for name, raster in files.items():
+        if not raster:
+            assert texts[0][name] == texts[1][name]
+            continue
+        a, b = (t[name].splitlines() for t in texts)
+        moved = [x for x, y in zip(a, b) if x != y]
+        assert len(a) == len(b)
+        assert len(moved) == 1 and "raster_hash: " in moved[0]
