@@ -188,11 +188,11 @@ def _take_job(job) -> None:
     _job = job
 
 
-def _part(i: int, job=None) -> np.ndarray:
-    """Labels of seeds i, i + k, i + 2k, ... of the job (a forked worker's
-    own when none is given).  Neighbouring cells cost about the same, so
-    interleaved parts take about the same time."""
-    ctx, seeds, cfg, k = job or _job
+def _part(i: int) -> np.ndarray:
+    """Labels of seeds i, i + k, i + 2k, ... of a forked worker's job.
+    Neighbouring cells cost about the same, so interleaved parts take about
+    the same time."""
+    ctx, seeds, cfg, k = _job
     return flow._lockstep(ctx, seeds[i::k], cfg)
 
 
@@ -204,16 +204,15 @@ def _split_lockstep(ctx, seeds: np.ndarray,
     its labels cross the pipe.  Labels do not depend on which cells share a
     batch, so they are the in-process labels byte for byte."""
     k = _workers(len(seeds))
-    job = (ctx, seeds, cfg, k)
     if k == 1:
-        return _part(0, job)
+        return flow._lockstep(ctx, seeds, cfg)
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
     labels = np.empty(len(seeds), dtype=np.uint8)
     # leaving the block joins every worker, also when a part raised
     with ProcessPoolExecutor(k, mp_context=get_context("fork"),
                              initializer=_take_job,
-                             initargs=(job,)) as pool:
+                             initargs=((ctx, seeds, cfg, k),)) as pool:
         for i, part in enumerate(pool.map(_part, range(k))):
             labels[i::k] = part
     return labels

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibria import CaseLabel, case_label, interior_equilibria
+from .equilibria import CaseLabel, case_label
 from .flow import IntegratorConfig, _cycle_seed, find_limit_cycle
 from .manifolds import GapUndefinedError, homoclinic_gap
 from .model import Params, _real_eigenvalues, _unit_eigenvector, \
@@ -269,7 +269,9 @@ def region_classify(p: Params, cfg: IntegratorConfig | None = None,
     point.  Guard bands: |M - M*| < guard around the fold, |S - S_hopf| <
     guard around the trace-zero curve (classification is ill-posed on the
     loci themselves; the homoclinic curve has no cheap test and is left to
-    the cycle hunt).
+    the cycle hunt).  A hunt cut off by ``cfg.tau_max`` reads as no cycle:
+    at (0.04, 0.082, 0.45, 0.07), where the cycle attracts slowly, tau_max
+    2500 gives Repeller and the default gives Cycle.
     """
     validate_params(p)
     cfg = cfg or IntegratorConfig()
@@ -291,8 +293,7 @@ def region_classify(p: Params, cfg: IntegratorConfig | None = None,
         return RegionLabel.NEAR_LOCUS
     if p.S > s_hopf:
         return stable_label
-    seed = _cycle_seed(interior_equilibria(p)[-1].location)
-    cyc = find_limit_cycle(p, seed, cfg)
+    cyc = find_limit_cycle(p, _cycle_seed(p), cfg)
     return RegionLabel.CYCLE if cyc is not None else RegionLabel.REPELLER
 
 

@@ -9,8 +9,9 @@ Parameters come from -M/-S/-Q/-C flags, from a key=value config file
 -r -s -q -n -K -m -c, which is nondimensionalized on the way in and the
 derived (M, S, Q, C) echoed.
 
-Exit codes: 0 success, 2 parameter error, 3 render failure (CSV output is
-still written), 4 quality failure (undecided basin fraction over 20%).
+Exit codes: 0 success, 1 stdout closed early by its reader (``| head``),
+2 parameter error, 3 render failure (CSV output is still written), 4 quality
+failure (undecided basin fraction over 20%).
 The default output directory is $ALLEETANNER_OUT, falling back to the
 current directory.
 """
@@ -189,12 +190,16 @@ def _header_lines(args, p: Params | None, cfg: IntegratorConfig,
 
 def _write_csv(path: str, header_lines: list[str], columns: list[str],
                rows) -> None:
+    """A float, NumPy's included, is written as ``repr(float(x))``; any
+    other value with ``str``."""
     with open(path, "w") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
         fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(",".join(str(x) for x in row) + "\n")
+            fh.write(",".join(
+                repr(float(x)) if isinstance(x, (float, np.floating))
+                else str(x) for x in row) + "\n")
 
 
 def _write_svg(path: str, renderer: str, *args, **kwargs) -> bool:
@@ -297,24 +302,17 @@ def portrait_data(p: Params, cfg: IntegratorConfig, window, n_orbits: int):
     curves["prey_nullcline"] = np.column_stack(
         [us, (1.0 - us) * (us - p.M) / p.Q])
     curves["predator_nullcline"] = np.column_stack([us, us + p.C])
-    glyphs = []
-    interior_attractor = None
-    for eq in all_equilibria(p):
-        if not eq.in_domain:
-            continue
-        cls = classify(p, eq)
-        glyphs.append((eq.location[0], eq.location[1], cls.tag))
-        if eq.kind.value.startswith("interior"):
-            interior_attractor = eq
+    glyphs = [(*eq.location, classify(p, eq).tag)
+              for eq in all_equilibria(p) if eq.in_domain]
     try:
         sep = separatrix(p, cfg)
         if len(sep.polyline) > 1:
             curves["separatrix"] = sep.polyline
     except GapUndefinedError:
         pass
-    if interior_attractor is not None:
-        cyc = find_limit_cycle(p, _cycle_seed(interior_attractor.location),
-                               cfg)
+    seed = _cycle_seed(p)
+    if seed is not None:
+        cyc = find_limit_cycle(p, seed, cfg)
         if cyc is not None:
             curves["cycle"] = cyc.polyline
     for k, seed in enumerate(_orbit_seeds(window, n_orbits)):
@@ -334,7 +332,7 @@ def cmd_portrait(args) -> int:
     rows = []
     for name in sorted(curves):
         for i, (u, v) in enumerate(curves[name]):
-            rows.append((name, i, f"{u!r}", f"{v!r}"))
+            rows.append((name, i, u, v))
     header = _header_lines(args, p, cfg, {"window": args.window})
     _write_csv(os.path.join(out, "portrait.csv"), header,
                ["curve", "index", "u", "v"], rows)
@@ -382,19 +380,17 @@ def cmd_bifurcation(args) -> int:
                            {"Q": q, "C": c, "m_window": args.m_window,
                             "s_window": args.s_window})
     _write_csv(os.path.join(out, "saddle_node.csv"), header, ["M"],
-               [(f"{m!r}",) for m in sorted(diagram.sn)])
+               [(m,) for m in sorted(diagram.sn)])
     _write_csv(os.path.join(out, "bt_point.csv"), header, ["M", "S"],
-               [(f"{diagram.bt[0]!r}", f"{diagram.bt[1]!r}")]
-               if diagram.bt else [])
+               [diagram.bt] if diagram.bt else [])
     hopf_sorted = diagram.hopf[np.argsort(diagram.hopf[:, 0])] \
         if len(diagram.hopf) else diagram.hopf
     _write_csv(os.path.join(out, "hopf.csv"), header, ["M", "S"],
-               [(f"{float(m)!r}", f"{float(s)!r}") for m, s in hopf_sorted])
+               hopf_sorted)
     n_fail = sum(1 for _, s in diagram.hom if s is None)
     _write_csv(os.path.join(out, "homoclinic.csv"), header,
                ["M", "S", "converged"],
-               [(f"{m!r}", "" if s is None else f"{s!r}",
-                 int(s is not None))
+               [(m, "" if s is None else s, int(s is not None))
                 for m, s in sorted(diagram.hom)])
     if n_fail:
         print(f"warning: no homoclinic S found at {n_fail} of "
@@ -406,7 +402,7 @@ def cmd_bifurcation(args) -> int:
             grid.append((float(m), float(s), region_classify(p, cfg)))
     _write_csv(os.path.join(out, "regions.csv"), header,
                ["M", "S", "region"],
-               [(f"{m!r}", f"{s!r}", lab.value) for m, s, lab in grid])
+               [(m, s, lab.value) for m, s, lab in grid])
     if not _write_svg(os.path.join(out, "diagram.svg"), "render_bifurcation",
                       diagram, grid, comments=header):
         return EXIT_RENDER
@@ -427,7 +423,7 @@ def cmd_basin(args) -> int:
                             "raster_hash": raster.config_hash})
     _write_csv(os.path.join(out, "fractions.csv"), header,
                ["attractor", "fraction"],
-               [(k, f"{v!r}") for k, v in sorted(fractions.items())])
+               sorted(fractions.items()))
     save_raster(raster, os.path.join(out, "basin.bin"))
     sep_poly = None
     try:
@@ -486,7 +482,7 @@ def cmd_sweep(args) -> int:
         raster = compute_basins(p, args.resolution, cfg)
         rasters.update(raster.config_hash.encode())
         frac = _interior_fraction(basin_fractions(raster))
-        rows.append([f"{v!r}" for v in point] + [region.value, f"{frac!r}"])
+        rows.append([*point, region.value, frac])
     header = _header_lines(args, base, cfg,
                            {"sweep": ";".join(args.sweep),
                             "resolution": args.resolution,
@@ -511,10 +507,15 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()   # a reader gone early shows here, not at exit
     except ParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return EXIT_PARAMS
+    except BrokenPipeError:   # the flush at exit then writes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -41,7 +41,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .equilibria import EquilibriumKind, all_equilibria
+from .equilibria import EquilibriumKind, all_equilibria, interior_equilibria
 from .model import ParameterError, Params, State, field_closure, \
     validate_params
 from .stability import classify, trapping_radius
@@ -209,12 +209,11 @@ class _Stepper:
     ``tau``, ``k1`` and ``h`` resume a trajectory mid-way: the stepper then
     continues from time ``tau`` at state ``s0`` with FSAL derivative ``k1``
     and next (or retried) step size ``h``, as if it had got there itself.
+    ``underflow`` is set once a step size falls below the floor.
     """
 
-    RUNNING, DONE, UNDERFLOW = 0, 1, 2
-
     __slots__ = ("f", "tau", "u", "v", "k1u", "k1v", "h", "rtol", "atol",
-                 "tau_end", "status", "prev_tau", "prev_u", "prev_v",
+                 "tau_end", "underflow", "prev_tau", "prev_u", "prev_v",
                  "h_last", "ks", "quadrant")
 
     def __init__(self, f, s0: State, cfg: IntegratorConfig, tau_end: float,
@@ -228,7 +227,7 @@ class _Stepper:
         self.k1u, self.k1v = f(self.u, self.v) if k1 is None else k1
         self.rtol, self.atol = cfg.rel_tol, cfg.abs_tol
         self.tau_end = tau_end
-        self.status = self.RUNNING
+        self.underflow = False
         self.prev_tau = tau
         self.prev_u, self.prev_v = self.u, self.v
         self.h_last = 0.0
@@ -238,10 +237,7 @@ class _Stepper:
 
     def step(self) -> bool:
         """Advance one accepted step; False on horizon/underflow."""
-        if self.status != self.RUNNING:
-            return False
-        if self.tau >= self.tau_end:
-            self.status = self.DONE
+        if self.underflow or self.tau >= self.tau_end:
             return False
         f = self.f
         u0, v0 = self.u, self.v
@@ -251,7 +247,7 @@ class _Stepper:
         while True:
             # written so that a NaN step, from a non-finite seed, fails it
             if not h > 1e-13 * max(1.0, abs(self.tau)):
-                self.status = self.UNDERFLOW
+                self.underflow = True
                 return False
             try:
                 u5, v5, eu, ev, ks = _dp_attempt(f, h, u0, v0, k1u, k1v)
@@ -406,9 +402,13 @@ def _cycle_found(delta, last_delta, u_c, anchor: float, cfg: IntegratorConfig):
             & (abs(u_c - anchor) >= _MIN_CYCLE_RADIUS))
 
 
-def _cycle_seed(x_star: State) -> State:
-    """The cycle hunt's start beside the largest interior point ``x_star``."""
-    u_star, v_star = x_star
+def _cycle_seed(p: Params) -> State | None:
+    """The cycle hunt's start beside the largest interior point, the
+    section's anchor; None when there is no interior point."""
+    eqs = interior_equilibria(p)
+    if not eqs:
+        return None
+    u_star, v_star = eqs[-1].location
     return min(u_star + 0.05, 0.98), v_star
 
 
@@ -532,7 +532,7 @@ def _drive(ctx: _Context, s0: State, cfg: IntegratorConfig, *,
         prev_cross_u, prev_cross_tau, prev_delta = u_c, tau_c, delta
         segment = [(u_c, u_c + C)]
 
-    if stepper.status == _Stepper.UNDERFLOW:
+    if stepper.underflow:
         return finish(Termination.STEP_UNDERFLOW)
     return finish(Termination.HORIZON_EXCEEDED)
 
@@ -614,10 +614,10 @@ def _section_interval(ctx: _Context,
     point (0.04, 0.12, 0.45, 0.07), where the hunt ends in the anchor's
     trapping disc.
     """
-    if ctx.anchor is None:
+    seed = _cycle_seed(ctx.p)
+    if seed is None:
         return None
-    x_star = (ctx.anchor, ctx.anchor + ctx.p.C)
-    cyc = _drive(ctx, _cycle_seed(x_star), cfg, want_samples=False).cycle
+    cyc = _drive(ctx, seed, cfg, want_samples=False).cycle
     if cyc is None:
         return None
     u = cyc.crossing[0]
@@ -803,20 +803,17 @@ def _lockstep(ctx: _Context, seeds: np.ndarray,
             ru, rv = eu / scu, ev / scv
             errn = np.sqrt(0.5 * (ru * ru + rv * rv))
             # float_power calls the C library's pow, as Python's ** does;
-            # np.power may use a SIMD pow that differs in the last bit
+            # np.power may use a SIMD pow that differs in the last bit.  A
+            # zero norm gives inf, which the clip takes to _MAX_FACTOR
             grow = _SAFETY * np.float_power(errn, -0.2)
             # a division by zero in a stage shows here as a non-finite
             # norm, which the scalar path rejects by the same factor
             bad = ~np.isfinite(errn)
             big = errn > 1.0
             acc = ~(done | bad | big | (u5 < 0.0) | (v5 < 0.0))
-            factor = np.where(
-                acc,
-                np.where(errn == 0.0, _MAX_FACTOR,
-                         np.minimum(_MAX_FACTOR,
-                                    np.maximum(_MIN_FACTOR, grow))),
-                np.where(bad, 0.25,
-                         np.where(big, np.maximum(_MIN_FACTOR, grow), 0.5)))
+            factor = np.where(bad, 0.25, np.where(
+                acc | big,
+                np.minimum(_MAX_FACTOR, np.maximum(_MIN_FACTOR, grow)), 0.5))
             k7u, k7v = ks[10], ks[11]
 
             left = acc & ((u5 > state[_XU]) | (v5 > state[_XV]))

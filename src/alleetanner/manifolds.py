@@ -200,7 +200,7 @@ def _trace(ctx: _Context, base: State, seed: State, reverse: bool,
         if arc >= max_arc:
             res.termination = BranchTermination.ARC_BUDGET
             return res
-    if stepper.status == _Stepper.UNDERFLOW:
+    if stepper.underflow:
         res.termination = BranchTermination.STEP_UNDERFLOW
     return res
 

@@ -1,5 +1,7 @@
 import dataclasses
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -172,11 +174,34 @@ def test_portrait_outputs(tmp_path, capsys):
     cols, rows = read_csv_rows(tmp_path / "portrait.csv")
     assert cols == ["curve", "index", "u", "v"]
     counts = {}
-    for curve, idx, _, _ in rows:
+    for curve, idx, u, v in rows:
         counts[curve] = counts.get(curve, 0) + 1
         assert int(idx) == counts[curve] - 1
+        # numbers, NumPy's included, as Python's shortest round-trip repr
+        assert repr(float(u)) == u and repr(float(v)) == v
     assert sum(counts.values()) == len(rows)
     assert "separatrix" in counts and counts["separatrix"] > 10
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered",
+                                                        "buffered"])
+def test_closed_stdout_exits_1_without_a_traceback(unbuffered):
+    # stdout on a pipe whose reader has gone, as under ``| head -n 1``:
+    # unbuffered, the first print fails; buffered, the flush at exit does
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "alleetanner.cli", "classify", "-M", "0",
+             "-S", "0.1", "-Q", "1.2", "-C", "0.5"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "BrokenPipeError" not in proc.stderr
 
 
 def test_portrait_cycle_curve(tmp_path):

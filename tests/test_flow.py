@@ -175,7 +175,7 @@ def test_step_underflow_is_reported():
     st = _Stepper(nasty, (0.45, 0.1), IntegratorConfig(), 100.0)
     while st.step():
         pass
-    assert st.status == _Stepper.UNDERFLOW
+    assert st.underflow
 
 
 def test_dense_output_matches_closed_form():
