@@ -347,7 +347,7 @@ def compute_diagram(q: float, c: float,
                     s_window: tuple[float, float],
                     n_hopf: int = 121, n_hom: int = 13,
                     cfg: IntegratorConfig | None = None) -> BifurcationDiagram:
-    """Assemble all loci for a parameter window (used by the CLI)."""
+    """Assemble all loci for a parameter window, each in ascending M."""
     # both corners inside the model's domain, so every point between is
     for m, s in zip(m_window, s_window):
         validate_params(Params(m, s, q, c))

@@ -168,7 +168,10 @@ def resolve_config(args) -> IntegratorConfig:
 
 def _out_dir(args) -> str:
     path = args.out_dir or os.environ.get(ENV_OUT_DIR) or "."
-    os.makedirs(path, exist_ok=True)
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ParameterError(f"bad output directory {path}: {exc}") from exc
     return path
 
 
@@ -372,26 +375,24 @@ def cmd_bifurcation(args) -> int:
                         ("--hom-points", args.hom_points)):
         if count < 1:
             raise ParameterError(f"{flag} must be >= 1, got {count}")
+    out = _out_dir(args)
     diagram = compute_diagram(q, c, m_window, s_window,
                               n_hopf=args.hopf_points,
                               n_hom=args.hom_points, cfg=cfg)
-    out = _out_dir(args)
     header = _header_lines(args, None, cfg,
                            {"Q": q, "C": c, "m_window": args.m_window,
                             "s_window": args.s_window})
     _write_csv(os.path.join(out, "saddle_node.csv"), header, ["M"],
-               [(m,) for m in sorted(diagram.sn)])
+               [(m,) for m in diagram.sn])
     _write_csv(os.path.join(out, "bt_point.csv"), header, ["M", "S"],
                [diagram.bt] if diagram.bt else [])
-    hopf_sorted = diagram.hopf[np.argsort(diagram.hopf[:, 0])] \
-        if len(diagram.hopf) else diagram.hopf
     _write_csv(os.path.join(out, "hopf.csv"), header, ["M", "S"],
-               hopf_sorted)
+               diagram.hopf)
     n_fail = sum(1 for _, s in diagram.hom if s is None)
     _write_csv(os.path.join(out, "homoclinic.csv"), header,
                ["M", "S", "converged"],
                [(m, "" if s is None else s, int(s is not None))
-                for m, s in sorted(diagram.hom)])
+                for m, s in diagram.hom])
     if n_fail:
         print(f"warning: no homoclinic S found at {n_fail} of "
               f"{len(diagram.hom)} grid points", file=sys.stderr)

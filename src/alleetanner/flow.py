@@ -447,9 +447,9 @@ def _drive(ctx: _Context, s0: State, cfg: IntegratorConfig, *,
 
     ``resume = (stepper, prev_cross_u, prev_cross_tau, prev_delta)``
     continues a trajectory from ``s0`` that was advanced elsewhere (NaN for
-    a crossing or difference not seen yet): the seed test is skipped, and
-    samples and the cycle segment start at the stepper's state.  A seed on
-    the singular line u = -C ends at once as a step-size underflow.
+    a value not known): the seed test is skipped, and samples and the cycle
+    segment start at the stepper's state.  A seed on the singular line
+    u = -C ends at once as a step-size underflow.
 
     Without samples a state inside a target's trapping disc ends the
     trajectory at that target; with them, only the ``rho_eq`` test does.
@@ -484,15 +484,20 @@ def _drive(ctx: _Context, s0: State, cfg: IntegratorConfig, *,
             states = np.array([[s[1], s[2]] for s in samples])
         return Trajectory(taus, states, term, eq_id, cycle)
 
+    def arrived(u, v, ku, kv):
+        """The target that (u, v), with field (ku, kv), has reached."""
+        near = ku * ku + kv * kv < rho2
+        if near or discs:
+            return _target_within(targets if near else discs, rho2, u, v,
+                                  near, trap)
+        return None
+
     if stepper is None:
         # the seed itself may already sit on an equilibrium
         try:
-            fu, fv = ctx.f(u0, v0)
+            t = arrived(u0, v0, *ctx.f(u0, v0))
         except ZeroDivisionError:
             return finish(Termination.STEP_UNDERFLOW)
-        near = fu * fu + fv * fv < rho2
-        t = _target_within(targets if near else discs, rho2, u0, v0, near,
-                           trap)
         if t is not None:
             return finish(Termination.REACHED_EQUILIBRIUM, t.id)
         stepper = _Stepper(ctx.f, (u0, v0), cfg, cfg.tau_max)
@@ -505,13 +510,9 @@ def _drive(ctx: _Context, s0: State, cfg: IntegratorConfig, *,
             segment.append((u1, v1))
         if u1 > exit_u or v1 > exit_v:
             return finish(Termination.LEFT_DOMAIN)
-        ku, kv = stepper.k1u, stepper.k1v
-        near = ku * ku + kv * kv < rho2
-        if near or discs:
-            t = _target_within(targets if near else discs, rho2, u1, v1,
-                               near, trap)
-            if t is not None:
-                return finish(Termination.REACHED_EQUILIBRIUM, t.id)
+        t = arrived(u1, v1, stepper.k1u, stepper.k1v)
+        if t is not None:
+            return finish(Termination.REACHED_EQUILIBRIUM, t.id)
         if anchor is None:
             continue
         g0 = stepper.prev_v - stepper.prev_u - C
@@ -663,12 +664,12 @@ _POOL = 2048
 # interval runs on to its next crossing at most.
 #
 # Rows of the lockstep state, one column per live cell: time, state, FSAL
-# derivative, next step size, exit box, last section crossing (prey and
-# time) and last crossing difference (NaN for none yet); then a crossing that
-# waits: its step's start time (NaN for none), start state, FSAL derivative
-# and size, in the order of the first six rows.
-(_TAU, _U, _V, _K1U, _K1V, _H, _XU, _XV, _PCU, _PCT, _PD,
- _QT, _QU, _QV, _QK1U, _QK1V, _QH) = range(17)
+# derivative, next step size, exit box, prey value of the last section
+# crossing and last crossing difference (NaN for none yet); then a crossing
+# that waits: its step's start time (NaN for none), start state, FSAL
+# derivative and size, in the order of the first six rows.
+(_TAU, _U, _V, _K1U, _K1V, _H, _XU, _XV, _PCU, _PD,
+ _QT, _QU, _QV, _QK1U, _QK1V, _QH) = range(16)
 _ROWS = _QH + 1
 
 
@@ -719,7 +720,7 @@ def _lockstep(ctx: _Context, seeds: np.ndarray,
     lo, hi = ctx.interval or (math.nan, math.nan)
     rho2 = cfg.rho_eq * cfg.rho_eq
     tau_end, rtol, atol = cfg.tau_max, cfg.rel_tol, cfg.abs_tol
-    trap = any(t.r2 > 0.0 for t in targets)
+    discs = [t for t in targets if t.r2 > 0.0]
 
     def arrive(live, near, u, v, idx):
         """Label the cells of mask ``live`` that lie strictly inside a
@@ -727,10 +728,7 @@ def _lockstep(ctx: _Context, seeds: np.ndarray,
         the first such target in table order, as ``_target_within`` does;
         returns their mask."""
         free = live.copy()
-        some_near = near.any()
-        for t in targets:
-            if not (some_near or t.r2 > 0.0):
-                continue
+        for t in targets if near.any() else discs:
             du, dv = u - t.u, v - t.v
             d2 = du * du + dv * dv
             new = free & ((d2 < t.r2) | near & (d2 <= rho2))
@@ -746,7 +744,7 @@ def _lockstep(ctx: _Context, seeds: np.ndarray,
         keep = ~arrive(np.ones(hi - lo, dtype=bool),
                        kus * kus + kvs * kvs < rho2, us, vs, idx)
         block = np.full((_ROWS, hi - lo), math.nan)
-        block[_TAU] = block[_PCT] = 0.0
+        block[_TAU] = 0.0
         block[_U], block[_V], block[_K1U], block[_K1V] = us, vs, kus, kvs
         for i, (u, v, ku, kv) in enumerate(zip(us.tolist(), vs.tolist(),
                                                kus.tolist(), kvs.tolist())):
@@ -764,15 +762,15 @@ def _lockstep(ctx: _Context, seeds: np.ndarray,
             return
         q = state[:, cols]
         ks = _dp_attempt(f, q[_QH], q[_QU], q[_QV], q[_QK1U], q[_QK1V])[4]
-        tau_c, u_c = _bisect_crossings(C, q[_QT], q[_QU:_QK1U], q[_QH],
-                                       np.stack(ks).reshape(6, 2, -1))
+        u_c = _bisect_crossings(C, q[_QT], q[_QU:_QK1U], q[_QH],
+                                np.stack(ks).reshape(6, 2, -1))[1]
         delta = u_c - q[_PCU]
         side = u_c > anchor
         cycle = side & ((lo < u_c) & (u_c < hi)
                         | _cycle_found(delta, q[_PD], u_c, anchor, cfg))
         moved = side & ~cycle
-        for row, new in ((_PD, delta), (_PCU, u_c), (_PCT, tau_c)):
-            state[row, cols[moved]] = new[moved]
+        state[_PD, cols[moved]] = delta[moved]
+        state[_PCU, cols[moved]] = u_c[moved]
         labels[cells[cols[cycle]]] = ctx.cycle_code
         done[cols[cycle]] = True
         state[_QT, cols] = math.nan
@@ -820,7 +818,7 @@ def _lockstep(ctx: _Context, seeds: np.ndarray,
             done |= left
             live = acc & ~left
             near = live & (k7u * k7u + k7v * k7v < rho2)
-            if trap or near.any():
+            if discs or near.any():
                 done |= arrive(live, near, u5, v5, cells)
             if anchor is not None:
                 waiting = ~np.isnan(state[_QT])
@@ -851,11 +849,12 @@ def _lockstep(ctx: _Context, seeds: np.ndarray,
         state, cells = state[:, ~done], cells[~done]
 
     for col, cell in zip(state[:_QT].T.tolist(), cells.tolist()):
-        tau, u, v, k1u, k1v, h, _, _, last_u, last_tau, last_delta = col
+        tau, u, v, k1u, k1v, h, _, _, last_u, last_delta = col
         stepper = _Stepper(f, (u, v), cfg, tau_end, tau=tau, k1=(k1u, k1v),
                            h=h)
+        # no crossing time: only a Cycle's period would read it
         res = _drive(ctx, seeds[cell], cfg, want_samples=False,
-                     resume=(stepper, last_u, last_tau, last_delta))
+                     resume=(stepper, last_u, math.nan, last_delta))
         if res.termination is Termination.REACHED_EQUILIBRIUM:
             labels[cell] = ctx.code(res.equilibrium_id)
         elif res.termination is Termination.REACHED_CYCLE:

@@ -45,6 +45,10 @@ def _f(x: float) -> str:
     return f"{x:.3f}"
 
 
+def _cls(cls: str) -> str:
+    return f' class="{cls}"' if cls else ""
+
+
 class SvgCanvas:
     """Tiny fixed-window SVG writer with y flipped to mathematical sense."""
 
@@ -85,48 +89,42 @@ class SvgCanvas:
         coords = " ".join(f"{_f(x)},{_f(y)}"
                           for x, y in (self.px(u, v) for u, v in pts))
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-        cls_attr = f' class="{cls}"' if cls else ""
         self.parts.append(
-            f'<polyline{cls_attr} points="{coords}" fill="none" '
+            f'<polyline{_cls(cls)} points="{coords}" fill="none" '
             f'stroke="{color}" stroke-width="{_f(width)}"{dash_attr}/>')
 
     def circle(self, u, v, r, fill, stroke="#000000", cls=""):
         x, y = self.px(u, v)
-        cls_attr = f' class="{cls}"' if cls else ""
         self.parts.append(
-            f'<circle{cls_attr} cx="{_f(x)}" cy="{_f(y)}" r="{_f(r)}" '
+            f'<circle{_cls(cls)} cx="{_f(x)}" cy="{_f(y)}" r="{_f(r)}" '
             f'fill="{fill}" stroke="{stroke}" stroke-width="1"/>')
 
     def cross(self, u, v, r, cls=""):
         x, y = self.px(u, v)
-        cls_attr = f' class="{cls}"' if cls else ""
         self.parts.append(
-            f'<path{cls_attr} d="M {_f(x - r)} {_f(y - r)} L {_f(x + r)} '
+            f'<path{_cls(cls)} d="M {_f(x - r)} {_f(y - r)} L {_f(x + r)} '
             f'{_f(y + r)} M {_f(x - r)} {_f(y + r)} L {_f(x + r)} '
             f'{_f(y - r)}" stroke="#000000" stroke-width="1.5" fill="none"/>')
 
     def square(self, u, v, r, fill, cls=""):
         x, y = self.px(u, v)
-        cls_attr = f' class="{cls}"' if cls else ""
         self.parts.append(
-            f'<rect{cls_attr} x="{_f(x - r)}" y="{_f(y - r)}" '
+            f'<rect{_cls(cls)} x="{_f(x - r)}" y="{_f(y - r)}" '
             f'width="{_f(2 * r)}" height="{_f(2 * r)}" fill="{fill}" '
             f'stroke="#000000" stroke-width="1"/>')
 
     def cell(self, u0, v0, u1, v1, color, cls=""):
         x0, y1 = self.px(u0, v0)
         x1, y0 = self.px(u1, v1)
-        cls_attr = f' class="{cls}"' if cls else ""
         self.parts.append(
-            f'<rect{cls_attr} x="{_f(x0)}" y="{_f(y0)}" '
+            f'<rect{_cls(cls)} x="{_f(x0)}" y="{_f(y0)}" '
             f'width="{_f(x1 - x0)}" height="{_f(y1 - y0)}" '
             f'fill="{color}" stroke="none"/>')
 
     def text(self, u, v, s, size=13, cls=""):
         x, y = self.px(u, v)
-        cls_attr = f' class="{cls}"' if cls else ""
         self.parts.append(
-            f'<text{cls_attr} x="{_f(x)}" y="{_f(y)}" font-size="{size}" '
+            f'<text{_cls(cls)} x="{_f(x)}" y="{_f(y)}" font-size="{size}" '
             f'font-family="monospace" fill="#000000">{s}</text>')
 
     def tostring(self) -> str:

@@ -313,6 +313,39 @@ def test_out_dir_from_environment(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "envout" / "basin.bin").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["portrait", *BASE, "--n-orbits", "1"],
+    BIF + ["--grid", "1x1", "--hopf-points", "3", "--hom-points", "1"],
+    ["basin", *BASE, "--resolution", "2"],
+    ["sweep", *BASE, "--sweep", "S=0.1:0.12:2", "--resolution", "2"],
+], ids=["portrait", "bifurcation", "basin", "sweep"])
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+def test_unusable_out_dir_is_a_parameter_error(argv, below, tmp_path,
+                                               capsys):
+    # a regular file, or a path below one, cannot hold the outputs
+    target = tmp_path / "taken"
+    target.write_text("not a directory\n")
+    out_dir = target / "sub" if below else target
+    assert run(argv + ["--out-dir", str(out_dir)] + FAST_FLAGS) == 2
+    err = capsys.readouterr().err
+    assert "parameter error" in err
+    assert "Traceback" not in err
+    assert target.read_text() == "not a directory\n"
+
+
+def test_bifurcation_checks_its_out_dir_before_computing(tmp_path,
+                                                         monkeypatch,
+                                                         capsys):
+    def never(*a, **k):
+        raise AssertionError("the diagram was computed")
+
+    monkeypatch.setattr(cli, "compute_diagram", never)
+    target = tmp_path / "taken"
+    target.write_text("")
+    assert run(BIF + ["--out-dir", str(target)] + FAST_FLAGS) == 2
+    assert "parameter error" in capsys.readouterr().err
+
+
 def test_headers_embed_configuration(tmp_path):
     run(["basin", "-M", "0.2", "-S", "0.3", "-Q", "0.9", "-C", "0.5",
          "--resolution", "5", "--seed", "7", "--out-dir", str(tmp_path)]
