@@ -90,6 +90,18 @@ def _check_bounds(bounds) -> None:
                              f"with low < high, got {bounds!r}")
 
 
+def _check_resolution(resolution) -> int:
+    """``resolution`` as an int; ParameterError unless it is an integer
+    >= 1."""
+    try:
+        resolution = operator.index(resolution)
+    except TypeError:
+        resolution = 0   # not an integer
+    if resolution < 1:
+        raise ParameterError("resolution must be an integer >= 1")
+    return resolution
+
+
 def inputs_hash(p: Params, cfg: IntegratorConfig) -> str:
     """Stable digest of the package version, parameters and tolerances:
     the inputs of every output that has parameters, without the raster
@@ -122,12 +134,7 @@ def compute_basins(p: Params, resolution: int,
     fails to load is recomputed and replaced.
     """
     ctx = _context(p)
-    try:
-        resolution = operator.index(resolution)
-    except TypeError:
-        resolution = 0   # not an integer
-    if resolution < 1:
-        raise ParameterError("resolution must be an integer >= 1")
+    resolution = _check_resolution(resolution)
     _check_bounds(bounds)
     cfg = cfg or IntegratorConfig()
     digest = config_hash(p, bounds, resolution, cfg)

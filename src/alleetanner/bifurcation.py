@@ -342,15 +342,21 @@ def sotomayor_check(q: float, c: float, s: float = 0.2,
     return t1, t2
 
 
+def _check_window(q: float, c: float, m_window: tuple[float, float],
+                  s_window: tuple[float, float]) -> None:
+    """ParameterError unless both corners of the window lie in the model's
+    domain, and so every point between them."""
+    for m, s in zip(m_window, s_window):
+        validate_params(Params(m, s, q, c))
+
+
 def compute_diagram(q: float, c: float,
                     m_window: tuple[float, float],
                     s_window: tuple[float, float],
                     n_hopf: int = 121, n_hom: int = 13,
                     cfg: IntegratorConfig | None = None) -> BifurcationDiagram:
     """Assemble all loci for a parameter window, each in ascending M."""
-    # both corners inside the model's domain, so every point between is
-    for m, s in zip(m_window, s_window):
-        validate_params(Params(m, s, q, c))
+    _check_window(q, c, m_window, s_window)
     cfg = cfg or IntegratorConfig()
     sn = [m for m in saddle_node_M(q, c) if m_window[0] <= m <= m_window[1]]
     try:

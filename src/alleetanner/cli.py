@@ -10,7 +10,8 @@ Parameters come from -M/-S/-Q/-C flags, from a key=value config file
 derived (M, S, Q, C) echoed.
 
 Exit codes: 0 success, 1 stdout closed early by its reader (``| head``),
-2 parameter error, 3 render failure (CSV output is still written), 4 quality
+2 parameter error (every input is checked before anything is computed or
+written), 3 render failure (CSV output is still written), 4 quality
 failure (undecided basin fraction over 20%).
 The default output directory is $ALLEETANNER_OUT, falling back to the
 current directory.
@@ -29,8 +30,9 @@ from dataclasses import fields
 import numpy as np
 
 from . import __version__
-from .basin import basin_fractions, compute_basins, inputs_hash, save_raster
-from .bifurcation import compute_diagram, region_classify
+from .basin import _check_resolution, basin_fractions, compute_basins, \
+    inputs_hash, save_raster
+from .bifurcation import _check_window, compute_diagram, region_classify
 from .equilibria import EquilibriumKind, all_equilibria, case_label
 from .flow import IntegratorConfig, _cycle_seed, find_limit_cycle, \
     integrate
@@ -375,6 +377,7 @@ def cmd_bifurcation(args) -> int:
                         ("--hom-points", args.hom_points)):
         if count < 1:
             raise ParameterError(f"{flag} must be >= 1, got {count}")
+    _check_window(q, c, m_window, s_window)
     out = _out_dir(args)
     diagram = compute_diagram(q, c, m_window, s_window,
                               n_hopf=args.hopf_points,
@@ -416,6 +419,7 @@ def cmd_bifurcation(args) -> int:
 def cmd_basin(args) -> int:
     p = resolve_params(args)
     cfg = resolve_config(args)
+    _check_resolution(args.resolution)
     out = _out_dir(args)
     raster = compute_basins(p, args.resolution, cfg)
     fractions = basin_fractions(raster)
@@ -472,13 +476,17 @@ def cmd_sweep(args) -> int:
     base = resolve_params(args)
     cfg = resolve_config(args)
     axes = [_parse_sweep(s) for s in args.sweep]
-    out = _out_dir(args)
+    _check_resolution(args.resolution)
     names = [k for k, _ in axes]
+    # every point is checked before any is computed or written
+    grid = itertools.product(*(vals.tolist() for _, vals in axes))
+    points = [(x, validate_params(base._replace(**dict(zip(names, x)))))
+              for x in grid]
+    out = _out_dir(args)
     columns = names + ["region", "interior_fraction"]
     rows = []
     rasters = hashlib.sha256()
-    for point in itertools.product(*(vals.tolist() for _, vals in axes)):
-        p = validate_params(base._replace(**dict(zip(names, point))))
+    for point, p in points:
         region = region_classify(p, cfg)
         raster = compute_basins(p, args.resolution, cfg)
         rasters.update(raster.config_hash.encode())

@@ -70,8 +70,6 @@ _P5 = (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
 _P6 = (0.0, -282668133 / 205662961, 2019193451 / 616988883,
        -1453857185 / 822651844)
 _P7 = (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423)
-# The same, one row per stage (k1, k3..k7), for (6, n) weight arrays.
-_P = np.array((_P1, _P3, _P4, _P5, _P6, _P7))[:, :, None]
 
 # Successive return-map differences of one sign must shrink at least this
 # fast before a cycle is declared; a slow drift toward a boundary contour
@@ -190,6 +188,23 @@ def _dp_attempt(f, h, u0, v0, k1u, k1v):
                             k6u, k6v, k7u, k7v)
 
 
+def _dense(th, h, u0, v0, ks):
+    """Dense-output state at ``th`` (0..1) of the step of size ``h`` from
+    (u0, v0) whose stages ``ks`` are as ``_dp_attempt`` returns them.
+    Floats or equal-shape arrays, with the same bytes per element."""
+    k1u, k1v, k3u, k3v, k4u, k4v, k5u, k5v, k6u, k6v, k7u, k7v = ks
+    b1 = th * (_P1[0] + th * (_P1[1] + th * (_P1[2] + th * _P1[3])))
+    b3 = th * (_P3[0] + th * (_P3[1] + th * (_P3[2] + th * _P3[3])))
+    b4 = th * (_P4[0] + th * (_P4[1] + th * (_P4[2] + th * _P4[3])))
+    b5 = th * (_P5[0] + th * (_P5[1] + th * (_P5[2] + th * _P5[3])))
+    b6 = th * (_P6[0] + th * (_P6[1] + th * (_P6[2] + th * _P6[3])))
+    b7 = th * (_P7[0] + th * (_P7[1] + th * (_P7[2] + th * _P7[3])))
+    return (u0 + h * (b1 * k1u + b3 * k3u + b4 * k4u + b5 * k5u + b6 * k6u
+                      + b7 * k7u),
+            v0 + h * (b1 * k1v + b3 * k3v + b4 * k4v + b5 * k5v + b6 * k6v
+                      + b7 * k7v))
+
+
 def _initial_step(u, v, k1u, k1v, cfg: IntegratorConfig,
                   tau_end: float) -> float:
     scu = cfg.abs_tol + cfg.rel_tol * abs(u)
@@ -263,8 +278,11 @@ class _Stepper:
             if not math.isfinite(errn):
                 h *= 0.25
                 continue
+            # for errn > 1 the factor is below _SAFETY: only the floor binds
+            factor = (_MAX_FACTOR if errn == 0.0 else min(
+                _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * errn ** -0.2)))
             if errn > 1.0:
-                h *= max(_MIN_FACTOR, _SAFETY * errn ** -0.2)
+                h *= factor
                 continue
             if self.quadrant and (u5 < 0.0 or v5 < 0.0):
                 # endpoint left the quadrant: reject, do not clamp
@@ -277,31 +295,14 @@ class _Stepper:
         self.tau = self.tau + h
         self.u, self.v = u5, v5
         self.k1u, self.k1v = ks[10], ks[11]
-        if errn == 0.0:
-            factor = _MAX_FACTOR
-        else:
-            factor = min(_MAX_FACTOR, max(_MIN_FACTOR,
-                                          _SAFETY * errn ** -0.2))
         self.h = h * factor
         return True
 
     def state_at(self, tau_q: float) -> State:
         """Dense-output state inside the last accepted step."""
-        th = (tau_q - self.prev_tau) / self.h_last
-        (k1u, k1v, k3u, k3v, k4u, k4v, k5u, k5v, k6u, k6v,
-         k7u, k7v) = self.ks
-        b1 = th * (_P1[0] + th * (_P1[1] + th * (_P1[2] + th * _P1[3])))
-        b3 = th * (_P3[0] + th * (_P3[1] + th * (_P3[2] + th * _P3[3])))
-        b4 = th * (_P4[0] + th * (_P4[1] + th * (_P4[2] + th * _P4[3])))
-        b5 = th * (_P5[0] + th * (_P5[1] + th * (_P5[2] + th * _P5[3])))
-        b6 = th * (_P6[0] + th * (_P6[1] + th * (_P6[2] + th * _P6[3])))
-        b7 = th * (_P7[0] + th * (_P7[1] + th * (_P7[2] + th * _P7[3])))
         h = self.h_last
-        u = self.prev_u + h * (b1 * k1u + b3 * k3u + b4 * k4u + b5 * k5u
-                               + b6 * k6u + b7 * k7u)
-        v = self.prev_v + h * (b1 * k1v + b3 * k3v + b4 * k4v + b5 * k5v
-                               + b6 * k6v + b7 * k7v)
-        return u, v
+        return _dense((tau_q - self.prev_tau) / h, h, self.prev_u,
+                      self.prev_v, self.ks)
 
 
 class _EqTarget:
@@ -673,34 +674,25 @@ _POOL = 2048
 _ROWS = _QH + 1
 
 
-def _bisect_crossings(C: float, prev_tau, prev, h, K):
+def _bisect_crossings(C: float, prev_tau, pu, pv, h, ks):
     """``_refine_crossing`` on arrays, for upward crossings: the same
-    halvings of each step, with ``state_at``'s operations per element.
-    ``prev`` is (2, n), ``K`` the stages k1, k3..k7 as (6, 2, n).  Returns
-    crossing times and prey values.
+    halvings of each step, through the same ``_dense``.  ``ks`` holds the
+    stages as ``_dp_attempt`` returns them.  Returns crossing times and
+    prey values.
     """
-    def state_at(tau_q):
-        th = (tau_q - prev_tau) / h
-        b = th * (_P[:, 0] + th * (_P[:, 1] + th * (_P[:, 2] + th * _P[:, 3])))
-        terms = b[:, None, :] * K
-        acc = terms[0] + terms[1]
-        for term in terms[2:]:
-            acc += term
-        return prev + h * acc
-
     # A halving that moves neither end is a fixed point of the next ones,
     # so a cell whose bracket stops early keeps it to the last halving.
     lo, hi = prev_tau, prev_tau + h
     for _ in range(64):
         mid = 0.5 * (lo + hi)
-        u, v = state_at(mid)
+        u, v = _dense((mid - prev_tau) / h, h, pu, pv, ks)
         below = v - u - C < 0.0
         moved = below & (mid != lo) | ~below & (mid != hi)
         if not moved.any():
             break
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
-    return hi, state_at(hi)[0]
+    return hi, _dense((hi - prev_tau) / h, h, pu, pv, ks)[0]
 
 
 def _lockstep(ctx: _Context, seeds: np.ndarray,
@@ -762,8 +754,7 @@ def _lockstep(ctx: _Context, seeds: np.ndarray,
             return
         q = state[:, cols]
         ks = _dp_attempt(f, q[_QH], q[_QU], q[_QV], q[_QK1U], q[_QK1V])[4]
-        u_c = _bisect_crossings(C, q[_QT], q[_QU:_QK1U], q[_QH],
-                                np.stack(ks).reshape(6, 2, -1))[1]
+        u_c = _bisect_crossings(C, q[_QT], q[_QU], q[_QV], q[_QH], ks)[1]
         delta = u_c - q[_PCU]
         side = u_c > anchor
         cycle = side & ((lo < u_c) & (u_c < hi)

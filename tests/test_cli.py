@@ -346,6 +346,30 @@ def test_bifurcation_checks_its_out_dir_before_computing(tmp_path,
     assert "parameter error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    BIF + ["-Q", "nan"],
+    BIF + ["--m-window=-2,0.01"],
+    ["basin", *BASE, "--resolution", "0"],
+    ["sweep", *BASE, "--sweep", "S=0.1:0.12:2", "--resolution", "0"],
+    ["sweep", *BASE, "--sweep", "M=-2:0:3", "--resolution", "2"],
+    # the bad point last: the earlier ones are not computed either
+    ["sweep", *BASE, "--sweep", "M=0:-2:3", "--resolution", "2"],
+], ids=["bifurcation-Q", "bifurcation-window", "basin-resolution",
+        "sweep-resolution", "sweep-domain", "sweep-domain-last"])
+def test_bad_input_leaves_no_out_dir(argv, tmp_path, monkeypatch, capsys):
+    # every input is checked before the output directory is made
+    def never(*a, **k):
+        raise AssertionError("computed before every input was checked")
+
+    for name in ("compute_diagram", "compute_basins", "region_classify"):
+        monkeypatch.setattr(cli, name, never)
+    out_dir = tmp_path / "new" / "sub"
+    assert run(argv + ["--out-dir", str(out_dir)] + FAST_FLAGS) == 2
+    err = capsys.readouterr().err
+    assert "parameter error" in err
+    assert not (tmp_path / "new").exists()
+
+
 def test_headers_embed_configuration(tmp_path):
     run(["basin", "-M", "0.2", "-S", "0.3", "-Q", "0.9", "-C", "0.5",
          "--resolution", "5", "--seed", "7", "--out-dir", str(tmp_path)]

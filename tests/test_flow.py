@@ -20,7 +20,8 @@ from alleetanner import (
     jacobian,
 )
 from alleetanner.flow import (_bisect_crossings, _context, _cycle_found,
-                              _drive, _lockstep, _refine_crossing, _Stepper)
+                              _dense, _drive, _lockstep, _refine_crossing,
+                              _Stepper)
 from alleetanner.model import field_closure
 from alleetanner.stability import classify
 from alleetanner.equilibria import all_equilibria
@@ -286,9 +287,39 @@ def test_refine_crossing_equals_64_halvings(p, cfg, u0, v0):
                              stepper.h_last, *stepper.ks))
     if up_steps:
         a = np.array(up_steps).T
-        tau_c, u_c = _bisect_crossings(C, a[0], a[1:3], a[3],
-                                       a[4:].reshape(6, 2, -1))
+        tau_c, u_c = _bisect_crossings(C, a[0], a[1], a[2], a[3], a[4:])
         assert list(zip(tau_c.tolist(), u_c.tolist())) == up_want
+
+
+def _real_steps():
+    """(h, u0, v0, stages) of the first 30 accepted steps from two seeds
+    at the bistable and the cycle point."""
+    steps = []
+    for p in (BISTABLE, CYCLE_POINT):
+        for seed in ((0.3, 0.3), (0.6, 0.2)):
+            stepper = _Stepper(field_closure(p), seed, FAST_CFG, 1000.0)
+            for _ in range(30):
+                assert stepper.step()
+                steps.append((stepper.h_last, stepper.prev_u, stepper.prev_v,
+                              stepper.ks))
+    return steps
+
+
+_STEPS = _real_steps()
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), min_size=len(_STEPS),
+                max_size=len(_STEPS)))
+def test_dense_output_same_on_floats_and_arrays(ths):
+    # the stepper's dense output and the batch locator's are one function:
+    # each step's state at any theta has the same bytes alone or in a batch
+    want = [_dense(th, h, u0, v0, ks)
+            for th, (h, u0, v0, ks) in zip(ths, _STEPS)]
+    h, u0, v0 = (np.array(col) for col in zip(*(s[:3] for s in _STEPS)))
+    ks = np.array([s[3] for s in _STEPS]).T
+    got = _dense(np.array(ths), h, u0, v0, ks)
+    assert np.array(got).tobytes() == np.array(want).T.tobytes()
 
 
 def test_cycle_predicate_same_on_floats_and_arrays():

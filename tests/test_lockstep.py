@@ -310,7 +310,6 @@ def test_batch_bisection_equals_refine_crossing(p):
     # stepper's, bit for bit
     ks = np.stack(flow._dp_attempt(f, a[3], a[1], a[2], a[4], a[5])[4])
     assert ks.tobytes() == a[4:].tobytes()
-    tau_c, u_c = flow._bisect_crossings(p.C, a[0], a[1:3], a[3],
-                                        ks.reshape(6, 2, -1))
+    tau_c, u_c = flow._bisect_crossings(p.C, a[0], a[1], a[2], a[3], ks)
     assert len(want) >= 10
     assert list(zip(tau_c.tolist(), u_c.tolist())) == want
