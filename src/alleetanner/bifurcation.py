@@ -89,15 +89,15 @@ def hopf_locus(q: float, c: float, m_grid) -> np.ndarray:
     S_hopf is the trace-zero value of the largest interior root; points
     where no interior root exists or where the value is non-positive (the
     root is then stable for every S > 0) are dropped.  ParameterError
-    unless Q and C are finite and positive.
+    unless Q and C are finite and positive and every M lies in (-1, 1).
     """
     validate_params(Params(0.0, 1.0, q, c))
+    m_grid = np.asarray(m_grid, dtype=float)
+    for m in m_grid:
+        validate_params(Params(float(m), 1.0, q, c))
     pts = []
-    for m in np.asarray(m_grid, dtype=float):
-        if not -1.0 < m < 1.0:
-            continue
-        p = Params(m, 1.0, q, c)
-        s = hopf_threshold(p)
+    for m in m_grid:
+        s = hopf_threshold(Params(m, 1.0, q, c))
         if s is not None and s > 0.0:
             pts.append((m, s))
     return np.array(pts) if pts else np.empty((0, 2))

@@ -7,7 +7,8 @@ file + SVG + fractions CSV) and ``sweep`` (per-point region/fraction CSV).
 Parameters come from -M/-S/-Q/-C flags, from a key=value config file
 (``--params-file``, flags override the file), or in dimensional form via
 -r -s -q -n -K -m -c, which is nondimensionalized on the way in and the
-derived (M, S, Q, C) echoed.
+derived (M, S, Q, C) echoed.  A mix of the two forms, from the file and
+the flags together, is a parameter error.
 
 Exit codes: 0 success, 1 stdout closed early by its reader (``| head``),
 2 parameter error (every input is checked before anything is computed or
@@ -109,7 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.add_argument("--sweep", action="append", default=[],
                     metavar="PARAM=START:STOP:COUNT",
-                    help="swept axis, may be given twice")
+                    help="swept axis, may be given twice for two "
+                         "different parameters")
     sp.add_argument("--resolution", type=int, default=50,
                     help="basin resolution per sweep point")
     return ap
@@ -140,7 +142,10 @@ def _read_params_file(path: str) -> dict[str, float]:
 
 
 def resolve_params(args) -> Params:
-    """Merge config file and flags into a validated parameter vector."""
+    """Merge config file and flags into a validated parameter vector.
+
+    A flag overrides the file's value of the same parameter; a mix of the
+    nondimensional and the dimensional form is a ParameterError."""
     values = _read_params_file(args.params_file) if args.params_file else {}
     for key in Params._fields + DimensionalParams._fields:
         flag = getattr(args, key, None)
@@ -148,6 +153,10 @@ def resolve_params(args) -> Params:
             values[key] = flag
     have_nondim = [k for k in Params._fields if k in values]
     have_dim = [k for k in DimensionalParams._fields if k in values]
+    if have_nondim and have_dim:
+        raise ParameterError(
+            "give the nondimensional or the dimensional parameters, not both "
+            f"(got nondimensional {have_nondim}, dimensional {have_dim})")
     if len(have_nondim) == 4:
         return validate_params(Params(**{k: values[k] for k in have_nondim}))
     if len(have_dim) == 7:
@@ -478,6 +487,9 @@ def cmd_sweep(args) -> int:
     axes = [_parse_sweep(s) for s in args.sweep]
     _check_resolution(args.resolution)
     names = [k for k, _ in axes]
+    if len(set(names)) < len(names):
+        raise ParameterError(f"{names[0]} is swept twice; sweep each "
+                             "parameter once")
     # every point is checked before any is computed or written
     grid = itertools.product(*(vals.tolist() for _, vals in axes))
     points = [(x, validate_params(base._replace(**dict(zip(names, x)))))

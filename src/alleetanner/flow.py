@@ -364,16 +364,18 @@ def _context(p: Params) -> _Context:
     return _Context(p, field_closure(p), targets, anchor, attractors + 1)
 
 
-def _target_within(targets: list[_EqTarget], rho2: float, u: float,
-                   v: float, near: bool = True,
-                   trap: bool = False) -> _EqTarget | None:
-    """First target, in table order, that holds (u, v) within sqrt(rho2)
-    when ``near`` (a field norm below rho_eq there) or, with ``trap``,
-    strictly inside its trapping disc."""
-    for t in targets:
+def _arrival(targets: list[_EqTarget], discs: list[_EqTarget], rho2: float,
+             u: float, v: float, ku: float, kv: float) -> _EqTarget | None:
+    """The target that (u, v), with field (ku, kv), has reached: the first,
+    in table order, that holds it within sqrt(rho2) with a field norm
+    below sqrt(rho2) there, or strictly inside its trapping disc.
+    ``discs`` is every target with a disc, or empty when no disc may end
+    the march."""
+    near = ku * ku + kv * kv < rho2
+    for t in targets if near else discs:
         du, dv = u - t.u, v - t.v
         d2 = du * du + dv * dv
-        if near and d2 <= rho2 or trap and d2 < t.r2:
+        if near and d2 <= rho2 or discs and d2 < t.r2:
             return t
     return None
 
@@ -464,9 +466,7 @@ def _drive(ctx: _Context, s0: State, cfg: IntegratorConfig, *,
     u0, v0 = float(s0[0]), float(s0[1])
     exit_u, exit_v = _exit_box(u0, v0, C)
     rho2 = cfg.rho_eq * cfg.rho_eq
-    trap = not want_samples
-    # away from the rho_eq test's small field norm only a disc can end it
-    discs = [t for t in targets if t.r2 > 0.0] if trap else []
+    discs = [] if want_samples else [t for t in targets if t.r2 > 0.0]
 
     if resume is None:
         stepper = None
@@ -485,18 +485,10 @@ def _drive(ctx: _Context, s0: State, cfg: IntegratorConfig, *,
             states = np.array([[s[1], s[2]] for s in samples])
         return Trajectory(taus, states, term, eq_id, cycle)
 
-    def arrived(u, v, ku, kv):
-        """The target that (u, v), with field (ku, kv), has reached."""
-        near = ku * ku + kv * kv < rho2
-        if near or discs:
-            return _target_within(targets if near else discs, rho2, u, v,
-                                  near, trap)
-        return None
-
     if stepper is None:
         # the seed itself may already sit on an equilibrium
         try:
-            t = arrived(u0, v0, *ctx.f(u0, v0))
+            t = _arrival(targets, discs, rho2, u0, v0, *ctx.f(u0, v0))
         except ZeroDivisionError:
             return finish(Termination.STEP_UNDERFLOW)
         if t is not None:
@@ -511,7 +503,8 @@ def _drive(ctx: _Context, s0: State, cfg: IntegratorConfig, *,
             segment.append((u1, v1))
         if u1 > exit_u or v1 > exit_v:
             return finish(Termination.LEFT_DOMAIN)
-        t = arrived(u1, v1, stepper.k1u, stepper.k1v)
+        t = _arrival(targets, discs, rho2, u1, v1, stepper.k1u,
+                     stepper.k1v)
         if t is not None:
             return finish(Termination.REACHED_EQUILIBRIUM, t.id)
         if anchor is None:
@@ -714,11 +707,10 @@ def _lockstep(ctx: _Context, seeds: np.ndarray,
     tau_end, rtol, atol = cfg.tau_max, cfg.rel_tol, cfg.abs_tol
     discs = [t for t in targets if t.r2 > 0.0]
 
-    def arrive(live, near, u, v, idx):
-        """Label the cells of mask ``live`` that lie strictly inside a
-        target's trapping disc or, in mask ``near``, within rho_eq of it:
-        the first such target in table order, as ``_target_within`` does;
-        returns their mask."""
+    def arrive(live, u, v, ku, kv, idx):
+        """``_arrival`` on the cells of mask ``live``, with field (ku, kv):
+        labels those that reached a target and returns their mask."""
+        near = live & (ku * ku + kv * kv < rho2)
         free = live.copy()
         for t in targets if near.any() else discs:
             du, dv = u - t.u, v - t.v
@@ -733,8 +725,7 @@ def _lockstep(ctx: _Context, seeds: np.ndarray,
         us, vs = seeds[lo:hi, 0], seeds[lo:hi, 1]
         kus, kvs = f(us, vs)
         idx = np.arange(lo, hi)
-        keep = ~arrive(np.ones(hi - lo, dtype=bool),
-                       kus * kus + kvs * kvs < rho2, us, vs, idx)
+        keep = ~arrive(np.ones(hi - lo, dtype=bool), us, vs, kus, kvs, idx)
         block = np.full((_ROWS, hi - lo), math.nan)
         block[_TAU] = 0.0
         block[_U], block[_V], block[_K1U], block[_K1V] = us, vs, kus, kvs
@@ -808,9 +799,7 @@ def _lockstep(ctx: _Context, seeds: np.ndarray,
             left = acc & ((u5 > state[_XU]) | (v5 > state[_XV]))
             done |= left
             live = acc & ~left
-            near = live & (k7u * k7u + k7v * k7v < rho2)
-            if discs or near.any():
-                done |= arrive(live, near, u5, v5, cells)
+            done |= arrive(live, u5, v5, k7u, k7v, cells)
             if anchor is not None:
                 waiting = ~np.isnan(state[_QT])
                 g0 = v0 - u0 - C

@@ -29,8 +29,7 @@ import numpy as np
 # targets and the field come from flow._context) and _refine_section
 # (flow's section locator, under the name the tracer wraps)
 from .equilibria import Equilibrium, all_equilibria, interior_equilibria
-from .flow import IntegratorConfig, _Context, _context, _Stepper, \
-    _target_within
+from .flow import IntegratorConfig, _arrival, _Context, _context, _Stepper
 from .flow import _refine_crossing as _refine_section
 from .model import Params, State, _real_eigenvalues, _unit_eigenvector, \
     field_closure, jacobian, vector_field
@@ -147,14 +146,19 @@ class _TraceResult:
         self.crossing = None   # (tau, u, v) of first section crossing
 
 
-def _trace(ctx: _Context, base: State, seed: State, reverse: bool,
-           cfg: IntegratorConfig, max_arc: float,
-           section: bool) -> _TraceResult:
-    """March one branch until an event; with ``section``, stop at the first
-    crossing of v = u + C beyond the section's anchor, the only part of the
-    branch the gap reads."""
+def _trace(ctx: _Context, frame: tuple, kind: BranchKind,
+           direction: BranchDirection, cfg: IntegratorConfig,
+           max_arc: float = _MAX_ARC, section: bool = False) -> _TraceResult:
+    """Seed one branch of a saddle from its frame and march it until an
+    event; with ``section``, stop at the first crossing of v = u + C beyond
+    the section's anchor, the only part of the branch the gap reads."""
+    base, vs, vu = frame
+    vec = vs if kind is BranchKind.STABLE else vu
+    if direction is BranchDirection.DOWN_LEFT:
+        vec = -vec
+    seed = (base[0] + _SEED_OFFSET * vec[0], base[1] + _SEED_OFFSET * vec[1])
     res = _TraceResult()
-    if reverse:
+    if kind is BranchKind.STABLE:
         def f(u, v, _f0=ctx.f):
             du, dv = _f0(u, v)
             return -du, -dv
@@ -164,8 +168,10 @@ def _trace(ctx: _Context, base: State, seed: State, reverse: bool,
     u_hi = 1.0 + BOX_MARGIN
     v_hi = 1.0 + C + BOX_MARGIN
     rho2 = cfg.rho_eq * cfg.rho_eq
-    # the base is no target until the branch has escaped it
-    away = [t for t in ctx.targets if _target_within([t], rho2, *base) is None]
+    # the base is no target until the branch has escaped it; the field
+    # vanishes at an equilibrium
+    away = [t for t in ctx.targets
+            if _arrival([t], [], rho2, *base, 0.0, 0.0) is None]
     targets = away
     arc = 0.0
     res.points.append(seed)
@@ -190,13 +196,11 @@ def _trace(ctx: _Context, base: State, seed: State, reverse: bool,
         if u1 < -1e-9 or v1 < -1e-9 or u1 > u_hi or v1 > v_hi:
             res.termination = BranchTermination.LEFT_BOX
             return res
-        ku, kv = stepper.k1u, stepper.k1v
-        if ku * ku + kv * kv < rho2:
-            t = _target_within(targets, rho2, u1, v1)
-            if t is not None:
-                res.termination = BranchTermination.REACHED_EQUILIBRIUM
-                res.equilibrium_id = t.id
-                return res
+        t = _arrival(targets, [], rho2, u1, v1, stepper.k1u, stepper.k1v)
+        if t is not None:
+            res.termination = BranchTermination.REACHED_EQUILIBRIUM
+            res.equilibrium_id = t.id
+            return res
         if arc >= max_arc:
             res.termination = BranchTermination.ARC_BUDGET
             return res
@@ -218,25 +222,11 @@ def trace_manifold(p: Params, e: Equilibrium, kind: BranchKind,
     """
     ctx = _context(p)
     frame = _saddle_frame(p, e)
-    res = _branch(ctx, frame, kind, direction,
-                  cfg or IntegratorConfig(), max_arc)
+    res = _trace(ctx, frame, kind, direction, cfg or IntegratorConfig(),
+                 max_arc)
     return ManifoldBranch(e.id, frame[0], kind, direction,
                           np.array(res.points), np.array(res.arcs),
                           res.termination, res.equilibrium_id)
-
-
-def _branch(ctx: _Context, frame: tuple, kind: BranchKind,
-            direction: BranchDirection, cfg: IntegratorConfig,
-            max_arc: float = _MAX_ARC,
-            section: bool = False) -> _TraceResult:
-    """Seed one branch of a saddle from its frame and trace it."""
-    base, vs, vu = frame
-    vec = vs if kind is BranchKind.STABLE else vu
-    if direction is BranchDirection.DOWN_LEFT:
-        vec = -vec
-    seed = (base[0] + _SEED_OFFSET * vec[0], base[1] + _SEED_OFFSET * vec[1])
-    return _trace(ctx, base, seed, kind is BranchKind.STABLE, cfg, max_arc,
-                  section)
 
 
 def _interior_saddle(p: Params) -> Equilibrium:
@@ -263,8 +253,8 @@ def homoclinic_gap(p: Params, cfg: IntegratorConfig | None = None) -> float:
     frame = _saddle_frame(p, _interior_saddle(p))
     crossing_u = []
     for kind in (BranchKind.UNSTABLE, BranchKind.STABLE):
-        res = _branch(ctx, frame, kind, BranchDirection.UP_RIGHT, cfg,
-                      section=True)
+        res = _trace(ctx, frame, kind, BranchDirection.UP_RIGHT, cfg,
+                     section=True)
         if res.crossing is None:
             raise GapUndefinedError(
                 f"{kind.value} branch ended ({res.termination.value}) before "
@@ -320,8 +310,8 @@ def separatrix(p: Params, cfg: IntegratorConfig | None = None) -> Separatrix:
     ctx = _context(p)
     cfg = cfg or IntegratorConfig()
     frame = _saddle_frame(p, _interior_saddle(p))
-    down = _branch(ctx, frame, BranchKind.STABLE, BranchDirection.DOWN_LEFT,
-                   cfg)
-    up = _branch(ctx, frame, BranchKind.STABLE, BranchDirection.UP_RIGHT, cfg)
+    down = _trace(ctx, frame, BranchKind.STABLE, BranchDirection.DOWN_LEFT,
+                  cfg)
+    up = _trace(ctx, frame, BranchKind.STABLE, BranchDirection.UP_RIGHT, cfg)
     curve = np.vstack([down.points[::-1], [frame[0]], up.points])
     return Separatrix(_clip_to_unit_box(curve), frame[0])

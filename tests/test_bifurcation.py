@@ -6,6 +6,7 @@ import pytest
 from alleetanner import (
     AttractorTag,
     DegenerateSaddleNodeError,
+    GapUndefinedError,
     IntegratorConfig,
     Params,
     RegionLabel,
@@ -130,6 +131,34 @@ def test_region_guard_band():
     s_hopf = hopf_locus(0.45, 0.07, [0.04])[0][1]
     p_hopf = Params(0.04, float(s_hopf), 0.45, 0.07)
     assert region_classify(p_hopf, FAST) is RegionLabel.NEAR_LOCUS
+
+
+@pytest.mark.parametrize("q,c,m_window,floor", [
+    (0.5, 0.1, (-0.04, 0.01), 70),
+    (0.45, 0.07, (0.0, 0.06), 60),
+], ids=["Q0.5-C0.1", "Q0.45-C0.07"])
+def test_cycle_hunt_agrees_with_homoclinic_gap_sign(q, c, m_window, floor):
+    # below the Hopf value the stable cycle exists exactly where the
+    # unstable manifold of the saddle returns inside the stable one, so the
+    # hunt and the gap decide the same question by independent routes.  At
+    # the bifurcation command's FAST tolerances, with the default horizon a
+    # slowly attracted cycle needs, on its 16x12 cell centres
+    cfg = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-9, rho_eq=1e-5)
+    labels = []
+    for m in np.linspace(*m_window, 33)[1::2]:
+        for s in np.linspace(0.005, 0.15, 25)[1::2]:
+            p = Params(float(m), float(s), q, c)
+            region = region_classify(p, cfg)
+            if region not in (RegionLabel.CYCLE, RegionLabel.REPELLER):
+                continue
+            try:
+                gap = homoclinic_gap(p, cfg)
+            except GapUndefinedError:
+                continue
+            assert (gap < 0.0) == (region is RegionLabel.CYCLE), (p, gap)
+            labels.append(region)
+    assert len(labels) >= floor
+    assert set(labels) == {RegionLabel.CYCLE, RegionLabel.REPELLER}
 
 
 def test_sotomayor_transversality_nonzero():

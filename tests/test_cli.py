@@ -74,6 +74,9 @@ def test_classify_requires_complete_parameters():
 
 
 BASE = ["-M", "0.04", "-S", "0.12", "-Q", "0.45", "-C", "0.07"]
+# the same point in dimensional form
+DIMENSIONAL = ["-r", "2", "-s", "0.24", "-q", "0.9", "-n", "1", "-K", "1",
+               "-m", "0.04", "-c", "0.07"]
 BIF = ["bifurcation", "-Q", "0.5", "-C", "0.1"]
 
 
@@ -134,6 +137,18 @@ def test_classify_dimensional_mode(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "nondimensional: M=0.04 S=0.5 Q=0.45 C=0.07" in out.splitlines()[0]
+
+
+def test_params_file_and_dimensional_flags_do_not_mix(tmp_path, capsys):
+    # neither form may silently win over the other
+    cfgfile = tmp_path / "params.txt"
+    cfgfile.write_text("M=0.04\nS=0.12\nQ=0.45\nC=0.07\n")
+    assert run(["classify", "--params-file", str(cfgfile),
+                *DIMENSIONAL]) == 2
+    captured = capsys.readouterr()
+    assert "nondimensional ['M', 'S', 'Q', 'C']" in captured.err
+    assert "dimensional ['r', 's', 'q', 'n', 'K', 'm', 'c']" in captured.err
+    assert captured.out == ""
 
 
 def test_params_file_with_flag_override(tmp_path, capsys):
@@ -354,8 +369,12 @@ def test_bifurcation_checks_its_out_dir_before_computing(tmp_path,
     ["sweep", *BASE, "--sweep", "M=-2:0:3", "--resolution", "2"],
     # the bad point last: the earlier ones are not computed either
     ["sweep", *BASE, "--sweep", "M=0:-2:3", "--resolution", "2"],
+    ["sweep", *BASE, "--sweep", "M=0.03:0.04:2", "--sweep", "M=0.01:0.02:2",
+     "--resolution", "2"],
+    ["basin", *BASE, *DIMENSIONAL],
 ], ids=["bifurcation-Q", "bifurcation-window", "basin-resolution",
-        "sweep-resolution", "sweep-domain", "sweep-domain-last"])
+        "sweep-resolution", "sweep-domain", "sweep-domain-last",
+        "sweep-twice", "mixed-forms"])
 def test_bad_input_leaves_no_out_dir(argv, tmp_path, monkeypatch, capsys):
     # every input is checked before the output directory is made
     def never(*a, **k):

@@ -148,9 +148,9 @@ def test_section_trace_ends_at_first_crossing():
     e = saddle_of(p)
     vs, vu = saddle_directions(p, e)
     base = manifolds._newton_polish(p, e.location)
-    for vec, reverse in ((vu, False), (vs, True)):
-        seed = (base[0] + 1e-6 * vec[0], base[1] + 1e-6 * vec[1])
-        res = manifolds._trace(ctx, base, seed, reverse, cfg, 100.0, True)
+    for kind in (BranchKind.UNSTABLE, BranchKind.STABLE):
+        res = manifolds._trace(ctx, (base, vs, vu), kind,
+                               BranchDirection.UP_RIGHT, cfg, 100.0, True)
         (u0, v0), (u1, v1) = res.points[-2:]
         assert (v0 - u0 - p.C < 0.0) != (v1 - u1 - p.C < 0.0)
         assert res.crossing[1] > ctx.anchor

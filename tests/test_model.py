@@ -88,12 +88,13 @@ def test_nondimensionalize_rejects_allee_outside_range():
     lambda: bt_point(0.5, -0.1),
     lambda: hopf_locus(-1.0, 0.1, [0.0]),
     lambda: hopf_locus(0.5, math.nan, [0.0]),
+    lambda: hopf_locus(0.5, 0.1, [0.0, 1.2]),
 ], ids=["basins", "basins-reversed-u", "basins-empty-v", "basins-nan-bound",
         "basins-inf-bound", "region-M", "region-S", "diagram", "gap",
         "separatrix", "locus-M", "locus-Q", "basins-float-resolution",
         "basins-str-resolution", "omega-S", "integrate-M", "cycle-Q",
         "trace-C", "saddle-node-C", "saddle-node-Q", "bt-C", "hopf-Q",
-        "hopf-C"])
+        "hopf-C", "hopf-M"])
 def test_library_entries_reject_points_outside_the_domain(call):
     with pytest.raises(ParameterError):
         call()
