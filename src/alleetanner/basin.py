@@ -29,8 +29,7 @@ import operator
 import os
 import struct
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__, flow
 from .equilibria import all_equilibria
@@ -40,6 +39,9 @@ from .flow import IntegratorConfig, _context, _section_interval, \
     classify_omega_limit
 from .manifolds import Separatrix
 from .model import ParameterError, Params, validate_params
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MAGIC = b"PPBASIN1"
 FORMAT_VERSION = 1
@@ -69,6 +71,7 @@ class BasinRaster:
 
     @property
     def undecided_fraction(self) -> float:
+        import numpy as np
         return float(np.count_nonzero(self.labels == 0) / self.labels.size)
 
     def cell_width(self) -> tuple[float, float]:
@@ -133,6 +136,7 @@ def compute_basins(p: Params, resolution: int,
     configuration hash is loaded instead of recomputed; an entry that
     fails to load is recomputed and replaced.
     """
+    import numpy as np
     ctx = _context(p)
     resolution = _check_resolution(resolution)
     _check_bounds(bounds)
@@ -215,6 +219,8 @@ def _split_lockstep(ctx, seeds: np.ndarray,
         return flow._lockstep(ctx, seeds, cfg)
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
+
+    import numpy as np
     labels = np.empty(len(seeds), dtype=np.uint8)
     # leaving the block joins every worker, also when a part raised
     with ProcessPoolExecutor(k, mp_context=get_context("fork"),
@@ -227,6 +233,7 @@ def _split_lockstep(ctx, seeds: np.ndarray,
 
 def basin_fractions(raster: BasinRaster) -> dict[str, float]:
     """Fraction of cells per attractor id (plus 'undecided'); sums to 1."""
+    import numpy as np
     total = raster.labels.size
     out = {"undecided": float(np.count_nonzero(raster.labels == 0) / total)}
     for info in raster.attractors:
@@ -237,6 +244,7 @@ def basin_fractions(raster: BasinRaster) -> dict[str, float]:
 
 def boundary_cells(raster: BasinRaster) -> np.ndarray:
     """Centers of labeled cells with a differently-labeled 4-neighbor."""
+    import numpy as np
     lab = raster.labels
     diff = np.zeros_like(lab, dtype=bool)
     diff[:-1, :] |= lab[:-1, :] != lab[1:, :]
@@ -252,6 +260,7 @@ def boundary_cells(raster: BasinRaster) -> np.ndarray:
 
 def _dist_to_polyline(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
     """Min distance from each point to a polyline, vectorized per segment."""
+    import numpy as np
     a = poly[:-1]
     b = poly[1:]
     ab = b - a
@@ -273,6 +282,7 @@ def boundary_vs_separatrix(raster: BasinRaster, sep: Separatrix) -> float:
     One-sided (boundary cells toward the polyline).  Rejects rasters that
     do not actually contain two distinct basins.
     """
+    import numpy as np
     present = {int(c) for c in np.unique(raster.labels)} - {0}
     if len(present) < 2:
         raise ValueError("raster has fewer than two distinct basins")
@@ -329,6 +339,7 @@ def _attractor_info(a) -> AttractorInfo:
 
 def load_raster(path: str) -> BasinRaster:
     """Read a raster file, rejecting any that is malformed."""
+    import numpy as np
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:8] != MAGIC:

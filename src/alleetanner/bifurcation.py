@@ -24,8 +24,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .equilibria import CaseLabel, case_label
 from .flow import IntegratorConfig, _cycle_seed, find_limit_cycle
 from .manifolds import GapUndefinedError, homoclinic_gap
@@ -36,6 +34,34 @@ from .stability import hopf_threshold, is_global_extinction
 _GAP_TOL = 1e-6      # |gap| at which the root solve returns its iterate
 _SCAN_POINTS = 12    # gap evaluations in the fallback bracket scan
 _MIN_STEP = 1e-2     # least first step out of the predictor, in S/S_hopf
+
+
+def linspace(a: float, b: float, n: int) -> list[float]:
+    """``n`` evenly spaced floats from ``a`` to ``b``, both ends included:
+    np.linspace's values bit for bit, without numpy.  Point i is
+    i*step + a, or (i/div)*delta + a when the step rounds to 0, and the
+    last point is ``b`` itself."""
+    a, b = float(a), float(b)
+    div = max(n - 1, 1)
+    delta = b - a
+    step = delta / div
+    if step == 0.0:
+        out = [i / div * delta + a for i in range(n)]
+    else:
+        out = [i * step + a for i in range(n)]
+    if n > 1:
+        out[-1] = b
+    return out
+
+
+# Shares of S_hopf that the bracket scan probes, from the top down:
+# 1 - np.geomspace(1e-4, 0.9, _SCAN_POINTS), as numpy builds it, with powers
+# of ten over a linspace of the logarithms and both ends pinned.  Near the
+# Bogdanov-Takens point the homoclinic value hugs the Hopf value from below,
+# so they are geometrically dense near 1.
+_SCAN_FRACS = [1.0 - 10.0 ** x for x in linspace(
+    math.log10(1e-4), math.log10(0.9), _SCAN_POINTS)]
+_SCAN_FRACS[0], _SCAN_FRACS[-1] = 1.0 - 1e-4, 1.0 - 0.9
 
 
 class DegenerateSaddleNodeError(RuntimeError):
@@ -59,7 +85,7 @@ class BifurcationDiagram:
     s_window: tuple[float, float]
     sn: list[float]                        # saddle-node M* values in window
     bt: tuple[float, float] | None         # (M*, S2)
-    hopf: np.ndarray                       # (k, 2) of (M, S)
+    hopf: list[tuple[float, float]]        # (M, S) polyline
     hom: list[tuple[float, float | None]]  # (M, S) with None for no root
 
 
@@ -83,8 +109,9 @@ def bt_point(q: float, c: float) -> tuple[float, float]:
     raise ValueError(f"no admissible fold point for Q={q}, C={c}")
 
 
-def hopf_locus(q: float, c: float, m_grid) -> np.ndarray:
-    """Polyline of (M, S_hopf(M)) over the grid; undefined points omitted.
+def hopf_locus(q: float, c: float, m_grid) -> list[tuple[float, float]]:
+    """Polyline of float (M, S_hopf(M)) pairs over the grid; undefined
+    points omitted.
 
     S_hopf is the trace-zero value of the largest interior root; points
     where no interior root exists or where the value is non-positive (the
@@ -92,15 +119,15 @@ def hopf_locus(q: float, c: float, m_grid) -> np.ndarray:
     unless Q and C are finite and positive and every M lies in (-1, 1).
     """
     validate_params(Params(0.0, 1.0, q, c))
-    m_grid = np.asarray(m_grid, dtype=float)
+    m_grid = [float(m) for m in m_grid]
     for m in m_grid:
-        validate_params(Params(float(m), 1.0, q, c))
+        validate_params(Params(m, 1.0, q, c))
     pts = []
     for m in m_grid:
         s = hopf_threshold(Params(m, 1.0, q, c))
         if s is not None and s > 0.0:
             pts.append((m, s))
-    return np.array(pts) if pts else np.empty((0, 2))
+    return pts
 
 
 def homoclinic_locus(q: float, c: float, m_grid,
@@ -117,16 +144,16 @@ def homoclinic_locus(q: float, c: float, m_grid,
     on the grid points solved before it.  Failures (no saddle, no bracket,
     branch escapes) are recorded as (M, None), never fabricated.
     """
-    m_grid = np.asarray(m_grid, dtype=float)
+    m_grid = [float(m) for m in m_grid]
     for m in m_grid:
-        validate_params(Params(float(m), 1.0, q, c))
+        validate_params(Params(m, 1.0, q, c))
     cfg = cfg or IntegratorConfig()
     out: list[tuple[float, float | None]] = []
     roots: list[_Root] = []   # the last two converged points, in order
     for m in m_grid:
-        root = _hom_root(float(m), q, c, cfg, roots)
+        root = _hom_root(m, q, c, cfg, roots)
         roots = roots[-1:] + [root] if root is not None else []
-        out.append((float(m), None if root is None else root.s))
+        out.append((m, None if root is None else root.s))
     return out
 
 
@@ -135,7 +162,9 @@ class _Root:
     m: float
     s: float
     frac: float        # s / S_hopf(m)
-    upper: bool        # the gap is positive above the root
+    # the gap is positive above the root; None when no probe beside it
+    # told the side
+    upper: bool | None
 
 
 def _hom_root(m: float, q: float, c: float, cfg: IntegratorConfig,
@@ -158,17 +187,15 @@ def _hom_root(m: float, q: float, c: float, cfg: IntegratorConfig,
         except GapUndefinedError:
             return None
 
-    # near the Bogdanov-Takens point the homoclinic value hugs the Hopf
-    # value from below, so the scan is geometrically dense near S_hopf
-    fracs = 1.0 - np.geomspace(1e-4, 0.9, _SCAN_POINTS)
-    found = _continue_bracket(probe, m, s_hopf, float(fracs[-1]),
-                              float(fracs[0]), roots) if roots else None
+    found = _continue_bracket(probe, m, s_hopf, _SCAN_FRACS[-1],
+                              _SCAN_FRACS[0], roots) if roots else None
     if found is None:
-        found = _scan_bracket(probe, s_hopf, fracs)
+        found = _scan_bracket(probe, s_hopf)
     if found is None:
         return None
-    if isinstance(found, float):   # a probe landed inside the tolerance
-        return _Root(m, found, found / s_hopf, roots[-1].upper)
+    if len(found) == 2:   # a probe landed inside the tolerance
+        s, upper = found
+        return _Root(m, s, s / s_hopf, upper)
     try:
         s = _illinois(gap, *found)
     except GapUndefinedError:
@@ -180,30 +207,36 @@ def _hom_root(m: float, q: float, c: float, cfg: IntegratorConfig,
 
 
 _Bracket = tuple[float, float, float, float]   # (a, gap(a), b, gap(b))
+_Hit = tuple[float, bool | None]   # (S, _Root.upper) of a probe inside tol
 
 
-def _scan_bracket(probe, s_hopf: float, fracs) -> _Bracket | None:
+def _scan_bracket(probe, s_hopf: float) -> _Bracket | _Hit | None:
     """The first sign change of the gap scanning S down from the Hopf
-    value."""
+    value, or the first probe inside the gap tolerance, whose side comes
+    from the defined probe above it."""
     prev = None  # (S, gap)
-    for fr in fracs:
+    for fr in _SCAN_FRACS:
         s = float(fr * s_hopf)
         g = probe(s)
-        if g is not None and prev is not None and g * prev[1] < 0.0:
+        if g is None:
+            continue
+        if abs(g) < _GAP_TOL:
+            return s, None if prev is None else prev[1] > 0.0
+        if prev is not None and g * prev[1] < 0.0:
             return prev[0], prev[1], s, g
-        if g is not None:
-            prev = (s, g)
+        prev = (s, g)
     return None
 
 
 def _continue_bracket(probe, m: float, s_hopf: float, lo: float, hi: float,
-                      roots: list[_Root]) -> _Bracket | float | None:
+                      roots: list[_Root]) -> _Bracket | _Hit | None:
     """A bracket found by stepping outward from the secant predictor
     through the last two roots, with S in units of S_hopf kept in [lo, hi].
 
-    Returns an S directly when a probe lands inside the gap tolerance,
-    and None, which sends the caller to the scan, when a gap is undefined
-    or the steps reach lo or hi without a sign change.
+    Returns a hit, with the last root's side, when a probe lands inside
+    the gap tolerance, and None, which sends the caller to the scan, when
+    a gap is undefined or the steps reach lo or hi without a sign change.
+    With no known side the first step goes up.
     """
     last = roots[-1]
     frac = last.frac
@@ -215,7 +248,7 @@ def _continue_bracket(probe, m: float, s_hopf: float, lo: float, hi: float,
     if g0 is None:
         return None
     if abs(g0) < _GAP_TOL:
-        return frac * s_hopf
+        return frac * s_hopf, last.upper
     # the root lies on the side where the gap has the other sign; the
     # first step is half the predictor's own move from the last root
     step = max(0.5 * abs(frac - last.frac), _MIN_STEP)
@@ -229,7 +262,7 @@ def _continue_bracket(probe, m: float, s_hopf: float, lo: float, hi: float,
         if g1 is None:
             return None
         if abs(g1) < _GAP_TOL:
-            return nxt * s_hopf
+            return nxt * s_hopf, last.upper
         if g0 * g1 < 0.0:
             return frac * s_hopf, g0, nxt * s_hopf, g1
         frac, g0, step = nxt, g1, 2.0 * step
@@ -325,20 +358,23 @@ def sotomayor_check(q: float, c: float, s: float = 0.2,
         raise DegenerateSaddleNodeError(
             "zero eigenvalue is not simple (both eigenvalues vanish)")
     # J and its transpose share the eigenvalue lam0
-    U = _unit_eigenvector(J, lam0)
-    if math.hypot(*(J @ U)) > 1e-8:
+    (j11, j12), (j21, j22) = J
+    U1, U2 = _unit_eigenvector(J, lam0)
+    if math.hypot(j11 * U1 + j12 * U2, j21 * U1 + j22 * U2) > 1e-8:
         raise DegenerateSaddleNodeError("kernel vector residual too large")
-    W = _unit_eigenvector(J.T, lam0)
-    if math.hypot(*(J.T @ W)) > 1e-8:
+    w1, w2 = _unit_eigenvector(((j11, j21), (j12, j22)), lam0)
+    if math.hypot(j11 * w1 + j21 * w2, j12 * w1 + j22 * w2) > 1e-8:
         raise DegenerateSaddleNodeError("left kernel vector residual too large")
 
     u, v = x
     r = v / (u + c)
-    # Hessians of u((1 - u)(u - M) - Qv) and S v (u - v + C)/(u + C)
-    h1 = np.array([[2.0 * (1.0 + m) - 6.0 * u, -q], [-q, 0.0]])
-    h2 = 2.0 * s / (u + c) * np.array([[-r * r, r], [r, -1.0]])
-    t1 = float(W[0] * (-u * v))
-    t2 = float(W @ (U @ h1 @ U, U @ h2 @ U))
+    k = 2.0 * s / (u + c)
+    # U . H U for the Hessians of u((1 - u)(u - M) - Qv), [[h, -q], [-q, 0]],
+    # and of S v (u - v + C)/(u + C), k [[-r^2, r], [r, -1]]
+    h = 2.0 * (1.0 + m) - 6.0 * u
+    t1 = w1 * (-u * v)
+    t2 = (w1 * (U1 * (h * U1 - q * U2) - q * U2 * U1)
+          + w2 * k * (U1 * (r * U2 - r * r * U1) + U2 * (r * U1 - U2)))
     return t1, t2
 
 
@@ -363,10 +399,9 @@ def compute_diagram(q: float, c: float,
         bt = bt_point(q, c)
     except ValueError:
         bt = None
-    m_hopf = np.linspace(m_window[0], m_window[1], n_hopf)
-    hopf = hopf_locus(q, c, m_hopf)
-    if len(hopf):
-        hopf = hopf[(hopf[:, 1] >= s_window[0]) & (hopf[:, 1] <= s_window[1])]
-    m_hom = np.linspace(m_window[0], m_window[1], n_hom)
-    hom = homoclinic_locus(q, c, m_hom, cfg)
+    hopf = [(m, s) for m, s in hopf_locus(
+        q, c, linspace(m_window[0], m_window[1], n_hopf))
+        if s_window[0] <= s <= s_window[1]]
+    hom = homoclinic_locus(q, c, linspace(m_window[0], m_window[1], n_hom),
+                           cfg)
     return BifurcationDiagram(q, c, m_window, s_window, sn, bt, hopf, hom)

@@ -28,12 +28,11 @@ import os
 import sys
 from dataclasses import fields
 
-import numpy as np
-
 from . import __version__
 from .basin import _check_resolution, basin_fractions, compute_basins, \
     inputs_hash, save_raster
-from .bifurcation import _check_window, compute_diagram, region_classify
+from .bifurcation import _check_window, compute_diagram, linspace, \
+    region_classify
 from .equilibria import EquilibriumKind, all_equilibria, case_label
 from .flow import IntegratorConfig, _cycle_seed, find_limit_cycle, \
     integrate
@@ -204,15 +203,15 @@ def _header_lines(args, p: Params | None, cfg: IntegratorConfig,
 
 def _write_csv(path: str, header_lines: list[str], columns: list[str],
                rows) -> None:
-    """A float, NumPy's included, is written as ``repr(float(x))``; any
-    other value with ``str``."""
+    """A float, NumPy's float64 included (a subclass of float), is written
+    as ``repr(float(x))``; any other value with ``str``."""
     with open(path, "w") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
         fh.write(",".join(columns) + "\n")
         for row in rows:
             fh.write(",".join(
-                repr(float(x)) if isinstance(x, (float, np.floating))
+                repr(float(x)) if isinstance(x, float)
                 else str(x) for x in row) + "\n")
 
 
@@ -309,9 +308,11 @@ def _orbit_seeds(window, n: int):
 
 
 def portrait_data(p: Params, cfg: IntegratorConfig, window, n_orbits: int):
-    """Curves and glyph list for a portrait; shared by SVG and CSV."""
+    """Curves, each an (N, 2) array, and the glyph list for a portrait;
+    shared by SVG and CSV."""
+    import numpy as np
     (u0, u1), _ = window
-    curves: dict[str, np.ndarray] = {}
+    curves = {}
     us = np.linspace(max(0.0, u0), min(1.0, u1), 201)
     curves["prey_nullcline"] = np.column_stack(
         [us, (1.0 - us) * (us - p.M) / p.Q])
@@ -328,7 +329,7 @@ def portrait_data(p: Params, cfg: IntegratorConfig, window, n_orbits: int):
     if seed is not None:
         cyc = find_limit_cycle(p, seed, cfg)
         if cyc is not None:
-            curves["cycle"] = cyc.polyline
+            curves["cycle"] = np.array(cyc.polyline)
     for k, seed in enumerate(_orbit_seeds(window, n_orbits)):
         tr = integrate(p, seed, cfg)
         curves[f"orbit_{k}"] = tr.states
@@ -409,10 +410,9 @@ def cmd_bifurcation(args) -> int:
         print(f"warning: no homoclinic S found at {n_fail} of "
               f"{len(diagram.hom)} grid points", file=sys.stderr)
     grid = []
-    for m in np.linspace(m_window[0], m_window[1], nm * 2 + 1)[1::2]:
-        for s in np.linspace(s_window[0], s_window[1], ns * 2 + 1)[1::2]:
-            p = Params(float(m), float(s), q, c)
-            grid.append((float(m), float(s), region_classify(p, cfg)))
+    for m in linspace(m_window[0], m_window[1], nm * 2 + 1)[1::2]:
+        for s in linspace(s_window[0], s_window[1], ns * 2 + 1)[1::2]:
+            grid.append((m, s, region_classify(Params(m, s, q, c), cfg)))
     _write_csv(os.path.join(out, "regions.csv"), header,
                ["M", "S", "region"],
                [(m, s, lab.value) for m, s, lab in grid])
@@ -457,7 +457,7 @@ def cmd_basin(args) -> int:
 
 # ------------------------------------------------------------------ sweep
 
-def _parse_sweep(spec: str) -> tuple[str, np.ndarray]:
+def _parse_sweep(spec: str) -> tuple[str, list[float]]:
     try:
         key, rng = spec.split("=", 1)
         start, stop, count = rng.split(":")
@@ -468,7 +468,7 @@ def _parse_sweep(spec: str) -> tuple[str, np.ndarray]:
         n = int(count)
         if n < 1:
             raise ValueError(f"count must be >= 1, got {n}")
-        return key, np.linspace(float(start), float(stop), n)
+        return key, linspace(float(start), float(stop), n)
     except ValueError as exc:
         raise ParameterError(f"bad sweep spec {spec!r}: {exc}")
 
@@ -491,7 +491,7 @@ def cmd_sweep(args) -> int:
         raise ParameterError(f"{names[0]} is swept twice; sweep each "
                              "parameter once")
     # every point is checked before any is computed or written
-    grid = itertools.product(*(vals.tolist() for _, vals in axes))
+    grid = itertools.product(*(vals for _, vals in axes))
     points = [(x, validate_params(base._replace(**dict(zip(names, x)))))
               for x in grid]
     out = _out_dir(args)

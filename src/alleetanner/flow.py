@@ -37,14 +37,15 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .equilibria import EquilibriumKind, all_equilibria, interior_equilibria
 from .model import ParameterError, Params, State, field_closure, \
     validate_params
 from .stability import classify, trapping_radius
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Dormand-Prince 5(4) tableau.
 _A21 = 1 / 5
@@ -137,7 +138,7 @@ class AttractorLabel:
 @dataclass(frozen=True)
 class Cycle:
     period: float
-    polyline: np.ndarray          # closed (N, 2) loop of states
+    polyline: list[State]         # closed loop of (u, v) states
     crossing: State               # section crossing point on v = u + C
     # last return-map difference |P(x) - x|, not a bound on the distance to
     # the cycle (see find_limit_cycle)
@@ -481,6 +482,7 @@ def _drive(ctx: _Context, s0: State, cfg: IntegratorConfig, *,
     def finish(term, eq_id=None, cycle=None):
         taus = states = None
         if want_samples:
+            import numpy as np
             taus = np.array([s[0] for s in samples])
             states = np.array([[s[1], s[2]] for s in samples])
         return Trajectory(taus, states, term, eq_id, cycle)
@@ -522,7 +524,7 @@ def _drive(ctx: _Context, s0: State, cfg: IntegratorConfig, *,
         if _cycle_found(delta, prev_delta, u_c, anchor, cfg):
             segment.append((u_c, u_c + C))
             return finish(Termination.REACHED_CYCLE, cycle=Cycle(
-                tau_c - prev_cross_tau, np.array(segment), (u_c, u_c + C),
+                tau_c - prev_cross_tau, segment, (u_c, u_c + C),
                 abs(delta)))
         prev_cross_u, prev_cross_tau, prev_delta = u_c, tau_c, delta
         segment = [(u_c, u_c + C)]
@@ -673,6 +675,7 @@ def _bisect_crossings(C: float, prev_tau, pu, pv, h, ks):
     stages as ``_dp_attempt`` returns them.  Returns crossing times and
     prey values.
     """
+    import numpy as np
     # A halving that moves neither end is a fixed point of the next ones,
     # so a cell whose bracket stops early keeps it to the last halving.
     lo, hi = prev_tau, prev_tau + h
@@ -699,6 +702,7 @@ def _lockstep(ctx: _Context, seeds: np.ndarray,
     to :func:`classify_omega_limit` cell by cell, byte for byte, when
     ``ctx`` carries the interval that function builds.
     """
+    import numpy as np
     n = len(seeds)
     labels = np.zeros(n, dtype=np.uint8)
     f, targets, anchor, C = ctx.f, ctx.targets, ctx.anchor, ctx.p.C

@@ -21,8 +21,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 # perfbench/tracing.py counts calls by rebinding names in this module, so
 # these stay bound: all_equilibria and field_closure (not called here, the
@@ -31,9 +30,12 @@ import numpy as np
 from .equilibria import Equilibrium, all_equilibria, interior_equilibria
 from .flow import IntegratorConfig, _arrival, _Context, _context, _Stepper
 from .flow import _refine_crossing as _refine_section
-from .model import Params, State, _real_eigenvalues, _unit_eigenvector, \
-    field_closure, jacobian, vector_field
+from .model import Matrix, Params, State, _real_eigenvalues, \
+    _unit_eigenvector, field_closure, jacobian, vector_field
 from .stability import StabilityTag, classify
+
+if TYPE_CHECKING:
+    import numpy as np
 
 BOX_MARGIN = 0.05          # enlargement of the trapping box for clipping
 _EIG_RESIDUAL = 1e-10
@@ -84,8 +86,7 @@ class Separatrix:
     saddle: State
 
 
-def _saddle_eigvecs(J: np.ndarray) -> tuple[np.ndarray, np.ndarray,
-                                            float, float]:
+def _saddle_eigvecs(J: Matrix) -> tuple[State, State, float, float]:
     """(stable vec, unstable vec, stable eigval, unstable eigval) of a 2x2.
 
     Raises ValueError unless the eigenvalues are real with opposite signs.
@@ -95,20 +96,20 @@ def _saddle_eigvecs(J: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     lams = _real_eigenvalues(J)
     if not lams[0] < 0.0 < lams[1]:
         raise ValueError(f"eigenvalues {lams} do not straddle zero")
+    (a, b), (c, d) = J
     out = []
     for lam in lams:
-        v = _unit_eigenvector(J, lam)
-        if v[0] < 0.0 or (v[0] == 0.0 and v[1] < 0.0):
-            v = -v
-        resid = math.hypot(*(J @ v - lam * v))
+        x, y = _unit_eigenvector(J, lam)
+        if x < 0.0 or (x == 0.0 and y < 0.0):
+            x, y = -x, -y
+        resid = math.hypot(a * x + b * y - lam * x, c * x + d * y - lam * y)
         if resid > _EIG_RESIDUAL:
             raise ValueError(f"eigenvector residual {resid:.2e} too large")
-        out.append(v)
+        out.append((x, y))
     return out[0], out[1], lams[0], lams[1]
 
 
-def saddle_directions(p: Params, e: Equilibrium) -> tuple[np.ndarray,
-                                                          np.ndarray]:
+def saddle_directions(p: Params, e: Equilibrium) -> tuple[State, State]:
     """Unit stable and unstable eigenvectors of the Jacobian at a saddle."""
     if classify(p, e).tag is not StabilityTag.SADDLE:
         raise ValueError(f"{e.id} at {e.location} is not a saddle")
@@ -119,7 +120,7 @@ def saddle_directions(p: Params, e: Equilibrium) -> tuple[np.ndarray,
 def _newton_polish(p: Params, x: State) -> State:
     """One Newton step of the field onto the exact equilibrium, by
     Cramer's rule; ``x`` itself when the Jacobian is singular."""
-    (a, b), (c, d) = jacobian(p, x).tolist()
+    (a, b), (c, d) = jacobian(p, x)
     det = a * d - b * c
     if det == 0.0:
         return x
@@ -127,8 +128,7 @@ def _newton_polish(p: Params, x: State) -> State:
     return x[0] - (fu * d - b * fv) / det, x[1] - (a * fv - c * fu) / det
 
 
-def _saddle_frame(p: Params, e: Equilibrium) -> tuple[State, np.ndarray,
-                                                      np.ndarray]:
+def _saddle_frame(p: Params, e: Equilibrium) -> tuple[State, State, State]:
     """The saddle's polished base and its unit stable and unstable vectors."""
     vs, vu = saddle_directions(p, e)
     return _newton_polish(p, e.location), vs, vu
@@ -153,10 +153,10 @@ def _trace(ctx: _Context, frame: tuple, kind: BranchKind,
     event; with ``section``, stop at the first crossing of v = u + C beyond
     the section's anchor, the only part of the branch the gap reads."""
     base, vs, vu = frame
-    vec = vs if kind is BranchKind.STABLE else vu
+    x, y = vs if kind is BranchKind.STABLE else vu
     if direction is BranchDirection.DOWN_LEFT:
-        vec = -vec
-    seed = (base[0] + _SEED_OFFSET * vec[0], base[1] + _SEED_OFFSET * vec[1])
+        x, y = -x, -y
+    seed = (base[0] + _SEED_OFFSET * x, base[1] + _SEED_OFFSET * y)
     res = _TraceResult()
     if kind is BranchKind.STABLE:
         def f(u, v, _f0=ctx.f):
@@ -220,6 +220,7 @@ def trace_manifold(p: Params, e: Equilibrium, kind: BranchKind,
     field.  Budget exhaustion is flagged and the partial polyline
     returned.
     """
+    import numpy as np
     ctx = _context(p)
     frame = _saddle_frame(p, e)
     res = _trace(ctx, frame, kind, direction, cfg or IntegratorConfig(),
@@ -265,6 +266,8 @@ def homoclinic_gap(p: Params, cfg: IntegratorConfig | None = None) -> float:
 
 def _clip_to_unit_box(points: np.ndarray) -> np.ndarray:
     """Clip an ordered polyline to [0,1]^2, inserting edge intersections."""
+    import numpy as np
+
     def inside(q):
         return 0.0 <= q[0] <= 1.0 and 0.0 <= q[1] <= 1.0
 
@@ -307,6 +310,7 @@ def separatrix(p: Params, cfg: IntegratorConfig | None = None) -> Separatrix:
     The polyline is ordered along the curve: down-left branch end, through
     the saddle, out the up-right branch end.
     """
+    import numpy as np
     ctx = _context(p)
     cfg = cfg or IntegratorConfig()
     frame = _saddle_frame(p, _interior_saddle(p))

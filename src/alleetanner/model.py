@@ -24,14 +24,13 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 # Tolerance for equality tests against case boundaries (e.g. 1+M-Q = 0).
 # The degenerate parameter cases are measure zero; they are reachable by
 # passing an explicit eps to the routines that take one.
 EPS_CASE = 1e-10
 
 State = tuple[float, float]
+Matrix = tuple[tuple[float, float], tuple[float, float]]   # rows of a 2x2
 
 
 class ParameterError(ValueError):
@@ -118,8 +117,8 @@ def dimensional_vector_field(d: DimensionalParams, x: float,
     return dx, dy
 
 
-def jacobian(p: Params, state: State) -> np.ndarray:
-    """2x2 Jacobian of :func:`vector_field` at (u, v)."""
+def jacobian(p: Params, state: State) -> Matrix:
+    """2x2 Jacobian of :func:`vector_field` at (u, v), as its rows."""
     u, v = state
     M, S, Q, C = p
     j11 = (1.0 - u) * (u - M) - Q * v + u * (1.0 + M - 2.0 * u)
@@ -127,7 +126,7 @@ def jacobian(p: Params, state: State) -> np.ndarray:
     w = u + C
     j21 = S * v * v / (w * w)
     j22 = S * (w - 2.0 * v) / w
-    return np.array([[j11, j12], [j21, j22]])
+    return (j11, j12), (j21, j22)
 
 
 def hessian_bound(p: Params, state: State, rho: float) -> float:
@@ -156,15 +155,15 @@ def hessian_bound(p: Params, state: State, rho: float) -> float:
                                       + 1.0 / (w * w)))
 
 
-def _unit_scale(J: np.ndarray, *xs: float) -> tuple[list[float], int]:
+def _unit_scale(J: Matrix, *xs: float) -> tuple[list[float], int]:
     """J's entries, then ``xs``, over 2**e just above J's largest entry, and
     e: exact, and no product of the scaled entries over- or underflows."""
-    (a, b), (c, d) = J.tolist()
+    (a, b), (c, d) = J
     e = math.frexp(max(abs(a), abs(b), abs(c), abs(d)))[1]
     return [math.ldexp(x, -e) for x in (a, b, c, d, *xs)], e
 
 
-def _real_eigenvalues(J: np.ndarray) -> tuple[float, float]:
+def _real_eigenvalues(J: Matrix) -> tuple[float, float]:
     """(low, high) eigenvalues of a 2x2 matrix; ValueError for a complex
     pair.  tr^2/4 - det is formed as ((J11 - J22)/2)^2 + J12*J21, which
     rounding cannot make negative for a triangular or symmetric matrix."""
@@ -176,7 +175,7 @@ def _real_eigenvalues(J: np.ndarray) -> tuple[float, float]:
     return math.ldexp(half - root, e), math.ldexp(half + root, e)
 
 
-def _unit_eigenvector(J: np.ndarray, lam: float) -> np.ndarray:
+def _unit_eigenvector(J: Matrix, lam: float) -> State:
     """Unit eigenvector of a 2x2 matrix for its real eigenvalue ``lam``: the
     larger of the null vectors (J12, lam - J11) and (lam - J22, J21) of the
     rows of J - lam*I, so a triangular J gives an exact axis vector; (1, 0)
@@ -185,7 +184,7 @@ def _unit_eigenvector(J: np.ndarray, lam: float) -> np.ndarray:
     n1, n2 = (b, lam - a), (lam - d, c)
     x, y = n1 if math.hypot(*n1) >= math.hypot(*n2) else n2
     norm = math.hypot(x, y)
-    return np.array([x / norm, y / norm] if norm else [1.0, 0.0])
+    return (x / norm, y / norm) if norm else (1.0, 0.0)
 
 
 def field_closure(p: Params):

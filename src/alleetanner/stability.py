@@ -140,7 +140,7 @@ def lyapunov_matrix(J) -> tuple[float, float, float] | None:
     -2 trace det; V(y) = y^T P y is then a quadratic Lyapunov function of
     the linearization (Khalil, Nonlinear Systems, 3rd ed., 4.3).
     """
-    (a, b), (c, d) = J.tolist()
+    (a, b), (c, d) = J
     tr, det = a + d, a * d - b * c
     if not (tr < -EPS_CLASS and det > EPS_CLASS):   # NaN fails too
         return None
@@ -172,7 +172,7 @@ def trapping_radius(p: Params, state: State) -> float:
     tr = p11 + p22
     lam_max = 0.5 * tr + math.hypot(0.5 * (p11 - p22), p12)
     # det P = tr P / (2 |tr A|) in the closed form: lmin without cancellation
-    lam_min = tr / (-2.0 * (A[0, 0] + A[1, 1]) * lam_max)
+    lam_min = tr / (-2.0 * (A[0][0] + A[1][1]) * lam_max)
     rho = 0.5 * (state[0] + p.C)
     while 2.0 * lam_max * hessian_bound(p, state, rho) * rho > 1.0:
         rho *= 0.5

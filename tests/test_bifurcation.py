@@ -1,7 +1,10 @@
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from alleetanner import (
     AttractorTag,
@@ -23,6 +26,7 @@ from alleetanner import (
     sotomayor_check,
     threshold_S2,
 )
+from alleetanner.bifurcation import _SCAN_FRACS, linspace
 
 FAST = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-9, rho_eq=1e-5,
                         tau_max=5000.0)
@@ -253,3 +257,41 @@ def test_region_grid_agrees_with_simulation():
                 agree += 1
     assert informative > 250
     assert agree / informative >= 0.95, (agree, informative)
+
+
+def _bits(xs):
+    return [float(x).hex() for x in xs]
+
+
+def _benchmark_windows():
+    """M windows of the benchmark's homoclinic workload: (-0.04, 0.01)
+    shifted by +-delta, under 0.9 of a 12-point grid spacing, per seed."""
+    for seed in range(1, 11):
+        delta = 0.9 * (0.05 / 11) * random.Random(seed).uniform(-1.0, 1.0)
+        for d in (delta, -delta):
+            yield -0.04 + d, 0.01 + d
+
+
+def test_linspace_equals_numpy_on_the_benchmark_grids():
+    s_lo, s_hi = 0.005, 0.15
+    for lo, hi in _benchmark_windows():
+        # Hopf and homoclinic grids, then the 16 x 12 region midpoints
+        for n in (121, 12):
+            assert _bits(linspace(lo, hi, n)) == _bits(np.linspace(lo, hi, n))
+        assert (_bits(linspace(lo, hi, 33)[1::2])
+                == _bits(np.linspace(lo, hi, 33)[1::2]))
+    assert (_bits(linspace(s_lo, s_hi, 25)[1::2])
+            == _bits(np.linspace(s_lo, s_hi, 25)[1::2]))
+
+
+@given(st.floats(-1e300, 1e300), st.floats(-1e300, 1e300),
+       st.integers(0, 300))
+@example(5e-324, 1e-323, 100)     # the step rounds to 0
+@example(0.25, 0.25, 7)
+@example(-0.0, 1.0, 1)
+def test_linspace_equals_numpy_on_drawn_inputs(a, b, n):
+    assert _bits(linspace(a, b, n)) == _bits(np.linspace(a, b, n))
+
+
+def test_scan_fractions_equal_numpy_geomspace():
+    assert _bits(_SCAN_FRACS) == _bits(1.0 - np.geomspace(1e-4, 0.9, 12))

@@ -104,11 +104,12 @@ def test_find_limit_cycle_present():
     assert cyc.period > 0
     assert cyc.residual < IntegratorConfig().rho_cyc
     # the polyline closes on the section
-    gap = np.hypot(*(cyc.polyline[0] - cyc.polyline[-1]))
+    poly = np.asarray(cyc.polyline)
+    gap = np.hypot(*(poly[0] - poly[-1]))
     assert gap < 10 * IntegratorConfig().rho_cyc
     # winding number around the enclosed interior point is one
     center = np.array([0.395, 0.495])
-    rel = cyc.polyline - center
+    rel = poly - center
     ang = np.unwrap(np.arctan2(rel[:, 1], rel[:, 0]))
     assert (ang[-1] - ang[0]) / (2 * math.pi) == pytest.approx(1.0, abs=1e-6)
 

@@ -174,3 +174,18 @@ def test_drawn_roots_and_slopes(f_lo, f_hi, bend, k, upper, c):
     check_roots(fake, solve(fake))
     reference = sum(scan_bisect_calls(fake, float(m)) for m in GRID)
     assert len(fake.calls) < reference
+
+
+@pytest.mark.parametrize("k", [0, 5], ids=["first-probe", "sixth-probe"])
+def test_a_scan_probe_on_the_root_is_the_root(k):
+    # the root's share of S_hopf is a scan fraction, so that probe reads a
+    # gap of exactly 0.0 and no two probes differ in sign; on the first
+    # probe no probe above it tells the gap's side
+    f = float((1.0 - np.geomspace(1e-4, 0.9, 12))[k])
+    fake = FakeGap(lambda m: f)
+    ((m, s),) = solve(fake, [-0.02])
+    assert s == float(f * s_hopf(m))
+    assert len(fake.calls) == k + 1
+    # the points after it continue from that root
+    fake = FakeGap(lambda m: f)
+    check_roots(fake, solve(fake))

@@ -32,8 +32,8 @@ def saddle_of(p):
 def test_saddle_directions_interior():
     p = Params(0.04, 0.1, 0.45, 0.07)
     eq = saddle_of(p)
-    vs, vu = saddle_directions(p, eq)
-    J = jacobian(p, eq.location)
+    vs, vu = map(np.asarray, saddle_directions(p, eq))
+    J = np.asarray(jacobian(p, eq.location))
     lam = np.sort(np.linalg.eigvals(J).real)
     assert lam[0] < 0 < lam[1]
     assert np.linalg.norm(J @ vs - lam[0] * vs) < 1e-10

@@ -277,7 +277,7 @@ def test_closed_form_eigenpairs_match_lapack(J):
     # entries do not round the check itself
     e = math.frexp(norm)[1]
     for lam in (low, high):
-        v = _unit_eigenvector(J, lam)
+        v = np.asarray(_unit_eigenvector(J, lam))
         assert abs(math.hypot(*v) - 1.0) < 4 * _EPS
         r = np.ldexp(J, -e) @ v - math.ldexp(lam, -e) * v
         assert math.hypot(*r) <= 64 * _EPS + math.ldexp(4 * _TINY, -e)
@@ -297,7 +297,7 @@ def test_complex_pair_raises(a, b, c, d, rotation):
 def test_triangular_jacobian_gives_exact_axis_vector():
     # at (1, 0) the Jacobian is upper triangular: the stable direction is
     # the u-axis, exactly
-    J = jacobian(Params(0.04, 0.12, 0.45, 0.07), (1.0, 0.0))
+    J = np.asarray(jacobian(Params(0.04, 0.12, 0.45, 0.07), (1.0, 0.0)))
     assert J[1, 0] == 0.0
     low, _ = _real_eigenvalues(J)
     assert list(_unit_eigenvector(J, low)) in ([1.0, 0.0], [-1.0, 0.0])

@@ -55,7 +55,7 @@ def _attracting(p):
 @given(params)
 def test_lyapunov_residual_against_the_jacobian(p):
     for eq in _attracting(p):
-        A = jacobian(p, eq.location)
+        A = np.asarray(jacobian(p, eq.location))
         P = lyapunov_matrix(A)
         assume(P is not None)
         P = _matrix(P)
