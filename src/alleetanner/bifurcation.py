@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .equilibria import CaseLabel, case_label
-from .flow import IntegratorConfig, _cycle_seed, find_limit_cycle
+from .flow import IntegratorConfig, find_limit_cycle
 from .manifolds import GapUndefinedError, homoclinic_gap
 from .model import Params, _real_eigenvalues, _unit_eigenvector, \
     jacobian, validate_params
@@ -326,7 +326,7 @@ def region_classify(p: Params, cfg: IntegratorConfig | None = None,
         return RegionLabel.NEAR_LOCUS
     if p.S > s_hopf:
         return stable_label
-    cyc = find_limit_cycle(p, _cycle_seed(p), cfg)
+    cyc = find_limit_cycle(p, None, cfg)
     return RegionLabel.CYCLE if cyc is not None else RegionLabel.REPELLER
 
 

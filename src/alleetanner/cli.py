@@ -34,8 +34,7 @@ from .basin import _check_resolution, basin_fractions, compute_basins, \
 from .bifurcation import _check_window, compute_diagram, linspace, \
     region_classify
 from .equilibria import EquilibriumKind, all_equilibria, case_label
-from .flow import IntegratorConfig, _cycle_seed, find_limit_cycle, \
-    integrate
+from .flow import IntegratorConfig, find_limit_cycle, integrate
 from .manifolds import GapUndefinedError, separatrix
 from .model import DimensionalParams, ParameterError, Params, \
     nondimensionalize, validate_params
@@ -325,11 +324,9 @@ def portrait_data(p: Params, cfg: IntegratorConfig, window, n_orbits: int):
             curves["separatrix"] = sep.polyline
     except GapUndefinedError:
         pass
-    seed = _cycle_seed(p)
-    if seed is not None:
-        cyc = find_limit_cycle(p, seed, cfg)
-        if cyc is not None:
-            curves["cycle"] = np.array(cyc.polyline)
+    cyc = find_limit_cycle(p, None, cfg)
+    if cyc is not None:
+        curves["cycle"] = np.array(cyc.polyline)
     for k, seed in enumerate(_orbit_seeds(window, n_orbits)):
         tr = integrate(p, seed, cfg)
         curves[f"orbit_{k}"] = tr.states
@@ -473,10 +470,8 @@ def _parse_sweep(spec: str) -> tuple[str, list[float]]:
         raise ParameterError(f"bad sweep spec {spec!r}: {exc}")
 
 
-def _interior_fraction(fractions: dict[str, float]) -> float:
-    return sum(fractions.get(k, 0.0)
-               for k in ("interior_low", "interior_high", "interior_double",
-                         "cycle"))
+# the attractors whose basins make up a sweep point's interior_fraction
+_INTERIOR_IDS = ("interior_low", "interior_high", "interior_double", "cycle")
 
 
 def cmd_sweep(args) -> int:
@@ -502,13 +497,13 @@ def cmd_sweep(args) -> int:
         region = region_classify(p, cfg)
         raster = compute_basins(p, args.resolution, cfg)
         rasters.update(raster.config_hash.encode())
-        frac = _interior_fraction(basin_fractions(raster))
+        fractions = basin_fractions(raster)
+        frac = sum(fractions.get(k, 0.0) for k in _INTERIOR_IDS)
         rows.append([*point, region.value, frac])
     header = _header_lines(args, base, cfg,
                            {"sweep": ";".join(args.sweep),
                             "resolution": args.resolution,
-                            "interior_fraction":
-                               "interior_low+interior_high+interior_double+cycle",
+                            "interior_fraction": "+".join(_INTERIOR_IDS),
                             # digest of the rows' raster hashes, in row order
                             "raster_hash": rasters.hexdigest()})
     _write_csv(os.path.join(out, "sweep.csv"), header, columns, rows)

@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .equilibria import EquilibriumKind, all_equilibria, interior_equilibria
+from .equilibria import EquilibriumKind, all_equilibria
 from .model import ParameterError, Params, State, field_closure, \
     validate_params
 from .stability import classify, trapping_radius
@@ -406,16 +406,6 @@ def _cycle_found(delta, last_delta, u_c, anchor: float, cfg: IntegratorConfig):
             & (abs(u_c - anchor) >= _MIN_CYCLE_RADIUS))
 
 
-def _cycle_seed(p: Params) -> State | None:
-    """The cycle hunt's start beside the largest interior point, the
-    section's anchor; None when there is no interior point."""
-    eqs = interior_equilibria(p)
-    if not eqs:
-        return None
-    u_star, v_star = eqs[-1].location
-    return min(u_star + 0.05, 0.98), v_star
-
-
 def _exit_box(u0: float, v0: float, C: float) -> tuple[float, float]:
     """Prey and predator bounds beyond which a trajectory has left."""
     return max(10.0, 2.0 * (u0 + 1.0)), max(10.0, 2.0 * (v0 + 1.0 + C))
@@ -597,24 +587,32 @@ def _certified_interval(ctx: _Context, cfg: IntegratorConfig, a: float,
     return a, b
 
 
+def _hunt(ctx: _Context, cfg: IntegratorConfig,
+          seed: State | None = None) -> Cycle | None:
+    """The limit cycle reached from ``seed``, by default from beside the
+    section's anchor; None without an anchor or when the hunt ends in an
+    equilibrium or at the horizon."""
+    if ctx.anchor is None:
+        return None
+    if seed is None:
+        seed = min(ctx.anchor + 0.05, 0.98), ctx.anchor + ctx.p.C
+    return _drive(ctx, seed, cfg, want_samples=False).cycle
+
+
 def _section_interval(ctx: _Context,
                       cfg: IntegratorConfig) -> tuple[float, float] | None:
     """The certified section interval of the cycle at ``ctx``, or None.
 
-    Hunts the cycle as ``find_limit_cycle`` does, from ``_cycle_seed``
-    beside the anchor, and certifies the interval of half-width
-    ``_SECTION_HALF_WIDTH`` around its crossing (``_certified_interval``).
-    ``ctx`` carries no interval yet.  Costs one hunt and two returns: on a
-    2-vCPU x86 VM about 4.6 ms at the cycle point (-0.055, 0.03, 0.55, 0.1)
-    with rel_tol 1e-6, 49 ms at (0.04, 0.082, 0.45, 0.07) with the default
-    tolerances, where the cycle attracts slowly, and 1.6 ms at the bistable
-    point (0.04, 0.12, 0.45, 0.07), where the hunt ends in the anchor's
-    trapping disc.
+    Hunts the cycle from beside the anchor (``_hunt``) and certifies the
+    interval of half-width ``_SECTION_HALF_WIDTH`` around its crossing
+    (``_certified_interval``).  ``ctx`` carries no interval yet.  Costs one
+    hunt and two returns: on a 2-vCPU x86 VM about 4.6 ms at the cycle point
+    (-0.055, 0.03, 0.55, 0.1) with rel_tol 1e-6, 49 ms at (0.04, 0.082,
+    0.45, 0.07) with the default tolerances, where the cycle attracts
+    slowly, and 1.6 ms at the bistable point (0.04, 0.12, 0.45, 0.07), where
+    the hunt ends in the anchor's trapping disc.
     """
-    seed = _cycle_seed(ctx.p)
-    if seed is None:
-        return None
-    cyc = _drive(ctx, seed, cfg, want_samples=False).cycle
+    cyc = _hunt(ctx, cfg)
     if cyc is None:
         return None
     u = cyc.crossing[0]
@@ -887,9 +885,10 @@ def classify_omega_limit(p: Params, s0: State,
     return AttractorLabel.undecided()
 
 
-def find_limit_cycle(p: Params, seed: State,
+def find_limit_cycle(p: Params, seed: State | None = None,
                      cfg: IntegratorConfig | None = None) -> Cycle | None:
-    """Locate a stable limit cycle reached from ``seed``, if any.
+    """Locate a stable limit cycle reached from ``seed``, if any; with no
+    seed, from beside the larger interior point, as the raster does.
 
     Iterates crossings of the section v = u + C (through the interior
     equilibrium, along direction (1, 1)) until successive crossings differ by
@@ -901,9 +900,4 @@ def find_limit_cycle(p: Params, seed: State,
     from the cycle: at Params(0.04, 0.082, 0.45, 0.07), rel_tol 1e-6 and
     abs_tol 1e-9 it reads 4.5e-8, and the map's fixed point is 1.1e-6 away.
     """
-    cfg = cfg or IntegratorConfig()
-    ctx = _context(p)
-    if ctx.anchor is None:
-        return None
-    return _drive(ctx, seed, cfg, want_samples=False).cycle
-
+    return _hunt(_context(p), cfg or IntegratorConfig(), seed)

@@ -41,6 +41,11 @@ REGION_COLORS = {
 }
 
 
+# every figure is a _SIZE-pixel square with the window _MARGIN pixels inside
+_SIZE = 640
+_MARGIN = 48
+
+
 def _f(x: float) -> str:
     return f"{x:.3f}"
 
@@ -52,28 +57,25 @@ def _cls(cls: str) -> str:
 class SvgCanvas:
     """Tiny fixed-window SVG writer with y flipped to mathematical sense."""
 
-    def __init__(self, window, size=640, margin=48, comments=()):
+    def __init__(self, window, comments=()):
         (self.u0, self.u1), (self.v0, self.v1) = window
-        self.w = size
-        self.h = size
-        self.m = margin
-        self.sx = (size - 2 * margin) / (self.u1 - self.u0)
-        self.sy = (size - 2 * margin) / (self.v1 - self.v0)
+        self.sx = (_SIZE - 2 * _MARGIN) / (self.u1 - self.u0)
+        self.sy = (_SIZE - 2 * _MARGIN) / (self.v1 - self.v0)
         self.parts = [
             '<?xml version="1.0" encoding="UTF-8"?>',
             f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-            f'width="{size}" height="{size}" '
-            f'viewBox="0 0 {size} {size}">',
+            f'width="{_SIZE}" height="{_SIZE}" '
+            f'viewBox="0 0 {_SIZE} {_SIZE}">',
         ]
         for c in comments:
             self.parts.append(f"<!-- {c} -->")
         self.parts.append(
-            f'<rect x="0" y="0" width="{size}" height="{size}" '
+            f'<rect x="0" y="0" width="{_SIZE}" height="{_SIZE}" '
             f'fill="#ffffff"/>')
 
     def px(self, u: float, v: float) -> tuple[float, float]:
-        return (self.m + (u - self.u0) * self.sx,
-                self.h - self.m - (v - self.v0) * self.sy)
+        return (_MARGIN + (u - self.u0) * self.sx,
+                _SIZE - _MARGIN - (v - self.v0) * self.sy)
 
     def frame(self):
         x0, y1 = self.px(self.u0, self.v0)
@@ -93,11 +95,11 @@ class SvgCanvas:
             f'<polyline{_cls(cls)} points="{coords}" fill="none" '
             f'stroke="{color}" stroke-width="{_f(width)}"{dash_attr}/>')
 
-    def circle(self, u, v, r, fill, stroke="#000000", cls=""):
+    def circle(self, u, v, r, fill, cls=""):
         x, y = self.px(u, v)
         self.parts.append(
             f'<circle{_cls(cls)} cx="{_f(x)}" cy="{_f(y)}" r="{_f(r)}" '
-            f'fill="{fill}" stroke="{stroke}" stroke-width="1"/>')
+            f'fill="{fill}" stroke="#000000" stroke-width="1"/>')
 
     def cross(self, u, v, r, cls=""):
         x, y = self.px(u, v)
@@ -121,10 +123,10 @@ class SvgCanvas:
             f'width="{_f(x1 - x0)}" height="{_f(y1 - y0)}" '
             f'fill="{color}" stroke="none"/>')
 
-    def text(self, u, v, s, size=13, cls=""):
+    def text(self, u, v, s):
         x, y = self.px(u, v)
         self.parts.append(
-            f'<text{_cls(cls)} x="{_f(x)}" y="{_f(y)}" font-size="{size}" '
+            f'<text x="{_f(x)}" y="{_f(y)}" font-size="13" '
             f'font-family="monospace" fill="#000000">{s}</text>')
 
     def tostring(self) -> str:
@@ -180,11 +182,10 @@ def render_portrait(window, curves: dict, equilibria, comments=()) -> str:
 
 def render_basin(raster, separatrix_polyline=None, comments=()) -> str:
     """Basin raster as row-run rectangles with an optional separatrix."""
-    (u0, u1), (v0, v1) = raster.bounds
+    (u0, _), (v0, _) = raster.bounds
     cv = SvgCanvas(raster.bounds, comments=comments)
     res = raster.resolution
-    du = (u1 - u0) / res
-    dv = (v1 - v0) / res
+    du, dv = raster.cell_width()
     id_by_code = {a.code: a.id for a in raster.attractors}
     id_by_code[0] = "undecided"
     for i in range(res):

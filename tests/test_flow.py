@@ -26,8 +26,8 @@ from alleetanner.model import field_closure
 from alleetanner.stability import classify
 from alleetanner.equilibria import all_equilibria
 
-from conftest import (BISTABLE, CYCLE_POINT, FAST_CFG, SINGLE_STABLE,
-                      random_params, sample_path)
+from conftest import (BISTABLE, CYCLE_POINT, EXTINCTION, FAST_CFG,
+                      SINGLE_STABLE, random_params, sample_path)
 
 FAST = IntegratorConfig(rel_tol=1e-7, abs_tol=1e-10, rho_eq=1e-5,
                         tau_max=3e4)
@@ -429,3 +429,26 @@ def test_cycle_cells_end_on_the_attracting_cycle(p):
         assert res.termination is Termination.REACHED_CYCLE
         assert (abs(res.cycle.crossing[0] - x)
                 < 3.0 * FAST_CFG.rho_cyc / (1.0 - m))
+
+
+def _cycle_bits(cyc):
+    """Every float of a Cycle, field by field, as exact hex strings."""
+    return (cyc.period.hex(), [(u.hex(), v.hex()) for u, v in cyc.polyline],
+            tuple(x.hex() for x in cyc.crossing), cyc.residual.hex())
+
+
+@pytest.mark.parametrize("p", [CYCLE_POINT, GENERIC_CYCLE],
+                         ids=["cycle-point", "generic"])
+def test_default_seed_starts_beside_the_larger_interior_point(p):
+    """With no seed, the hunt starts from (min(u + 0.05, 0.98), v) at the
+    larger interior point (u, v), taken from the equilibrium table rather
+    than from the section's anchor."""
+    u, v = interior_equilibria(p)[-1].location
+    want = find_limit_cycle(p, (min(u + 0.05, 0.98), v), FAST_CFG)
+    got = find_limit_cycle(p, None, FAST_CFG)
+    assert want is not None and got is not None
+    assert _cycle_bits(got) == _cycle_bits(want)
+
+
+def test_default_seed_without_interior_point():
+    assert find_limit_cycle(EXTINCTION, None, FAST_CFG) is None
