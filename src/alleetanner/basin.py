@@ -289,7 +289,7 @@ def boundary_vs_separatrix(raster: BasinRaster, sep: Separatrix) -> float:
     cells = boundary_cells(raster)
     if len(sep.polyline) < 2:
         raise ValueError("separatrix polyline is degenerate")
-    return float(_dist_to_polyline(cells, sep.polyline).max())
+    return float(_dist_to_polyline(cells, np.asarray(sep.polyline)).max())
 
 
 def save_raster(raster: BasinRaster, path: str) -> None:

@@ -118,12 +118,8 @@ def hopf_locus(q: float, c: float, m_grid) -> list[tuple[float, float]]:
     root is then stable for every S > 0) are dropped.  ParameterError
     unless Q and C are finite and positive and every M lies in (-1, 1).
     """
-    validate_params(Params(0.0, 1.0, q, c))
-    m_grid = [float(m) for m in m_grid]
-    for m in m_grid:
-        validate_params(Params(m, 1.0, q, c))
     pts = []
-    for m in m_grid:
+    for m in _check_grid(q, c, m_grid):
         s = hopf_threshold(Params(m, 1.0, q, c))
         if s is not None and s > 0.0:
             pts.append((m, s))
@@ -143,10 +139,10 @@ def homoclinic_locus(q: float, c: float, m_grid,
     the tolerance, so where the gap is flat the value returned can depend
     on the grid points solved before it.  Failures (no saddle, no bracket,
     branch escapes) are recorded as (M, None), never fabricated.
+    ParameterError unless Q and C are finite and positive and every M lies
+    in (-1, 1).
     """
-    m_grid = [float(m) for m in m_grid]
-    for m in m_grid:
-        validate_params(Params(m, 1.0, q, c))
+    m_grid = _check_grid(q, c, m_grid)
     cfg = cfg or IntegratorConfig()
     out: list[tuple[float, float | None]] = []
     roots: list[_Root] = []   # the last two converged points, in order
@@ -376,6 +372,16 @@ def sotomayor_check(q: float, c: float, s: float = 0.2,
     t2 = (w1 * (U1 * (h * U1 - q * U2) - q * U2 * U1)
           + w2 * k * (U1 * (r * U2 - r * r * U1) + U2 * (r * U1 - U2)))
     return t1, t2
+
+
+def _check_grid(q: float, c: float, m_grid) -> list[float]:
+    """The grid's M values as floats; ParameterError unless Q and C, and
+    then every M, lie in the model's domain."""
+    validate_params(Params(0.0, 1.0, q, c))
+    m_grid = [float(m) for m in m_grid]
+    for m in m_grid:
+        validate_params(Params(m, 1.0, q, c))
+    return m_grid
 
 
 def _check_window(q: float, c: float, m_window: tuple[float, float],

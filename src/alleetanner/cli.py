@@ -28,7 +28,7 @@ import os
 import sys
 from dataclasses import fields
 
-from . import __version__
+from . import __version__, svgplot
 from .basin import _check_resolution, basin_fractions, compute_basins, \
     inputs_hash, save_raster
 from .bifurcation import _check_window, compute_diagram, linspace, \
@@ -214,13 +214,11 @@ def _write_csv(path: str, header_lines: list[str], columns: list[str],
                 else str(x) for x in row) + "\n")
 
 
-def _write_svg(path: str, renderer: str, *args, **kwargs) -> bool:
-    """Write ``svgplot.<renderer>(*args, **kwargs)`` to ``path``; False,
-    with the failure reported, when either step fails.  The renderer is
-    looked up at call time, so a wrapper installed on svgplot is called."""
+def _write_svg(path: str, render, *args, **kwargs) -> bool:
+    """Write ``render(*args, **kwargs)`` to ``path``; False, with the
+    failure reported, when either step fails."""
     try:
-        from . import svgplot
-        svg = getattr(svgplot, renderer)(*args, **kwargs)
+        svg = render(*args, **kwargs)
         with open(path, "w") as fh:
             fh.write(svg)
     except Exception as exc:
@@ -307,15 +305,13 @@ def _orbit_seeds(window, n: int):
 
 
 def portrait_data(p: Params, cfg: IntegratorConfig, window, n_orbits: int):
-    """Curves, each an (N, 2) array, and the glyph list for a portrait;
-    shared by SVG and CSV."""
-    import numpy as np
+    """Curves, each a list of (u, v) points, and the glyph list for a
+    portrait; shared by SVG and CSV."""
     (u0, u1), _ = window
-    curves = {}
-    us = np.linspace(max(0.0, u0), min(1.0, u1), 201)
-    curves["prey_nullcline"] = np.column_stack(
-        [us, (1.0 - us) * (us - p.M) / p.Q])
-    curves["predator_nullcline"] = np.column_stack([us, us + p.C])
+    us = linspace(max(0.0, u0), min(1.0, u1), 201)
+    curves = {"prey_nullcline": [(u, (1.0 - u) * (u - p.M) / p.Q)
+                                 for u in us],
+              "predator_nullcline": [(u, u + p.C) for u in us]}
     glyphs = [(*eq.location, classify(p, eq).tag)
               for eq in all_equilibria(p) if eq.in_domain]
     try:
@@ -326,7 +322,7 @@ def portrait_data(p: Params, cfg: IntegratorConfig, window, n_orbits: int):
         pass
     cyc = find_limit_cycle(p, None, cfg)
     if cyc is not None:
-        curves["cycle"] = np.array(cyc.polyline)
+        curves["cycle"] = cyc.polyline
     for k, seed in enumerate(_orbit_seeds(window, n_orbits)):
         tr = integrate(p, seed, cfg)
         curves[f"orbit_{k}"] = tr.states
@@ -348,8 +344,9 @@ def cmd_portrait(args) -> int:
     header = _header_lines(args, p, cfg, {"window": args.window})
     _write_csv(os.path.join(out, "portrait.csv"), header,
                ["curve", "index", "u", "v"], rows)
-    if not _write_svg(os.path.join(out, "portrait.svg"), "render_portrait",
-                      window, curves, glyphs, comments=header):
+    if not _write_svg(os.path.join(out, "portrait.svg"),
+                      svgplot.render_portrait, window, curves, glyphs,
+                      comments=header):
         return EXIT_RENDER
     print(f"wrote portrait.svg and portrait.csv to {out}")
     return EXIT_OK
@@ -413,8 +410,9 @@ def cmd_bifurcation(args) -> int:
     _write_csv(os.path.join(out, "regions.csv"), header,
                ["M", "S", "region"],
                [(m, s, lab.value) for m, s, lab in grid])
-    if not _write_svg(os.path.join(out, "diagram.svg"), "render_bifurcation",
-                      diagram, grid, comments=header):
+    if not _write_svg(os.path.join(out, "diagram.svg"),
+                      svgplot.render_bifurcation, diagram, grid,
+                      comments=header):
         return EXIT_RENDER
     print(f"wrote loci CSVs and diagram.svg to {out}")
     return EXIT_OK
@@ -441,7 +439,7 @@ def cmd_basin(args) -> int:
         sep_poly = separatrix(p, cfg).polyline
     except GapUndefinedError:
         pass
-    if not _write_svg(os.path.join(out, "basin.svg"), "render_basin",
+    if not _write_svg(os.path.join(out, "basin.svg"), svgplot.render_basin,
                       raster, sep_poly, comments=header):
         return EXIT_RENDER
     print(f"wrote basin.bin, basin.svg, fractions.csv to {out}")

@@ -147,8 +147,8 @@ class Cycle:
 
 @dataclass(frozen=True)
 class Trajectory:
-    taus: np.ndarray | None       # None when no samples were asked for
-    states: np.ndarray | None     # (N, 2)
+    taus: list[float] | None      # None when no samples were asked for
+    states: list[State] | None    # the (u, v) state at each of the taus
     termination: Termination
     equilibrium_id: str | None = None
     cycle: Cycle | None = None
@@ -466,15 +466,11 @@ def _drive(ctx: _Context, s0: State, cfg: IntegratorConfig, *,
     else:
         stepper, prev_cross_u, prev_cross_tau, prev_delta = resume
         start = (stepper.tau, stepper.u, stepper.v)
-    samples = [start] if want_samples else None
+    taus = [start[0]] if want_samples else None
+    states = [start[1:]] if want_samples else None
     segment = [start[1:]] if anchor is not None else None
 
     def finish(term, eq_id=None, cycle=None):
-        taus = states = None
-        if want_samples:
-            import numpy as np
-            taus = np.array([s[0] for s in samples])
-            states = np.array([[s[1], s[2]] for s in samples])
         return Trajectory(taus, states, term, eq_id, cycle)
 
     if stepper is None:
@@ -490,7 +486,8 @@ def _drive(ctx: _Context, s0: State, cfg: IntegratorConfig, *,
     while stepper.step():
         u1, v1 = stepper.u, stepper.v
         if want_samples:
-            samples.append((stepper.tau, u1, v1))
+            taus.append(stepper.tau)
+            states.append((u1, v1))
         if segment is not None:
             segment.append((u1, v1))
         if u1 > exit_u or v1 > exit_v:

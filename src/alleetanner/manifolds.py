@@ -21,7 +21,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 # perfbench/tracing.py counts calls by rebinding names in this module, so
 # these stay bound: all_equilibria and field_closure (not called here, the
@@ -33,9 +32,6 @@ from .flow import _refine_crossing as _refine_section
 from .model import Matrix, Params, State, _real_eigenvalues, \
     _unit_eigenvector, field_closure, jacobian, vector_field
 from .stability import StabilityTag, classify
-
-if TYPE_CHECKING:
-    import numpy as np
 
 BOX_MARGIN = 0.05          # enlargement of the trapping box for clipping
 _EIG_RESIDUAL = 1e-10
@@ -72,8 +68,8 @@ class ManifoldBranch:
     base: State
     kind: BranchKind
     direction: BranchDirection
-    polyline: np.ndarray       # (N, 2); first point is base + h*eigenvector
-    arclength: np.ndarray      # cumulative arc length per vertex
+    polyline: list[State]      # first point is base + h*eigenvector
+    arclength: list[float]     # cumulative arc length per vertex
     termination: BranchTermination
     equilibrium_id: str | None = None
 
@@ -82,7 +78,7 @@ class ManifoldBranch:
 class Separatrix:
     """Both stable branches of the interior saddle, clipped to [0,1]^2."""
 
-    polyline: np.ndarray
+    polyline: list[State]
     saddle: State
 
 
@@ -220,14 +216,12 @@ def trace_manifold(p: Params, e: Equilibrium, kind: BranchKind,
     field.  Budget exhaustion is flagged and the partial polyline
     returned.
     """
-    import numpy as np
     ctx = _context(p)
     frame = _saddle_frame(p, e)
     res = _trace(ctx, frame, kind, direction, cfg or IntegratorConfig(),
                  max_arc)
-    return ManifoldBranch(e.id, frame[0], kind, direction,
-                          np.array(res.points), np.array(res.arcs),
-                          res.termination, res.equilibrium_id)
+    return ManifoldBranch(e.id, frame[0], kind, direction, res.points,
+                          res.arcs, res.termination, res.equilibrium_id)
 
 
 def _interior_saddle(p: Params) -> Equilibrium:
@@ -264,9 +258,11 @@ def homoclinic_gap(p: Params, cfg: IntegratorConfig | None = None) -> float:
     return math.sqrt(2.0) * (crossing_u[0] - crossing_u[1])
 
 
-def _clip_to_unit_box(points: np.ndarray) -> np.ndarray:
-    """Clip an ordered polyline to [0,1]^2, inserting edge intersections."""
-    import numpy as np
+def _clip_to_unit_box(points: list[State]) -> list[State]:
+    """Clip an ordered polyline to [0,1]^2, inserting edge intersections.
+
+    A point within 1e-15 in both coordinates of the point before it is
+    dropped."""
 
     def inside(q):
         return 0.0 <= q[0] <= 1.0 and 0.0 <= q[1] <= 1.0
@@ -274,34 +270,28 @@ def _clip_to_unit_box(points: np.ndarray) -> np.ndarray:
     def crossings(a, b):
         # parametric clip of segment a->b against the four box edges
         ts = []
-        d = b - a
+        d = (b[0] - a[0], b[1] - a[1])
         for dim in (0, 1):
             if d[dim] != 0.0:
                 for edge in (0.0, 1.0):
                     t = (edge - a[dim]) / d[dim]
                     if 0.0 < t < 1.0:
-                        q = a + t * d
+                        q = (a[0] + t * d[0], a[1] + t * d[1])
                         if -1e-12 <= q[1 - dim] <= 1.0 + 1e-12:
-                            ts.append((t, np.clip(q, 0.0, 1.0)))
+                            ts.append((t, (min(max(q[0], 0.0), 1.0),
+                                           min(max(q[1], 0.0), 1.0))))
         ts.sort(key=lambda e: e[0])
         return [q for _, q in ts]
 
-    out: list[np.ndarray] = []
+    out: list[State] = []
     for i, q in enumerate(points):
-        if i > 0:
-            a, b = points[i - 1], q
-            a_in, b_in = inside(a), inside(b)
-            if a_in != b_in or (not a_in and not b_in):
-                for c in crossings(a, b):
-                    out.append(c)
+        if i > 0 and not (inside(points[i - 1]) and inside(q)):
+            out.extend(crossings(points[i - 1], q))
         if inside(q):
-            out.append(np.asarray(q, dtype=float))
-    if not out:
-        return np.empty((0, 2))
-    arr = np.array(out)
-    keep = np.ones(len(arr), dtype=bool)
-    keep[1:] = (np.abs(np.diff(arr, axis=0)).max(axis=1) > 1e-15)
-    return arr[keep]
+            out.append(q)
+    return [q for i, q in enumerate(out)
+            if i == 0 or abs(q[0] - out[i - 1][0]) > 1e-15
+            or abs(q[1] - out[i - 1][1]) > 1e-15]
 
 
 def separatrix(p: Params, cfg: IntegratorConfig | None = None) -> Separatrix:
@@ -310,12 +300,11 @@ def separatrix(p: Params, cfg: IntegratorConfig | None = None) -> Separatrix:
     The polyline is ordered along the curve: down-left branch end, through
     the saddle, out the up-right branch end.
     """
-    import numpy as np
     ctx = _context(p)
     cfg = cfg or IntegratorConfig()
     frame = _saddle_frame(p, _interior_saddle(p))
     down = _trace(ctx, frame, BranchKind.STABLE, BranchDirection.DOWN_LEFT,
                   cfg)
     up = _trace(ctx, frame, BranchKind.STABLE, BranchDirection.UP_RIGHT, cfg)
-    curve = np.vstack([down.points[::-1], [frame[0]], up.points])
+    curve = down.points[::-1] + [frame[0]] + up.points
     return Separatrix(_clip_to_unit_box(curve), frame[0])

@@ -158,7 +158,7 @@ def draw_equilibrium(canvas: SvgCanvas, u, v, tag: StabilityTag):
 def render_portrait(window, curves: dict, equilibria, comments=()) -> str:
     """Phase portrait: nullclines, orbits, separatrix, cycle, glyphs.
 
-    ``curves`` maps curve name -> (N,2) array; names starting with "orbit"
+    ``curves`` maps curve name -> list of (u, v); names starting with "orbit"
     are drawn thin grey, the rest use PORTRAIT_COLORS.  ``equilibria`` is a
     list of (u, v, StabilityTag).
     """

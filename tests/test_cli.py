@@ -299,15 +299,21 @@ def test_bifurcation_outputs(tmp_path, capsys):
 
 
 def test_classify_and_bifurcation_never_import_numpy(tmp_path):
-    # both run on closed forms and plain-float steps; numpy is only for
-    # rasters and portraits, and its import is about half of a start-up
+    # these, and portrait, run on closed forms and plain-float steps; numpy
+    # is only for rasters, and its import is about half of a start-up
     runs = [["classify", "-M", "0.04", "-S", "0.12", "-Q", "0.45",
              "-C", "0.07"],
             ["classify", "-M", "0", "-S", "0.1", "-Q", "1.2", "-C", "0.5"],
             ["classify", "-M", "-0.055", "-S", "0.15", "-Q", "0.55",
              "-C", "0.1"],
             [*BIF, "--grid", "2x2", "--hopf-points", "3", "--hom-points", "2",
-             "--out-dir", str(tmp_path), *FAST_FLAGS]]
+             "--out-dir", str(tmp_path), *FAST_FLAGS],
+            ["portrait", "-M", "0.04", "-S", "0.12", "-Q", "0.45",
+             "-C", "0.07", "--n-orbits", "2", "--out-dir",
+             str(tmp_path / "bistable"), *FAST_FLAGS],
+            ["portrait", "-M", "-0.055", "-S", "0.03", "-Q", "0.55",
+             "-C", "0.1", "--n-orbits", "2", "--out-dir",
+             str(tmp_path / "cycle"), *FAST_FLAGS]]
     script = ("import json, sys\n"
               "from alleetanner import cli\n"
               "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
@@ -317,7 +323,7 @@ def test_classify_and_bifurcation_never_import_numpy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
                           capture_output=True, env=env, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0] False"
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0] False"
 
 
 def test_sweep_strong_allee_shrinks_interior_basin(tmp_path):

@@ -49,8 +49,9 @@ def test_fixed_point_start_terminates_immediately():
 
 def test_axis_orbit_stays_on_axis():
     tr = integrate(BISTABLE, (0.5, 0.0))
-    assert (tr.states[:, 1] == 0.0).all()
-    assert tr.states[-1, 0] == pytest.approx(1.0, abs=1e-5)
+    states = np.asarray(tr.states)
+    assert (states[:, 1] == 0.0).all()
+    assert states[-1, 0] == pytest.approx(1.0, abs=1e-5)
     assert tr.termination is Termination.REACHED_EQUILIBRIUM
 
 
@@ -59,8 +60,9 @@ def test_convergence_to_interior_attractor():
     tr = integrate(BISTABLE, (0.5, 0.5))
     assert tr.termination is Termination.REACHED_EQUILIBRIUM
     assert tr.equilibrium_id == "interior_high"
-    assert tr.states[-1, 0] == pytest.approx(0.41960, abs=1e-4)
-    assert tr.states[-1, 1] == pytest.approx(0.48960, abs=1e-4)
+    states = np.asarray(tr.states)
+    assert states[-1, 0] == pytest.approx(0.41960, abs=1e-4)
+    assert states[-1, 1] == pytest.approx(0.48960, abs=1e-4)
 
 
 def test_taus_strictly_increase():
@@ -129,9 +131,10 @@ def test_trajectories_trapped_in_enlarged_box():
         p = random_params(rng, 1)[0]
         s0 = (float(rng.uniform(0.0, 5.0)), float(rng.uniform(0.0, 5.0)))
         tr = integrate(p, s0, cfg)
+        states = np.asarray(tr.states)
         box_u = 1.0 + 0.05
         box_v = 1.0 + p.C + 0.05
-        inside = (tr.states[:, 0] <= box_u) & (tr.states[:, 1] <= box_v)
+        inside = (states[:, 0] <= box_u) & (states[:, 1] <= box_v)
         first = np.argmax(inside)
         assert inside.any(), (p, s0)
         assert inside[first:].all(), (p, s0)
@@ -144,7 +147,7 @@ def test_positivity_never_violated():
         p = random_params(rng, 1)[0]
         s0 = (float(rng.uniform(0.0, 2.0)), float(rng.uniform(0.0, 2.0)))
         tr = integrate(p, s0, cfg)
-        assert (tr.states >= 0.0).all()
+        assert (np.asarray(tr.states) >= 0.0).all()
 
 
 def test_omega_limit_near_attractor_returns_it():
@@ -200,8 +203,8 @@ def test_seed_on_singular_line_is_underflow():
     assert classify_omega_limit(BISTABLE, s0).tag is AttractorTag.UNDECIDED
     tr = integrate(BISTABLE, s0)
     assert tr.termination is Termination.STEP_UNDERFLOW
-    assert tr.taus.tolist() == [0.0]
-    assert tr.states.tolist() == [list(s0)]
+    assert np.asarray(tr.taus).tolist() == [0.0]
+    assert np.asarray(tr.states).tolist() == [list(s0)]
     assert find_limit_cycle(BISTABLE, s0) is None
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from alleetanner import (
     AttractorTag,
@@ -20,7 +22,8 @@ from alleetanner import (
 )
 from alleetanner.equilibria import EquilibriumKind, boundary_equilibria
 from alleetanner import flow, manifolds
-from alleetanner.manifolds import BranchTermination, _saddle_eigvecs
+from alleetanner.manifolds import BranchTermination, _clip_to_unit_box, \
+    _saddle_eigvecs
 
 from conftest import BISTABLE, WEAK_BISTABLE
 
@@ -70,13 +73,14 @@ def test_branch_seeding_and_tangency():
     eq = saddle_of(p)
     vs, vu = saddle_directions(p, eq)
     br = trace_manifold(p, eq, BranchKind.UNSTABLE, BranchDirection.UP_RIGHT)
-    seed_vec = br.polyline[0] - np.array(br.base)
+    poly = np.asarray(br.polyline)
+    seed_vec = poly[0] - np.array(br.base)
     assert np.linalg.norm(seed_vec) == pytest.approx(1e-6, rel=1e-9)
     angle = math.acos(min(1.0, float(seed_vec @ vu)
                           / np.linalg.norm(seed_vec)))
     assert angle < 1e-4
     # direction after the first step stays tangent
-    step_vec = br.polyline[1] - br.polyline[0]
+    step_vec = poly[1] - poly[0]
     cosang = float(step_vec @ vu) / np.linalg.norm(step_vec)
     assert math.acos(min(1.0, cosang)) < 1e-3
     assert br.arclength[0] == 0.0
@@ -117,12 +121,13 @@ def test_stable_branch_flows_back_to_saddle():
     p = BISTABLE
     eq = saddle_of(p)
     br = trace_manifold(p, eq, BranchKind.STABLE, BranchDirection.DOWN_LEFT)
-    idx = np.argmin(np.abs(br.arclength - 0.05))
+    idx = np.argmin(np.abs(np.asarray(br.arclength) - 0.05))
     probe = tuple(br.polyline[idx])
     from alleetanner import integrate
     tr = integrate(p, probe)
-    d = np.hypot(tr.states[:, 0] - eq.location[0],
-                 tr.states[:, 1] - eq.location[1])
+    states = np.asarray(tr.states)
+    d = np.hypot(states[:, 0] - eq.location[0],
+                 states[:, 1] - eq.location[1])
     assert d.min() < 1e-3
 
 
@@ -206,7 +211,7 @@ def test_separatrix_separates_the_two_basins():
     p = BISTABLE
     cfg = IntegratorConfig(rel_tol=1e-7, abs_tol=1e-10, rho_eq=1e-5)
     sep = separatrix(p, cfg)
-    poly = sep.polyline
+    poly = np.asarray(sep.polyline)
     seg_a = poly[:-1]
     seg_b = poly[1:]
     ab = seg_b - seg_a
@@ -239,3 +244,78 @@ def test_separatrix_separates_the_two_basins():
     assert outcomes[1.0] and outcomes[-1.0]
     assert len(outcomes[1.0]) == 1 and len(outcomes[-1.0]) == 1
     assert outcomes[1.0] != outcomes[-1.0]
+
+
+def _numpy_clip(points: np.ndarray) -> np.ndarray:
+    """The numpy clip of an (N, 2) polyline to [0,1]^2 that
+    ``_clip_to_unit_box`` replaces, kept as its reference."""
+
+    def inside(q):
+        return 0.0 <= q[0] <= 1.0 and 0.0 <= q[1] <= 1.0
+
+    def crossings(a, b):
+        ts = []
+        d = b - a
+        for dim in (0, 1):
+            if d[dim] != 0.0:
+                for edge in (0.0, 1.0):
+                    t = (edge - a[dim]) / d[dim]
+                    if 0.0 < t < 1.0:
+                        q = a + t * d
+                        if -1e-12 <= q[1 - dim] <= 1.0 + 1e-12:
+                            ts.append((t, np.clip(q, 0.0, 1.0)))
+        ts.sort(key=lambda e: e[0])
+        return [q for _, q in ts]
+
+    out = []
+    for i, q in enumerate(points):
+        if i > 0:
+            a, b = points[i - 1], q
+            a_in, b_in = inside(a), inside(b)
+            if a_in != b_in or (not a_in and not b_in):
+                for c in crossings(a, b):
+                    out.append(c)
+        if inside(q):
+            out.append(np.asarray(q, dtype=float))
+    if not out:
+        return np.empty((0, 2))
+    arr = np.array(out)
+    keep = np.ones(len(arr), dtype=bool)
+    keep[1:] = (np.abs(np.diff(arr, axis=0)).max(axis=1) > 1e-15)
+    return arr[keep]
+
+
+# coordinates on the edges 0 and 1 (both zeros), within 1e-12 of an edge,
+# inside the box and well outside it
+_COORD = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0]),
+    st.builds(float.__add__, st.sampled_from([0.0, -0.0, 1.0]),
+              st.floats(-1e-12, 1e-12)),
+    st.floats(-0.5, 1.5),
+    st.floats(-3.0, 3.0))
+# each drawn point is repeated one to three times
+_POLYLINE = st.lists(st.tuples(st.tuples(_COORD, _COORD), st.integers(1, 3)),
+                     max_size=12).map(
+    lambda runs: [q for q, k in runs for _ in range(k)])
+
+
+@settings(max_examples=400, deadline=None)
+@given(_POLYLINE)
+@example([(-0.5, 0.5), (1.5, 0.5)])            # crosses the box, ends out
+@example([(-1.0, 2.0), (2.0, 2.0)])            # wholly outside
+@example([(0.0, 0.0), (-0.0, 0.0), (1.0, 1.0), (1.0, 1.0 - 1e-16)])
+@example([(-0.0, 0.5), (-0.5, -0.5), (0.5, -0.0)])
+@example([(0.5, 0.5), (0.5 + 5e-15, 0.5)])    # 5e-15 apart: both kept
+@example([(-0.5, -0.0), (1.5, -5e-324)])      # crosses u = 0 at v = -0.0
+@example([(-0.0, -0.5), (-5e-324, 1.5)])      # crosses v = 0 at u = -0.0
+def test_clip_to_unit_box_equals_the_numpy_clip(points):
+    def bits(poly):
+        return [(float(u).hex(), float(v).hex()) for u, v in poly]
+
+    got = _clip_to_unit_box(points)
+    assert all(type(u) is float and type(v) is float for u, v in got)
+    # an edge parameter t overflows on a tiny step, where numpy warns and
+    # plain floats do not; the 0 < t < 1 test discards it in both
+    with np.errstate(over="ignore"):
+        ref = _numpy_clip(np.array(points, dtype=float).reshape(-1, 2))
+    assert bits(got) == bits(ref)

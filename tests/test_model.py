@@ -75,6 +75,7 @@ def test_nondimensionalize_rejects_allee_outside_range():
     lambda: separatrix(Params(0.04, -0.12, 0.45, 0.07)),
     lambda: homoclinic_locus(0.5, 0.1, [0.0, 1.2]),
     lambda: homoclinic_locus(-0.5, 0.1, [0.0]),
+    lambda: homoclinic_locus(math.nan, 0.1, []),
     lambda: compute_basins(BISTABLE, 2.0, FAST_CFG),
     lambda: compute_basins(BISTABLE, "2", FAST_CFG),
     lambda: classify_omega_limit(Params(0.04, -1, 0.45, 0.07), (0.5, 0.5)),
@@ -91,7 +92,8 @@ def test_nondimensionalize_rejects_allee_outside_range():
     lambda: hopf_locus(0.5, 0.1, [0.0, 1.2]),
 ], ids=["basins", "basins-reversed-u", "basins-empty-v", "basins-nan-bound",
         "basins-inf-bound", "region-M", "region-S", "diagram", "gap",
-        "separatrix", "locus-M", "locus-Q", "basins-float-resolution",
+        "separatrix", "locus-M", "locus-Q", "hom-empty-grid",
+        "basins-float-resolution",
         "basins-str-resolution", "omega-S", "integrate-M", "cycle-Q",
         "trace-C", "saddle-node-C", "saddle-node-Q", "bt-C", "hopf-Q",
         "hopf-C", "hopf-M"])
