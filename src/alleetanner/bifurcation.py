@@ -25,7 +25,9 @@ import math
 from dataclasses import dataclass
 
 from .equilibria import CaseLabel, case_label
-from .flow import IntegratorConfig, find_limit_cycle
+# perfbench/tracing.py wraps find_limit_cycle here, so the name stays bound
+# though the region grid hunts through flow._hunt
+from .flow import IntegratorConfig, _context, _hunt, find_limit_cycle
 from .manifolds import GapUndefinedError, homoclinic_gap
 from .model import Params, _real_eigenvalues, _unit_eigenvector, \
     jacobian, validate_params
@@ -298,9 +300,14 @@ def region_classify(p: Params, cfg: IntegratorConfig | None = None,
     point.  Guard bands: |M - M*| < guard around the fold, |S - S_hopf| <
     guard around the trace-zero curve (classification is ill-posed on the
     loci themselves; the homoclinic curve has no cheap test and is left to
-    the cycle hunt).  A hunt cut off by ``cfg.tau_max`` reads as no cycle:
+    the cycle hunt).  The hunt is the raster's (``flow._section_interval``):
+    it finds a cycle when a section interval around the cycle is certified
+    to map into itself, or when the return map converges as
+    ``find_limit_cycle`` requires, so a small cycle with no room for the
+    interval still counts.  A certificate needs only a few revolutions, so
     at (0.04, 0.082, 0.45, 0.07), where the cycle attracts slowly, tau_max
-    2500 gives Repeller and the default gives Cycle.
+    2500 gives Cycle as the default does.  A hunt that does neither within
+    ``cfg.tau_max`` reads as no cycle.
     """
     validate_params(p)
     cfg = cfg or IntegratorConfig()
@@ -322,8 +329,10 @@ def region_classify(p: Params, cfg: IntegratorConfig | None = None,
         return RegionLabel.NEAR_LOCUS
     if p.S > s_hopf:
         return stable_label
-    cyc = find_limit_cycle(p, None, cfg)
-    return RegionLabel.CYCLE if cyc is not None else RegionLabel.REPELLER
+    certified = []
+    cyc = _hunt(_context(p), cfg, certified=certified)
+    return (RegionLabel.CYCLE if cyc is not None or certified
+            else RegionLabel.REPELLER)
 
 
 def sotomayor_check(q: float, c: float, s: float = 0.2,

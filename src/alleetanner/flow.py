@@ -72,6 +72,30 @@ _P6 = (0.0, -282668133 / 205662961, 2019193451 / 616988883,
        -1453857185 / 822651844)
 _P7 = (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423)
 
+# g = v - u - C on a step's dense output is one quartic,
+# g(th) = g0 + h*th*(c0 + th*(c1 + th*(c2 + th*c3))) with
+# c_j = sum_s (k_s,v - k_s,u)*P_s,j (``_section_quartic``).  Its rounding
+# error and _dense's are bounded as in Higham, Accuracy and Stability of
+# Numerical Algorithms, 2nd ed., 3.1 and 5.1: with unit roundoff 2^-53 and
+# gamma_n = n 2^-53 / (1 - n 2^-53), a term that passes n roundings is off by
+# at most gamma_n times its size.  A stage's term passes 15 of them in
+# _dense (7 in the Horner factor P_s(th), 6 in the sum over stages, 2 in
+# u0 + h*(...)) and 16 in the quartic (the difference k_s,v - k_s,u, 6 in
+# c_j, 6 in the Horner cubic, 2 in h*th*(...), 1 in g0 + ...): 31, and one
+# more for the subtraction v - u that the dense test rounds.  The state
+# term passes at most 3 (g0) plus 1 (each dense component) plus 1 (v - u),
+# C at most 2.  Each gamma counts one rounding more for the margin's own
+# evaluation.  A step is longer than 1e-13 max(1, |tau|) (``_Stepper.step``)
+# and its end time is rounded to within 2^-53 |tau|, so th stays below
+# _TH_MAX on every point the bisection probes, and a stage's terms add up to
+# at most h (|k_s,u| + |k_s,v|) times its sum of |P_s,j| _TH_MAX^(j+1),
+# kept in _PABS.
+_TH_MAX = 1.0 + 2.0 ** -9
+_PABS = tuple(sum(abs(c) * _TH_MAX ** (j + 1) for j, c in enumerate(P))
+              for P in (_P1, _P3, _P4, _P5, _P6, _P7))
+_G_STAGES, _G_STATE, _G_C = (n * 2.0 ** -53 / (1.0 - n * 2.0 ** -53)
+                             for n in (33, 6, 3))
+
 # Successive return-map differences of one sign must shrink at least this
 # fast before a cycle is declared; a slow drift toward a boundary contour
 # has ratio -> 1 and keeps its sign.
@@ -330,8 +354,9 @@ class _Context(NamedTuple):
     inside it ends its trajectory on the cycle.  ``_context`` leaves it
     None; ``classify_omega_limit`` and ``compute_basins`` add it with
     ``_section_interval``, so the contexts of ``integrate``,
-    ``find_limit_cycle``, the region grid and the manifold traces never pay
-    for its cycle hunt.
+    ``find_limit_cycle``, the region grid and the manifold traces carry
+    none.  The region grid runs the same hunt, only to tell a cycle from
+    none.
     """
 
     p: Params
@@ -411,6 +436,28 @@ def _exit_box(u0: float, v0: float, C: float) -> tuple[float, float]:
     return max(10.0, 2.0 * (u0 + 1.0)), max(10.0, 2.0 * (v0 + 1.0 + C))
 
 
+def _section_quartic(h, u0, v0, ks, C):
+    """g = v - u - C on the dense output of the step of size ``h`` from
+    (u0, v0) with stages ``ks``: (g0, c0, c1, c2, c3, margin), where
+    g0 + h*th*(c0 + th*(c1 + th*(c2 + th*c3))), evaluated in that order,
+    differs by at most ``margin`` from the exact d - C, where d is ``v - u``
+    rounded and (u, v) is ``_dense`` at the same th, for 0 <= th < _TH_MAX.
+    The dense test's ``v - u - C < 0`` has the sign of d - C."""
+    k1u, k1v, k3u, k3v, k4u, k4v, k5u, k5v, k6u, k6v, k7u, k7v = ks
+    d1, d3, d4 = k1v - k1u, k3v - k3u, k4v - k4u
+    d5, d6, d7 = k5v - k5u, k6v - k6u, k7v - k7u
+    c0, c1, c2, c3 = (d1 * p1 + d3 * p3 + d4 * p4 + d5 * p5 + d6 * p6
+                      + d7 * p7 for p1, p3, p4, p5, p6, p7
+                      in zip(_P1, _P3, _P4, _P5, _P6, _P7))
+    a1, a3, a4, a5, a6, a7 = _PABS
+    stages = (a1 * (abs(k1u) + abs(k1v)) + a3 * (abs(k3u) + abs(k3v))
+              + a4 * (abs(k4u) + abs(k4v)) + a5 * (abs(k5u) + abs(k5v))
+              + a6 * (abs(k6u) + abs(k6v)) + a7 * (abs(k7u) + abs(k7v)))
+    margin = (_G_STAGES * abs(h) * stages + _G_STATE * (abs(u0) + abs(v0))
+              + _G_C * abs(C))
+    return v0 - u0 - C, c0, c1, c2, c3, margin
+
+
 def _refine_crossing(stepper: _Stepper, C: float) -> tuple[float, float, float]:
     """Bisect the dense output for the v = u + C crossing in the last step.
 
@@ -418,14 +465,24 @@ def _refine_crossing(stepper: _Stepper, C: float) -> tuple[float, float, float]:
     ends, and g = v - u - C is split into g < 0 and g >= 0.  The returned
     time lies on the step end's side of that split.  Like
     ``_bisect_crossings`` it stops at the first halving that moves neither
-    end, a fixed point of the rest of the 64.
+    end, a fixed point of the rest of the 64.  Each halving reads the sign
+    of g from the step's quartic (``_section_quartic``), and from the
+    dense-output state itself only where the quartic lies within its error
+    margin of zero, so every halving decides as the state would.
     """
     lo, hi = stepper.prev_tau, stepper.tau
     up = stepper.prev_v - stepper.prev_u - C < stepper.v - stepper.u - C
+    h = stepper.h_last
+    g0, c0, c1, c2, c3, margin = _section_quartic(
+        h, stepper.prev_u, stepper.prev_v, stepper.ks, C)
     for _ in range(64):
         mid = 0.5 * (lo + hi)
-        u, v = stepper.state_at(mid)
-        if (v - u - C < 0.0) == up:
+        th = (mid - stepper.prev_tau) / h
+        g = g0 + h * th * (c0 + th * (c1 + th * (c2 + th * c3)))
+        if not abs(g) > margin:
+            u, v = stepper.state_at(mid)
+            g = v - u - C
+        if (g < 0.0) == up:
             lo, moved = mid, mid != lo
         else:
             hi, moved = mid, mid != hi
@@ -436,7 +493,8 @@ def _refine_crossing(stepper: _Stepper, C: float) -> tuple[float, float, float]:
 
 
 def _drive(ctx: _Context, s0: State, cfg: IntegratorConfig, *,
-           want_samples: bool, resume=None) -> Trajectory:
+           want_samples: bool, resume=None,
+           certified: list | None = None) -> Trajectory:
     """Integrate from the seed ``s0`` until an event.
 
     ``resume = (stepper, prev_cross_u, prev_cross_tau, prev_delta)``
@@ -449,6 +507,15 @@ def _drive(ctx: _Context, s0: State, cfg: IntegratorConfig, *,
     trajectory at that target; with them, only the ``rho_eq`` test does.
     A crossing strictly inside ``ctx.interval`` ends it on the cycle, with
     no ``Cycle``: its period and residual were not measured.
+
+    A list ``certified`` makes the drive a cycle hunt that may end at a
+    certificate instead of at convergence.  At a crossing whose last two
+    differences d_prev and d have one sign and shrink, r = d/d_prev gives
+    Aitken's estimate x = u_c + d r/(1 - r) of the return map's fixed point;
+    once |x - u_c| < ``_SECTION_HALF_WIDTH``/4, the interval of that
+    half-width around x is tried (``_certified_interval``), at most twice
+    per drive.  The first that holds is appended to ``certified`` and ends
+    the drive on the cycle, with no ``Cycle``.
     """
     targets = ctx.targets
     anchor = ctx.anchor
@@ -458,6 +525,8 @@ def _drive(ctx: _Context, s0: State, cfg: IntegratorConfig, *,
     exit_u, exit_v = _exit_box(u0, v0, C)
     rho2 = cfg.rho_eq * cfg.rho_eq
     discs = [] if want_samples else [t for t in targets if t.r2 > 0.0]
+    tries = 0 if certified is None else 2
+    w = _SECTION_HALF_WIDTH
 
     if resume is None:
         stepper = None
@@ -513,6 +582,16 @@ def _drive(ctx: _Context, s0: State, cfg: IntegratorConfig, *,
             return finish(Termination.REACHED_CYCLE, cycle=Cycle(
                 tau_c - prev_cross_tau, segment, (u_c, u_c + C),
                 abs(delta)))
+        if tries and delta * prev_delta > 0.0 and abs(delta) < abs(
+                prev_delta):
+            r = delta / prev_delta
+            x = u_c + delta * r / (1.0 - r)
+            if abs(x - u_c) < 0.25 * w:
+                tries -= 1
+                interval = _certified_interval(ctx, cfg, x - w, x + w)
+                if interval is not None:
+                    certified.append(interval)
+                    return finish(Termination.REACHED_CYCLE)
         prev_cross_u, prev_cross_tau, prev_delta = u_c, tau_c, delta
         segment = [(u_c, u_c + C)]
 
@@ -529,18 +608,25 @@ def _first_return(ctx: _Context, cfg: IntegratorConfig,
     before it, and the orbit's error margin: the sum over its steps of the
     tolerance each step's error estimate was held to (``abs_tol`` plus
     ``rel_tol`` times the largest component at the step's ends).  None when
-    the orbit leaves the domain or reaches the horizon first, or returns at
-    or below the anchor.  The start lies on the section, where g rounds to
-    about +-5e-17, so its first step may read as an upward crossing: a
-    return counts only after a downward crossing.
+    the orbit leaves the domain, enters an attracting target's trapping disc
+    (it never returns from there) or reaches the horizon first, or returns
+    at or below the anchor.  Only the disc ends it early, not the
+    ``rho_eq`` test, so a return that passes close to a saddle counts.  The
+    start lies on the section, where g rounds to about +-5e-17, so its first
+    step may read as an upward crossing: a return counts only after a
+    downward crossing.
     """
     C = ctx.p.C
     stepper = _Stepper(ctx.f, (x, x + C), cfg, cfg.tau_max)
     exit_u, exit_v = _exit_box(x, x + C, C)
+    discs = [t for t in ctx.targets if t.r2 > 0.0]
     down, margin = None, 0.0
     while stepper.step():
         u0, v0, u1, v1 = stepper.prev_u, stepper.prev_v, stepper.u, stepper.v
         if u1 > exit_u or v1 > exit_v:
+            return None
+        # rho2 = 0 leaves the trapping discs as the only test
+        if _arrival([], discs, 0.0, u1, v1, 0.0, 0.0) is not None:
             return None
         margin += cfg.abs_tol + cfg.rel_tol * max(abs(u0), abs(v0),
                                                   abs(u1), abs(v1))
@@ -584,32 +670,39 @@ def _certified_interval(ctx: _Context, cfg: IntegratorConfig, a: float,
     return a, b
 
 
-def _hunt(ctx: _Context, cfg: IntegratorConfig,
-          seed: State | None = None) -> Cycle | None:
+def _hunt(ctx: _Context, cfg: IntegratorConfig, seed: State | None = None,
+          certified: list | None = None) -> Cycle | None:
     """The limit cycle reached from ``seed``, by default from beside the
     section's anchor; None without an anchor or when the hunt ends in an
-    equilibrium or at the horizon."""
+    equilibrium, at the horizon or, with a list ``certified``, at a
+    certified section interval, which it appends there (``_drive``)."""
     if ctx.anchor is None:
         return None
     if seed is None:
         seed = min(ctx.anchor + 0.05, 0.98), ctx.anchor + ctx.p.C
-    return _drive(ctx, seed, cfg, want_samples=False).cycle
+    return _drive(ctx, seed, cfg, want_samples=False,
+                  certified=certified).cycle
 
 
 def _section_interval(ctx: _Context,
                       cfg: IntegratorConfig) -> tuple[float, float] | None:
     """The certified section interval of the cycle at ``ctx``, or None.
 
-    Hunts the cycle from beside the anchor (``_hunt``) and certifies the
-    interval of half-width ``_SECTION_HALF_WIDTH`` around its crossing
-    (``_certified_interval``).  ``ctx`` carries no interval yet.  Costs one
-    hunt and two returns: on a 2-vCPU x86 VM about 4.6 ms at the cycle point
-    (-0.055, 0.03, 0.55, 0.1) with rel_tol 1e-6, 49 ms at (0.04, 0.082,
-    0.45, 0.07) with the default tolerances, where the cycle attracts
-    slowly, and 1.6 ms at the bistable point (0.04, 0.12, 0.45, 0.07), where
-    the hunt ends in the anchor's trapping disc.
+    Hunts the cycle from beside the anchor (``_hunt``) until an interval of
+    half-width ``_SECTION_HALF_WIDTH`` around the extrapolated fixed point
+    of the return map holds (``_certified_interval``), or else until the
+    return map converges, and then tries the interval around the converged
+    crossing.  ``ctx`` carries no interval yet.  On a 2-vCPU x86 VM (min
+    of 7 calls, two rounds) this took 3.3 ms at the cycle point (-0.055,
+    0.03, 0.55, 0.1) with rel_tol 1e-6, 9-16 ms at (0.04, 0.082, 0.45,
+    0.07) with the default tolerances, where the cycle attracts slowly and
+    converging took 57 ms, and 0.8-1.5 ms at the bistable point (0.04,
+    0.12, 0.45, 0.07), where the hunt ends in the anchor's trapping disc.
     """
-    cyc = _hunt(ctx, cfg)
+    certified = []
+    cyc = _hunt(ctx, cfg, certified=certified)
+    if certified:
+        return certified[0]
     if cyc is None:
         return None
     u = cyc.crossing[0]

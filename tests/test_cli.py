@@ -32,6 +32,11 @@ def read_csv_rows(path):
      "classify_extinction.txt"),
     (["classify", "-M", "-0.055", "-S", "0.15", "-Q", "0.55", "-C", "0.1"],
      "classify_single.txt"),
+    # a slowly attracting cycle: its section interval is certified within
+    # the short horizon, where the hunt alone would not converge
+    (["classify", "-M", "0.04", "-S", "0.082", "-Q", "0.45", "-C", "0.07",
+      "--tau-max", "2500"],
+     "classify_slow_cycle.txt"),
 ])
 def test_classify_golden(capsys, args, fixture):
     assert run(args) == 0
@@ -296,6 +301,19 @@ def test_bifurcation_outputs(tmp_path, capsys):
     assert 'class="bt-point"' in svg
     assert 'class="hopf-locus"' in svg
     assert 'class="region-' in svg
+
+
+def test_bifurcation_regions_golden(tmp_path):
+    # the benchmark window's 16 x 12 region grid at the test tolerances:
+    # every label and every coordinate's bytes (the loci do not enter it,
+    # so one homoclinic point keeps the run short)
+    assert run(["bifurcation", "-Q", "0.5", "-C", "0.1",
+                "--m-window=-0.04,0.01", "--s-window=0.005,0.15",
+                "--hom-points", "1", "--out-dir", str(tmp_path)]
+               + FAST_FLAGS) == 0
+    rows = [line for line in (tmp_path / "regions.csv").read_text()
+            .splitlines(keepends=True) if not line.startswith("#")]
+    assert "".join(rows) == (GOLDEN / "regions_benchmark.csv").read_text()
 
 
 def test_classify_and_bifurcation_never_import_numpy(tmp_path):

@@ -9,6 +9,7 @@ here from the stepper and the crossing locator alone.
 """
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from alleetanner import (
     region_classify,
     separatrix,
 )
+from alleetanner.bifurcation import RegionLabel
 from alleetanner import flow
 
 from conftest import BISTABLE, CYCLE_POINT, FAST_CFG
@@ -108,7 +110,9 @@ def test_interval_needs_the_margin_and_the_radius():
     loose = IntegratorConfig(rel_tol=1e-5, abs_tol=1e-8, rho_eq=1e-5)
     ctx = flow._context(CYCLE_BISTABLE)
     a, b = flow._section_interval(ctx, FAST_CFG)
-    u = 0.5 * (a + b)
+    # the converged crossing: the interval's centre is only an estimate of
+    # the fixed point, too rough for a half-width of 1e-4
+    u = flow._hunt(ctx, FAST_CFG).crossing[0]
     assert flow._certified_interval(ctx, loose, u - 1e-4, u + 1e-4) is None
     assert flow._certified_interval(ctx, FAST_CFG, u - 1e-4,
                                     u + 1e-4) is not None
@@ -123,6 +127,69 @@ def test_interval_needs_the_margin_and_the_radius():
                                     b) is None
     assert flow._certified_interval(ctx, FAST_CFG, ctx.anchor + 2.0 * r,
                                     b) == (ctx.anchor + 2.0 * r, b)
+
+
+def _benchmark_cycle_points():
+    """(M, S) of the cycle points in the benchmark window's region grid
+    (Q = 0.5, C = 0.1, 16 x 12 cell centres)."""
+    rows = (Path(__file__).parent / "golden" / "regions_benchmark.csv"
+            ).read_text().splitlines()[1:]
+    return [(float(m), float(s)) for m, s, region in
+            (row.split(",") for row in rows) if region == "cycle"]
+
+
+def test_certified_interval_holds_the_converged_crossing():
+    # the hunt centres its interval on an extrapolated fixed point before it
+    # has converged; the crossing it converges to when hunted on lies inside
+    points = _benchmark_cycle_points()
+    assert len(points) == 17
+    certified = 0
+    for m, s in points:
+        ctx = flow._context(Params(m, s, 0.5, 0.1))
+        interval = flow._section_interval(ctx, FAST_CFG)
+        cyc = flow._hunt(ctx, FAST_CFG)
+        assert cyc is not None, (m, s)
+        if interval is not None:
+            certified += 1
+            a, b = interval
+            assert b - a == pytest.approx(2.0 * W)
+            assert a < cyc.crossing[0] < b, (m, s)
+    # the two left out are small cycles with no room for the interval: the
+    # orbit through its outer end leaves for (0, C)
+    assert certified == 15
+
+
+def test_a_return_into_a_trapping_disc_fails_at_once(monkeypatch):
+    # at this cycle point of the benchmark grid the region hunt tries
+    # intervals whose outer end's orbit falls into the trapping disc of
+    # (0, C); that return fails there, not at the horizon
+    p = Params(-0.0321875, 0.035208333333333335, 0.5, 0.1)
+    ctx = flow._context(p)
+    tried = []
+    first_return = flow._first_return
+
+    def spy(ctx, cfg, x):
+        res = first_return(ctx, cfg, x)
+        tried.append((x, res))
+        return res
+
+    monkeypatch.setattr(flow, "_first_return", spy)
+    assert region_classify(p, FAST_CFG) is RegionLabel.CYCLE
+    monkeypatch.setattr(flow, "_first_return", first_return)
+    failed = [x for x, res in tried if res is None]
+    assert failed
+    attempts = [0]
+    attempt = flow._dp_attempt
+
+    def counted(*args):
+        attempts[0] += 1
+        return attempt(*args)
+
+    monkeypatch.setattr(flow, "_dp_attempt", counted)
+    for x in failed:
+        attempts[0] = 0
+        assert flow._first_return(ctx, FAST_CFG, x) is None
+        assert attempts[0] < 100, x
 
 
 def test_no_interval_without_a_cycle():
@@ -155,7 +222,7 @@ def test_only_classification_and_rasters_build_the_interval(monkeypatch):
     monkeypatch.setattr(flow, "_section_interval", spy)
     monkeypatch.setattr("alleetanner.basin._section_interval", spy)
     # the contexts of the region grid, the manifold traces, the cycle hunt
-    # and integrate carry none and pay for no hunt
+    # and integrate carry none; the region grid hunts, but keeps no interval
     assert flow._context(CYCLE_POINT).interval is None
     region_classify(CYCLE_POINT, FAST_CFG)
     region_classify(CYCLE_BISTABLE, FAST_CFG)

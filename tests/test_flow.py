@@ -1,5 +1,6 @@
 import faulthandler
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,9 +20,9 @@ from alleetanner import (
     is_global_extinction,
     jacobian,
 )
-from alleetanner.flow import (_bisect_crossings, _context, _cycle_found,
-                              _dense, _drive, _lockstep, _refine_crossing,
-                              _Stepper)
+from alleetanner.flow import (_TH_MAX, _bisect_crossings, _context,
+                              _cycle_found, _dense, _drive, _lockstep,
+                              _refine_crossing, _section_quartic, _Stepper)
 from alleetanner.model import field_closure
 from alleetanner.stability import classify
 from alleetanner.equilibria import all_equilibria
@@ -293,6 +294,100 @@ def test_refine_crossing_equals_64_halvings(p, cfg, u0, v0):
         a = np.array(up_steps).T
         tau_c, u_c = _bisect_crossings(C, a[0], a[1], a[2], a[3], a[4:])
         assert list(zip(tau_c.tolist(), u_c.tolist())) == up_want
+
+
+def _refine_plain(stepper, C):
+    """The crossing locator with every halving read from the dense-output
+    state, as it was before the quartic test."""
+    lo, hi = stepper.prev_tau, stepper.tau
+    up = stepper.prev_v - stepper.prev_u - C < stepper.v - stepper.u - C
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        u, v = stepper.state_at(mid)
+        if (v - u - C < 0.0) == up:
+            lo, moved = mid, mid != lo
+        else:
+            hi, moved = mid, mid != hi
+        if not moved:
+            break
+    u, v = stepper.state_at(hi)
+    return hi, u, v
+
+
+CYCLE_BISTABLE = Params(0.04, 0.082, 0.45, 0.07)
+
+
+@st.composite
+def _steps(draw):
+    """An accepted step of the field from a random seed, and a line
+    v - u = c that it crosses: at a random th, or, for a near-tangent
+    crossing, just inside the turn of v - u within the step, when it
+    turns there."""
+    p = draw(st.sampled_from([BISTABLE, CYCLE_POINT, CYCLE_BISTABLE]))
+    cfg = draw(st.sampled_from([FAST_CFG, IntegratorConfig()]))
+    seed = draw(st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)))
+    stepper = _Stepper(field_closure(p), seed, cfg, 1000.0)
+    for _ in range(draw(st.integers(1, 300))):
+        if not stepper.step():
+            break
+    assert stepper.ks is not None
+    h = stepper.h_last
+    gaps = [v - u for u, v in (_dense(k / 128, h, stepper.prev_u,
+                                      stepper.prev_v, stepper.ks)
+                               for k in range(129))]
+    turn = [k for k in range(1, 128)
+            if (gaps[k] - gaps[k - 1]) * (gaps[k + 1] - gaps[k]) <= 0.0]
+    if turn and draw(st.booleans()):
+        c = gaps[turn[0]]
+    else:
+        c = gaps[draw(st.integers(0, 128))]
+    c *= 1.0 + draw(st.sampled_from([0.0, 1.0, -1.0])) * 10.0 ** -draw(
+        st.integers(6, 17))
+    return stepper, c
+
+
+@settings(max_examples=150, deadline=None)
+@given(_steps())
+def test_quartic_crossing_equals_plain_bisection(step):
+    # every halving that the quartic decides, it decides as the state
+    # would, so the time and the state keep their bytes
+    stepper, c = step
+    got = _refine_crossing(stepper, c)
+    want = _refine_plain(stepper, c)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+def _quartic_off_by(h, u0, v0, ks, C, th):
+    """|g_q - g| exactly, with g the dense test's v - u (rounded) less C,
+    and the quartic's margin."""
+    g0, c0, c1, c2, c3, margin = _section_quartic(h, u0, v0, ks, C)
+    g_q = g0 + h * th * (c0 + th * (c1 + th * (c2 + th * c3)))
+    u, v = _dense(th, h, u0, v0, ks)
+    return abs(Fraction(g_q) - (Fraction(v - u) - Fraction(C))), margin
+
+
+@settings(max_examples=300, deadline=None)
+@given(_steps(), st.one_of(st.floats(0.0, 1.0),
+                           st.sampled_from([0.0, 1.0, _TH_MAX])))
+def test_quartic_margin_bounds_its_error_on_steps(step, th):
+    stepper, c = step
+    off, margin = _quartic_off_by(stepper.h_last, stepper.prev_u,
+                                  stepper.prev_v, stepper.ks, c, th)
+    assert off <= margin
+
+
+_mag = st.one_of(st.just(0.0), st.floats(1e-6, 1e3), st.floats(-1e3, -1e-6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(1e-6, 10.0), _mag, _mag, st.lists(_mag, min_size=12,
+                                                   max_size=12),
+       _mag, st.floats(0.0, _TH_MAX))
+def test_quartic_margin_bounds_its_error_on_any_stages(h, u0, v0, ks, C, th):
+    # the bound holds for any finite stages, not only those of the field:
+    # here they cancel in v - u and across stages as they like
+    off, margin = _quartic_off_by(h, u0, v0, tuple(ks), C, th)
+    assert off <= margin
 
 
 def _real_steps():
