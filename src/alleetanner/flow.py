@@ -12,8 +12,12 @@ Termination events, checked after every accepted step:
   keeps a slow saddle passage from being misread as convergence); or, on
   the classification paths (``classify_omega_limit``, ``find_limit_cycle``
   and the basin rasters, not ``integrate``), the state is inside the
-  trapping disc of an attracting equilibrium, a disc whose every point
-  provably flows to it (``stability.trapping_radius``),
+  trapping disc of an attracting equilibrium: a disc inside a sublevel set
+  of a quadratic Lyapunov function on which dV/dt < 0 is certified, sector
+  by sector of directions, from the field's exact Taylor remainder
+  (``stability.trapping_radius``), so that its every point provably flows
+  to the equilibrium.  Each disc is certified on the first test that
+  reads it, so ``integrate`` and the manifold traces pay for none,
 * limit-cycle convergence: successive same-direction crossings of the
   Poincare section v = u + C (the predator nullcline, which carries every
   interior equilibrium and is transversal to the flow elsewhere) differ by
@@ -331,19 +335,31 @@ class _Stepper:
 
 
 class _EqTarget:
-    """An in-domain equilibrium.  ``code`` is its raster label: 1, 2, ...
-    for the attracting targets in table order, 0 for the rest; ``r2`` is
-    the square of its trapping radius, 0.0 for none (every target that is
-    not attracting)."""
+    """An in-domain equilibrium of ``p``.  ``code`` is its raster label: 1,
+    2, ... for the attracting targets in table order, 0 for the rest;
+    ``r2`` is the square of its trapping radius, 0.0 for none (every
+    target that is not attracting).  An attracting target certifies its
+    disc on the first read of ``r2``, so a context whose trajectories
+    never test a disc (``integrate``, the manifold traces) pays nothing
+    for it."""
 
-    __slots__ = ("id", "u", "v", "code", "r2")
+    __slots__ = ("id", "u", "v", "code", "p", "r2")
 
-    def __init__(self, eq_id: str, u: float, v: float, code: int, r2: float):
+    def __init__(self, eq_id: str, u: float, v: float, code: int, p: Params):
         self.id = eq_id
         self.u = u
         self.v = v
         self.code = code
-        self.r2 = r2
+        self.p = p
+        if not code:
+            self.r2 = 0.0
+
+    def __getattr__(self, name: str) -> float:
+        # called only while the slot is unset: the first read of r2
+        if name != "r2":
+            raise AttributeError(name)
+        self.r2 = trapping_radius(self.p, (self.u, self.v)) ** 2
+        return self.r2
 
 
 class _Context(NamedTuple):
@@ -381,12 +397,12 @@ def _context(p: Params) -> _Context:
                        EquilibriumKind.INTERIOR_DOUBLE):
             anchor = eq.location[0]
         if eq.in_domain:
-            code, r = 0, 0.0
+            code = 0
             if classify(p, eq).attracting:
                 attractors += 1
-                code, r = attractors, trapping_radius(p, eq.location)
+                code = attractors
             targets.append(_EqTarget(eq.id, eq.location[0], eq.location[1],
-                                     code, r * r))
+                                     code, p))
     return _Context(p, field_closure(p), targets, anchor, attractors + 1)
 
 
@@ -759,18 +775,26 @@ _ROWS = _QH + 1
 
 def _bisect_crossings(C: float, prev_tau, pu, pv, h, ks):
     """``_refine_crossing`` on arrays, for upward crossings: the same
-    halvings of each step, through the same ``_dense``.  ``ks`` holds the
-    stages as ``_dp_attempt`` returns them.  Returns crossing times and
-    prey values.
+    halvings of each step, each decided by the step's quartic
+    (``_section_quartic``) and, in the columns where that lies within its
+    margin of zero, by the same ``_dense``.  ``ks`` holds the stages as
+    ``_dp_attempt`` returns them.  Returns crossing times and prey values.
     """
     import numpy as np
+    g0, c0, c1, c2, c3, margin = _section_quartic(h, pu, pv, ks, C)
     # A halving that moves neither end is a fixed point of the next ones,
     # so a cell whose bracket stops early keeps it to the last halving.
     lo, hi = prev_tau, prev_tau + h
     for _ in range(64):
         mid = 0.5 * (lo + hi)
-        u, v = _dense((mid - prev_tau) / h, h, pu, pv, ks)
-        below = v - u - C < 0.0
+        th = (mid - prev_tau) / h
+        g = g0 + h * th * (c0 + th * (c1 + th * (c2 + th * c3)))
+        near = np.flatnonzero(~(np.abs(g) > margin))
+        if len(near):
+            u, v = _dense(th[near], h[near], pu[near], pv[near],
+                          [k[near] for k in ks])
+            g[near] = v - u - C
+        below = g < 0.0
         moved = below & (mid != lo) | ~below & (mid != hi)
         if not moved.any():
             break

@@ -129,32 +129,6 @@ def jacobian(p: Params, state: State) -> Matrix:
     return (j11, j12), (j21, j22)
 
 
-def hessian_bound(p: Params, state: State, rho: float) -> float:
-    """A bound L on sqrt(|H_u|^2 + |H_v|^2) over the closed disc of radius
-    ``rho`` about (u, v), where H_u and H_v are the Hessians of the two
-    components of :func:`vector_field`; inf unless u + C > 0 on the disc.
-
-    Each Hessian's Frobenius norm bounds its spectral norm, and Taylor's
-    theorem then gives |f(x + y) - f(x) - J(x) y| <= L |y|^2 / 2 for
-    |y| <= rho.  With w = u + C, the entries are d2f_u/du2 = 2(1 + M) - 6u
-    (linear, so largest in size at a prey end of the disc), d2f_u/dudv = -Q,
-    and d2f_v = 2S [[-v^2/w^3, v/w^2], [v/w^2, -1/w]], bounded with |v| at
-    its largest and w at its smallest.
-    """
-    u, v = state
-    M, S, Q, C = p
-    w = u + C - rho
-    if not w > 0.0:
-        return math.inf
-    a = max(abs(2.0 * (1.0 + M) - 6.0 * (u - rho)),
-            abs(2.0 * (1.0 + M) - 6.0 * (u + rho)))
-    vm = abs(v) + rho
-    b = vm / (w * w)
-    return math.sqrt(a * a + 2.0 * Q * Q
-                     + 4.0 * S * S * (b * b * vm * vm / (w * w) + 2.0 * b * b
-                                      + 1.0 / (w * w)))
-
-
 def _unit_scale(J: Matrix, *xs: float) -> tuple[list[float], int]:
     """J's entries, then ``xs``, over 2**e just above J's largest entry, and
     e: exact, and no product of the scaled entries over- or underflows."""

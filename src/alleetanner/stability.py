@@ -16,18 +16,25 @@ relevant interior root:
 Note on S1: the closed form used here is (1/2)*(1+M-Q+sqrt(D))*(Q-sqrt(D)).
 The variant with (Q+sqrt(D)) in the last factor does not zero the trace at
 u2 and is kept out; `sigma` is the ground truth either way.
+
+An attracting equilibrium also gets a trapping disc (`trapping_radius`):
+a disc inside a sublevel set of the quadratic Lyapunov function of its
+linearization (`lyapunov_matrix`) on which the exact Taylor remainder of
+the field, bounded sector by sector of directions, still leaves dV/dt < 0.
+Everything here is closed-form arithmetic on plain floats, so the scalar
+commands that classify run without numpy.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
 from .equilibria import CaseLabel, Equilibrium, EquilibriumKind, case_label, \
     discriminant
-from .model import EPS_CASE, Params, State, hessian_bound, jacobian, \
-    vector_field
+from .model import EPS_CASE, Params, State, jacobian, vector_field
 
 # Hyperbolicity tolerance: det/trace within this of zero -> NonHyperbolic.
 EPS_CLASS = 1e-9
@@ -149,20 +156,81 @@ def lyapunov_matrix(J) -> tuple[float, float, float] | None:
         k * (det + a * a + b * b)
 
 
+# trapping_radius cuts the circle of directions into this many equal
+# sectors.  A multiple of 4, so that the axes are sector edges.
+_SECTORS = 64
+
+# trapping_radius holds 2 y^T P R(y) to at most this share of |y|^2, so
+# that dV/dt <= -0.26 |y|^2 in the certified set: the bar -|y|^2/4, with
+# room left for the rounding of the bounds and of the cubic's root.
+_REMAINDER_SHARE = 0.74
+
+# Exponents (a, b) of the direction monomials cos^a sin^b that the
+# certificate's coefficients are sums of, in the columns of _sector_table.
+_MONOMIALS = ((3, 0), (2, 1), (1, 2), (0, 3), (4, 0), (3, 1), (2, 0), (1, 1),
+              (0, 2), (1, 0))
+
+
+@functools.cache
+def _sector_table() -> tuple[tuple[float, ...], ...]:
+    """Per sector, the (min, max) of each of ``_MONOMIALS`` in turn over the
+    sector's angles: monomial m has its min in column 2m and its max in
+    column 2m + 1.  Each range comes from the monomial's values at the
+    sector's ends and at any turn inside, where tan^2 = b/a; its other
+    turns lie on the axes, which are sector edges.  Built on the first
+    certificate, so that importing the module stays cheap."""
+    def values(t: float) -> list[float]:
+        c, s = math.cos(t), math.sin(t)
+        return [c ** a * s ** b for a, b in _MONOMIALS]
+
+    edges = [2.0 * math.pi * j / _SECTORS for j in range(_SECTORS + 1)]
+    ends = [values(t) for t in edges]
+    turns = []   # (angle, column, value)
+    for m, (a, b) in enumerate(_MONOMIALS):
+        if a and b:
+            r = math.atan(math.sqrt(b / a))
+            for t in (r, math.pi - r, math.pi + r, 2.0 * math.pi - r):
+                turns.append((t, m, values(t)[m]))
+    table = []
+    for j in range(_SECTORS):
+        lo = list(map(min, ends[j], ends[j + 1]))
+        hi = list(map(max, ends[j], ends[j + 1]))
+        for t, m, x in turns:
+            if edges[j] < t < edges[j + 1]:
+                lo[m], hi[m] = min(lo[m], x), max(hi[m], x)
+        table.append(tuple(x for pair in zip(lo, hi) for x in pair))
+    return tuple(table)
+
+
 def trapping_radius(p: Params, state: State) -> float:
     """Radius r of a disc about the equilibrium ``state`` whose every point
     flows into it; 0.0 when none is certified (a Jacobian that is not
     Hurwitz: saddles, repellers, degenerate points).
 
-    With P from :func:`lyapunov_matrix` of the Jacobian A, eigenvalues
-    lmin <= lmax, and L the :func:`model.hessian_bound` on the disc of
-    radius rho, the Taylor remainder R(y) of the field obeys |R| <= L|y|^2/2,
-    so dV/dt = -|y|^2 + 2 y^T P R(y) <= -|y|^2 (1 - lmax L |y|) <= -|y|^2/2
-    for |y| <= rho = 1/(2 lmax L) (Khalil, 8.2).  rho is found by halving
-    from (u + C)/2, which keeps u + C > 0 on the disc.  The sublevel set
-    V <= lmin rho^2 lies in that disc, so it is positively invariant and
-    every trajectory in it converges to the equilibrium; it contains the
-    disc of radius r = rho sqrt(lmin/lmax).
+    With P from :func:`lyapunov_matrix` of the Jacobian A, y = x - x* and
+    V = y^T P y, dV/dt = -|y|^2 + 2 y^T P R(y), where the Taylor remainder
+    R of the field is exact: with w = u* + C,
+
+        R_u = ((1 + M) - 3u*) y1^2 - Q y1 y2 - y1^3,
+        R_v = -S (w y2 - v* y1)^2 / (w^2 (w + y1)).
+
+    On the ray y = t e, e = (cos, sin), that makes
+    2 y^T P R / |y|^2 = 2t (alpha + beta t + gamma / (w + t cos)), where
+    alpha, beta and gamma are sums of monomials cos^a sin^b with
+    coefficients from P and the point.  On each of ``_SECTORS`` sectors of
+    directions, each monomial's range (``_sector_table``) bounds them from
+    above, and cos's range bounds the last denominator from below (above
+    for gamma < 0).  The bounds make the test 2t (...) <= k, with
+    k = ``_REMAINDER_SHARE``, a cubic p(t) <= 0 with p(0) < 0, which holds
+    up to p's first positive root: 1/s for the largest real root s of p's
+    reversal in s = 1/t, in closed form (no root when s <= 0).  That root,
+    capped where the ray stays within u + C >= w/2, is the sector's reach
+    T; e^T P e >= q on the sector, bounded below the same way and by lmin.
+    Every point of the sublevel set V <= c, c = min over sectors of q T^2,
+    is then within its sector's reach, so dV/dt <= -(1 - k)|y|^2 there:
+    the set is positively invariant and every trajectory in it converges
+    to the equilibrium (Khalil, Nonlinear Systems, 3rd ed., 8.2).  It
+    contains the disc of radius r = sqrt(c / lmax).
     """
     A = jacobian(p, state)
     P = lyapunov_matrix(A)
@@ -173,10 +241,63 @@ def trapping_radius(p: Params, state: State) -> float:
     lam_max = 0.5 * tr + math.hypot(0.5 * (p11 - p22), p12)
     # det P = tr P / (2 |tr A|) in the closed form: lmin without cancellation
     lam_min = tr / (-2.0 * (A[0][0] + A[1][1]) * lam_max)
-    rho = 0.5 * (state[0] + p.C)
-    while 2.0 * lam_max * hessian_bound(p, state, rho) * rho > 1.0:
-        rho *= 0.5
-    return rho * math.sqrt(lam_min / lam_max)
+    M, S, Q, C = p
+    u, v = state
+    w = u + C
+    a = 1.0 + M - 3.0 * u
+    # alpha, beta and gamma times 2/k (gamma also over w), and -e^T P e, as
+    # coefficients of the monomials cos^3, cos^2 sin, cos sin^2, sin^3,
+    # cos^4, cos^3 sin, cos^2, cos sin and sin^2 (columns 0 to 8)
+    two_k = 2.0 / _REMAINDER_SHARE
+    g = two_k * S / (w * w * w)
+    terms = ((two_k * p11 * a, 0), (two_k * (p12 * a - p11 * Q), 1),
+             (-two_k * p12 * Q, 2),
+             (-two_k * p11, 4), (-two_k * p12, 5),
+             (-g * p12 * v * v, 0), (-g * v * (p22 * v - 2.0 * p12 * w), 1),
+             (-g * w * (p12 * w - 2.0 * p22 * v), 2), (-g * p22 * w * w, 3),
+             (-p11, 6), (-2.0 * p12, 7), (-p22, 8))
+    # each term's column of the sector table that bounds it from above
+    (x1, i1), (x2, i2), (x3, i3), (x4, i4), (x5, i5), (x6, i6), (x7, i7), \
+        (x8, i8), (x9, i9), (x10, i10), (x11, i11), (x12, i12) = (
+            (x, 2 * m + (x > 0.0)) for x, m in terms)
+    iw, half_w = 1.0 / w, 0.5 * w
+    inf, sqrt, cos, acos = math.inf, math.sqrt, math.cos, math.acos
+    level = inf
+    for row in _sector_table():
+        al = x1 * row[i1] + x2 * row[i2] + x3 * row[i3]
+        be = x4 * row[i4] + x5 * row[i5]
+        ga = x6 * row[i6] + x7 * row[i7] + x8 * row[i8] + x9 * row[i9]
+        q = -(x10 * row[i10] + x11 * row[i11] + x12 * row[i12])
+        cos_lo = row[18]
+        d = (cos_lo if ga >= 0.0 else row[19]) * iw
+        # p(t)/(k w) = (be t^2 + al t - 1)(1 + d t) + ga t; its reversal,
+        # over its leading coefficient -1, is s^3 + b s^2 + c s + e, and
+        # s = x - b/3 makes it x^3 + 3 p3 x + 2 h
+        b, c, e = d - al - ga, -(be + al * d), -be * d
+        sh = b / 3.0
+        p3 = (c - b * sh) / 3.0
+        h = 0.5 * (e - sh * (c - 2.0 * sh * sh))
+        disc = h * h + p3 * p3 * p3
+        if not abs(disc) < inf:
+            return 0.0
+        if disc > 0.0:   # one real root (Cardano, without cancellation)
+            z = (abs(h) + sqrt(disc)) ** (1.0 / 3.0)
+            if h > 0.0:
+                z = -z
+            s = z - p3 / z - sh
+        else:            # three: the largest of the trigonometric form
+            r = sqrt(-p3)
+            cos3 = -h / (r * r * r) if r else 0.0
+            cos3 = -1.0 if cos3 < -1.0 else 1.0 if cos3 > 1.0 else cos3
+            s = 2.0 * r * cos(acos(cos3) / 3.0) - sh
+        reach = 1.0 / s if s > 0.0 else inf
+        if cos_lo < 0.0 and reach * cos_lo < -half_w:
+            reach = -half_w / cos_lo
+        if q < lam_min:
+            q = lam_min
+        if q * reach * reach < level:
+            level = q * reach * reach
+    return math.sqrt(level / lam_max)
 
 
 def threshold_S1(p: Params, eps: float = EPS_CASE) -> float:

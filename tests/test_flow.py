@@ -357,6 +357,38 @@ def test_quartic_crossing_equals_plain_bisection(step):
     assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
+def _bisect_plain(C, prev_tau, pu, pv, h, ks):
+    """The batch crossing locator with every halving read from the
+    dense-output state, as it was before the quartic test."""
+    lo, hi = prev_tau, prev_tau + h
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        u, v = _dense((mid - prev_tau) / h, h, pu, pv, ks)
+        below = v - u - C < 0.0
+        moved = below & (mid != lo) | ~below & (mid != hi)
+        if not moved.any():
+            break
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return hi, _dense((hi - prev_tau) / h, h, pu, pv, ks)[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_steps(), min_size=1, max_size=8))
+def test_batch_quartic_crossing_equals_plain_bisection(steps):
+    # the batch twin: the first step keeps its line v - u = c as the
+    # section; every other step is moved up by the difference of the lines,
+    # so that it crosses the same section where it crossed its own
+    C = steps[0][1]
+    cols = [(s.prev_tau, s.prev_u, s.prev_v + (C - c), s.h_last, *s.ks)
+            for s, c in steps]
+    a = np.array(cols).T
+    got = _bisect_crossings(C, a[0], a[1], a[2], a[3], a[4:])
+    want = _bisect_plain(C, a[0], a[1], a[2], a[3], a[4:])
+    assert [[x.hex() for x in col.tolist()] for col in got] \
+        == [[x.hex() for x in col.tolist()] for col in want]
+
+
 def _quartic_off_by(h, u0, v0, ks, C, th):
     """|g_q - g| exactly, with g the dense test's v - u (rounded) less C,
     and the quartic's margin."""

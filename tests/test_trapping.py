@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 from alleetanner import (
     AttractorLabel,
     AttractorTag,
+    BranchDirection,
+    BranchKind,
     EquilibriumKind,
     IntegratorConfig,
     Params,
@@ -22,11 +24,15 @@ from alleetanner import (
     all_equilibria,
     classify,
     classify_omega_limit,
+    homoclinic_gap,
     integrate,
+    interior_equilibria,
+    separatrix,
+    trace_manifold,
 )
 from alleetanner import flow
 from alleetanner.bifurcation import bt_point
-from alleetanner.model import hessian_bound, jacobian, vector_field
+from alleetanner.model import jacobian, vector_field
 from alleetanner.stability import lyapunov_matrix, trapping_radius
 
 from conftest import BISTABLE, CYCLE_POINT, FAST_CFG, WEAK_BISTABLE
@@ -90,46 +96,53 @@ def test_field_enters_the_sublevel_set(p, data):
 
 
 @settings(max_examples=200, deadline=None)
-@given(params, st.floats(0.0, 1.5), st.floats(0.0, 1.5), st.floats(0.0, 1.0),
-       st.floats(0.1, 1.0), st.floats(0.0, 2.0 * math.pi))
-def test_hessian_bound_bounds_the_taylor_remainder(p, u, v, share, t, a):
-    # |f(x + y) - f(x) - J(x) y| <= L |y|^2 / 2 for |y| <= rho
-    x = np.array([u, v])
-    rho = max(1e-3, share * 0.5 * (u + p.C))
-    y = t * rho * np.array([math.cos(a), math.sin(a)])
-    rem = (np.array(vector_field(p, tuple(x + y)))
-           - np.array(vector_field(p, (u, v))) - jacobian(p, (u, v)) @ y)
-    bound = 0.5 * hessian_bound(p, (u, v), rho) * (y @ y)
-    assert np.linalg.norm(rem) <= bound * (1.0 + 1e-9) + 1e-14
+@given(params, st.floats(0.0, 1.5), st.floats(0.0, 1.5), st.floats(0.0, 0.99),
+       st.floats(0.0, 2.0 * math.pi))
+def test_taylor_remainder_has_its_closed_form(p, u, v, share, a):
+    # R = f(x + y) - f(x) - J(x) y at any x, for |y| < u + C:
+    # R_u = ((1 + M) - 3u) y1^2 - Q y1 y2 - y1^3 and
+    # R_v = -S (w y2 - v y1)^2 / (w^2 (w + y1)) with w = u + C,
+    # the two remainders that trapping_radius bounds
+    M, S, Q, C = p
+    w = u + C
+    y1, y2 = share * w * np.array([math.cos(a), math.sin(a)])
+    fx = np.array(vector_field(p, (u, v)))
+    fy = np.array(vector_field(p, (u + y1, v + y2)))
+    J = np.array(jacobian(p, (u, v)))
+    rem = fy - fx - J @ np.array([y1, y2])
+    want = np.array([((1.0 + M) - 3.0 * u) * y1 * y1 - Q * y1 * y2 - y1 ** 3,
+                     -S * (w * y2 - v * y1) ** 2 / (w * w * (w + y1))])
+    # each side is exact up to a few roundings of the terms it sums, or
+    # up to underflow
+    scale = (_field_size(p, u, v) + _field_size(p, u + y1, v + y2)
+             + np.abs(J) @ np.abs([y1, y2]) + np.abs(want))
+    assert np.all(np.abs(rem - want) <= 1e-13 * scale + 1e-300)
 
 
-@settings(max_examples=200, deadline=None)
-@given(params)
-def test_radius_is_the_first_rung_that_meets_the_bound(p):
-    # rho, recovered from r with eigenvalues computed here, meets
-    # 2 lmax L(rho) rho <= 1, and the rung above it, 2 rho, either fails
-    # that or lies above the start (u + C)/2
-    for eq in _attracting(p):
-        r = trapping_radius(p, eq.location)
-        if r == 0.0:
-            continue
-        P = _matrix(lyapunov_matrix(jacobian(p, eq.location)))
-        lmin, lmax = np.linalg.eigvalsh(P)
-        rho = r * math.sqrt(lmax / lmin)
-        assert 2.0 * lmax * hessian_bound(p, eq.location, rho) * rho \
-            <= 1.0 + 1e-9
-        top = 0.5 * (eq.location[0] + p.C)
-        assert (2.0 * rho > top * (1.0 + 1e-9)
-                or 4.0 * lmax * hessian_bound(p, eq.location, 2.0 * rho)
-                * rho > 1.0 - 1e-9)
+def _field_size(p, u, v):
+    """The field's components with every term and factor taken by its
+    size: what bounds their rounding errors."""
+    M, S, Q, C = p
+    return np.array([abs(u) * ((1.0 + abs(u)) * (abs(u) + abs(M))
+                               + Q * abs(v)),
+                     S * abs(v) * (abs(u) + abs(v) + C) / abs(u + C)])
 
 
 def test_disc_at_the_paper_attractors():
     # every attractor of the paper's points gets a disc far wider than
-    # rho_eq: 3.3e-4 to 1.1e-2
+    # rho_eq, and both bistable attractors at least 3x the discs that a
+    # Frobenius bound on the Hessians over the whole disc certified:
+    # 2.28e-3 about (0, C) and 1.63e-3 about the interior point
     for p in (BISTABLE, GENERIC_CYCLE, WEAK_BISTABLE):
         for eq in _attracting(p):
             assert 1e-4 < trapping_radius(p, eq.location) < 0.1
+    old = {EquilibriumKind.PREDATOR_ONLY: 2.28e-3,
+           EquilibriumKind.INTERIOR_HIGH: 1.63e-3}
+    discs = {eq.kind: trapping_radius(BISTABLE, eq.location)
+             for eq in _attracting(BISTABLE)}
+    assert discs.keys() == old.keys()
+    for kind, r in discs.items():
+        assert r >= 3.0 * old[kind]
 
 
 @settings(max_examples=200, deadline=None)
@@ -167,6 +180,23 @@ def test_context_gives_discs_to_attractors_only():
         assert (t.r2 > 0.0) == (t.code > 0)
         if t.code:
             assert t.r2 == trapping_radius(BISTABLE, (t.u, t.v)) ** 2
+
+
+def test_no_disc_is_certified_where_none_is_read(monkeypatch):
+    # integrate and the manifold traces never test a disc, so their
+    # contexts never run the certificate
+    def certify(p, state):
+        raise AssertionError(f"a disc was certified about {state}")
+
+    monkeypatch.setattr(flow, "trapping_radius", certify)
+    integrate(BISTABLE, (0.3, 0.3), FAST_CFG)
+    saddle = interior_equilibria(BISTABLE)[0]
+    trace_manifold(BISTABLE, saddle, BranchKind.STABLE,
+                   BranchDirection.UP_RIGHT, FAST_CFG)
+    homoclinic_gap(BISTABLE, FAST_CFG)
+    separatrix(BISTABLE, FAST_CFG)
+    with pytest.raises(AssertionError, match="certified"):
+        classify_omega_limit(BISTABLE, (0.3, 0.3), FAST_CFG)
 
 
 def test_disc_ends_classification_but_not_integrate():
