@@ -35,7 +35,7 @@ from . import __version__, flow
 from .equilibria import all_equilibria
 # classify_omega_limit is the per-cell reference of the lockstep raster;
 # perfbench/tracing.py wraps it here, as it does all_equilibria
-from .flow import IntegratorConfig, _context, _section_interval, \
+from .flow import IntegratorConfig, _context, _with_interval, \
     classify_omega_limit
 from .manifolds import Separatrix
 from .model import ParameterError, Params, validate_params
@@ -46,7 +46,7 @@ if TYPE_CHECKING:
 MAGIC = b"PPBASIN1"
 FORMAT_VERSION = 1
 # Part of the cache key: bump it with any change that can move a label.
-ALGORITHM_VERSION = 6
+ALGORITHM_VERSION = 7
 
 Bounds = tuple[tuple[float, float], tuple[float, float]]
 PHI: Bounds = ((0.0, 1.0), (0.0, 1.0))
@@ -152,8 +152,8 @@ def compute_basins(p: Params, resolution: int,
         if raster is not None and raster.config_hash == digest:
             return raster
 
-    # after the cache lookup: a cached raster pays for no cycle hunt
-    ctx = ctx._replace(interval=_section_interval(ctx, cfg))
+    # after the cache lookup: a cached raster pays for no interval
+    ctx = _with_interval(ctx, cfg)
     infos = [AttractorInfo(t.code, t.id, "equilibrium", (t.u, t.v))
              for t in ctx.targets if t.code]
     (u0, u1), (v0, v1) = bounds

@@ -136,7 +136,10 @@ def homoclinic_locus(q: float, c: float, m_grid,
                      ) -> list[tuple[float, float | None]]:
     """Solve the signed manifold gap for the homoclinic S at each grid M.
 
-    Each M is solved below its Hopf value.  The first M, and any M after
+    Each M is solved below its Hopf value.  Past the crossing of the
+    homoclinic and Hopf curves the homoclinic S lies above S_hopf, so those
+    M return (M, None): at Q = 0.5, C = 0.1 the crossing is near
+    M = 0.015, below the Bogdanov-Takens point.  The first M, and any M after
     one that did not converge, scans the gap for a sign change; the others
     start from a secant predictor through the last two converged roots and
     step outward from it until the gap changes sign.  The bracket is then

@@ -11,22 +11,30 @@ Termination events, checked after every accepted step:
   equilibrium AND the field norm there is below ``rho_eq`` (the second test
   keeps a slow saddle passage from being misread as convergence); or, on
   the classification paths (``classify_omega_limit``, ``find_limit_cycle``
-  and the basin rasters, not ``integrate``), the state is inside the
-  trapping disc of an attracting equilibrium: a disc inside a sublevel set
-  of a quadratic Lyapunov function on which dV/dt < 0 is certified, sector
-  by sector of directions, from the field's exact Taylor remainder
-  (``stability.trapping_radius``), so that its every point provably flows
-  to the equilibrium.  Each disc is certified on the first test that
-  reads it, so ``integrate`` and the manifold traces pay for none,
+  and the basin rasters, not ``integrate`` or the manifold traces), the
+  state is in a region that provably flows to an attracting equilibrium:
+  - its trapping disc, a disc inside a sublevel set of a quadratic
+    Lyapunov function on which dV/dt < 0 is certified, sector by sector of
+    directions, from the field's exact Taylor remainder
+    (``stability.trapping_radius``).  Each disc is certified on the first
+    test that reads it, so ``integrate`` and the manifold traces pay for
+    none;
+  - for M > 0, the Allee strip of (0, C), 0 <= u < M and v > 0: there
+    u' = u((1 - u)(u - M) - Qv) < 0, so u falls to 0 and v tends to C.
+    The march ends there only above v = ``rho_eq``, where the ``rho_eq``
+    test would also end it at (0, C) (``_arrival``),
 * limit-cycle convergence: successive same-direction crossings of the
   Poincare section v = u + C (the predator nullcline, which carries every
   interior equilibrium and is transversal to the flow elsewhere) differ by
   less than ``rho_cyc``, and their differences contract geometrically or,
   once the integrator's global error is as large as they are, change sign
-  (the exact return map is monotone; see ``_cycle_found``); or, on
-  ``classify_omega_limit`` and the basin rasters, a crossing lies strictly
-  inside the certified section interval of the cycle, an interval that the
-  return map provably maps into itself (``_section_interval``),
+  (the exact return map is monotone; see ``_cycle_found``),
+* on ``classify_omega_limit`` and the basin rasters, a crossing strictly
+  inside a certified section interval: the cycle's, which the return map
+  provably maps into itself (``_section_interval``), ends on the cycle;
+  where no cycle is certified and the anchor attracts, the stable focus's
+  (anchor, b), which a chain of returns provably shrinks into the anchor's
+  trapping disc (``_focus_interval``), ends at the anchor,
 * horizon ``tau_max`` exceeded, domain exit, or step-size underflow.
 
 Basin rasters run many seeds at once (``_lockstep``): the same attempts
@@ -39,6 +47,7 @@ per-parameter context (``_context``), which numbers the attracting targets
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Callable, NamedTuple
@@ -115,6 +124,9 @@ _MIN_CYCLE_RADIUS = 1e-3
 # attempts with 1e-4 and 484,420 with 1e-2.  3e-2 failed at S = 0.95
 # S_hopf there, where the orbit through b leaves for (0, C).
 _SECTION_HALF_WIDTH = 1e-2
+# Outer ends b = anchor + (1 - anchor)/2 * _FOCUS_SHRINK**j, j < _FOCUS_RUNGS,
+# that ``_focus_interval`` tries in turn, the widest first.
+_FOCUS_RUNGS, _FOCUS_SHRINK = 6, 0.75
 
 _MIN_FACTOR, _MAX_FACTOR, _SAFETY = 0.2, 5.0, 0.9
 
@@ -341,16 +353,20 @@ class _EqTarget:
     target that is not attracting).  An attracting target certifies its
     disc on the first read of ``r2``, so a context whose trajectories
     never test a disc (``integrate``, the manifold traces) pays nothing
-    for it."""
+    for it.  ``strip`` is M for (0, C) when M > 0, where every state with
+    0 <= u < M and v > 0 flows to it (the Allee strip: u' < 0 there), else
+    0.0."""
 
-    __slots__ = ("id", "u", "v", "code", "p", "r2")
+    __slots__ = ("id", "u", "v", "code", "p", "strip", "r2")
 
-    def __init__(self, eq_id: str, u: float, v: float, code: int, p: Params):
+    def __init__(self, eq_id: str, u: float, v: float, code: int, p: Params,
+                 strip: float = 0.0):
         self.id = eq_id
         self.u = u
         self.v = v
         self.code = code
         self.p = p
+        self.strip = strip
         if not code:
             self.r2 = 0.0
 
@@ -365,14 +381,19 @@ class _EqTarget:
 class _Context(NamedTuple):
     """Per-parameter work shared by every trajectory at one ``Params``.
 
-    ``interval`` is the certified section interval (a, b) of the cycle, the
-    one piece that also depends on the tolerances: a crossing strictly
-    inside it ends its trajectory on the cycle.  ``_context`` leaves it
-    None; ``classify_omega_limit`` and ``compute_basins`` add it with
-    ``_section_interval``, so the contexts of ``integrate``,
+    ``interval`` is a certified section interval (a, b), the one piece
+    that also depends on the tolerances: a crossing strictly inside it ends
+    its trajectory at the attractor that every orbit through it reaches.
+    That is the cycle's interval when the cycle hunt certifies one
+    (``_section_interval``; ``interval_end`` None); where none is and the
+    anchor attracts, the stable focus's (anchor, b), whose returns provably
+    shrink into the anchor's trapping disc (``_focus_interval``;
+    ``interval_end`` the anchor's id).  ``_context`` leaves both None;
+    ``classify_omega_limit`` and ``compute_basins`` add them with
+    ``_with_interval``, so the contexts of ``integrate``,
     ``find_limit_cycle``, the region grid and the manifold traces carry
-    none.  The region grid runs the same hunt, only to tell a cycle from
-    none.
+    none.  The region grid runs the same cycle hunt, only to tell a cycle
+    from none.
     """
 
     p: Params
@@ -381,10 +402,16 @@ class _Context(NamedTuple):
     anchor: float | None          # prey value of the section's anchor root
     cycle_code: int               # raster label of a cycle: attractors + 1
     interval: tuple[float, float] | None = None
+    interval_end: str | None = None   # equilibrium the interval ends at
 
     def code(self, eq_id: str) -> int:
         """Raster label of the target ``eq_id``."""
         return next(t.code for t in self.targets if t.id == eq_id)
+
+    def stops(self) -> list[_EqTarget]:
+        """The targets with a trapping disc or a strip, which end a march
+        on the classification paths."""
+        return [t for t in self.targets if t.r2 > 0.0 or t.strip]
 
 
 def _context(p: Params) -> _Context:
@@ -401,8 +428,10 @@ def _context(p: Params) -> _Context:
             if classify(p, eq).attracting:
                 attractors += 1
                 code = attractors
+            strip = (p.M if code and p.M > 0.0
+                     and eq.kind is EquilibriumKind.PREDATOR_ONLY else 0.0)
             targets.append(_EqTarget(eq.id, eq.location[0], eq.location[1],
-                                     code, p))
+                                     code, p, strip))
     return _Context(p, field_closure(p), targets, anchor, attractors + 1)
 
 
@@ -410,14 +439,20 @@ def _arrival(targets: list[_EqTarget], discs: list[_EqTarget], rho2: float,
              u: float, v: float, ku: float, kv: float) -> _EqTarget | None:
     """The target that (u, v), with field (ku, kv), has reached: the first,
     in table order, that holds it within sqrt(rho2) with a field norm
-    below sqrt(rho2) there, or strictly inside its trapping disc.
-    ``discs`` is every target with a disc, or empty when no disc may end
-    the march."""
+    below sqrt(rho2) there, strictly inside its trapping disc, or in its
+    strip 0 <= u < ``strip``, v > sqrt(rho2).  ``discs`` is every target
+    with a disc or a strip (``_Context.stops``), or empty when neither may
+    end the march.
+
+    In the strip v never falls below min(v, C), so an orbit from above
+    sqrt(rho2) keeps beyond the rho2 test of the origin and of (M, 0):
+    the strip ends only marches that the rho2 test would end at (0, C)."""
     near = ku * ku + kv * kv < rho2
     for t in targets if near else discs:
         du, dv = u - t.u, v - t.v
         d2 = du * du + dv * dv
-        if near and d2 <= rho2 or discs and d2 < t.r2:
+        if near and d2 <= rho2 or discs and (
+                d2 < t.r2 or 0.0 <= u < t.strip and v * v > rho2):
             return t
     return None
 
@@ -474,6 +509,38 @@ def _section_quartic(h, u0, v0, ks, C):
     return v0 - u0 - C, c0, c1, c2, c3, margin
 
 
+@functools.cache
+def _reach_rows():
+    """The P_s,j as a (4, 6) array, the weights _TH_MAX^(j+1) and _PABS,
+    for ``_prey_reach``."""
+    import numpy as np
+    return (np.array((_P1, _P3, _P4, _P5, _P6, _P7)).T,
+            _TH_MAX ** np.arange(1.0, 5.0), np.array(_PABS))
+
+
+def _prey_reach(h, u0, ku):
+    """A bound E on |u - u0| over the dense output of the steps of sizes
+    ``h`` from prey values ``u0`` with the prey stages ``ku`` (k1u, k3u,
+    ..., k7u in rows), for 0 <= th < _TH_MAX and with ``_dense``'s
+    rounding, so that every prey value that a bisection of the step can
+    return lies in [u0 - E, u0 + E] as computed.  Arrays only.
+
+    u - u0 = h th (c0 + th (c1 + th (c2 + th c3))) with
+    c_j = sum_s k_s,u P_s,j, so |u - u0| <= |h| sum_j _TH_MAX^(j+1) |c_j|.
+    Computing c_j is off by at most gamma_6 sum_s |k_s,u| |P_s,j|, and
+    _dense by gamma_15 of its stage terms and gamma_1 of u0 (see above);
+    summed over j those are gamma_21 |h| sum_s _PABS_s |k_s,u| and
+    gamma_1 |u0|.  gamma_33 and gamma_6 also cover E's own evaluation and
+    the rounding of u0 -+ E.  The sums are matrix products, whose order of
+    rounding does not matter to these bounds.
+    """
+    import numpy as np
+    pt, th, pabs = _reach_rows()
+    return ((1.0 + _G_STAGES) * np.abs(h) * (th @ np.abs(pt @ ku)
+                                             + _G_STAGES * (pabs @ np.abs(ku)))
+            + _G_STATE * np.abs(u0))
+
+
 def _refine_crossing(stepper: _Stepper, C: float) -> tuple[float, float, float]:
     """Bisect the dense output for the v = u + C crossing in the last step.
 
@@ -519,9 +586,10 @@ def _drive(ctx: _Context, s0: State, cfg: IntegratorConfig, *,
     segment start at the stepper's state.  A seed on the singular line
     u = -C ends at once as a step-size underflow.
 
-    Without samples a state inside a target's trapping disc ends the
-    trajectory at that target; with them, only the ``rho_eq`` test does.
-    A crossing strictly inside ``ctx.interval`` ends it on the cycle, with
+    Without samples a state inside a target's trapping disc or strip ends
+    the trajectory at that target; with them, only the ``rho_eq`` test
+    does.  A crossing strictly inside ``ctx.interval`` ends it at
+    ``ctx.interval_end`` or, for the cycle's interval, on the cycle, with
     no ``Cycle``: its period and residual were not measured.
 
     A list ``certified`` makes the drive a cycle hunt that may end at a
@@ -540,7 +608,7 @@ def _drive(ctx: _Context, s0: State, cfg: IntegratorConfig, *,
     u0, v0 = float(s0[0]), float(s0[1])
     exit_u, exit_v = _exit_box(u0, v0, C)
     rho2 = cfg.rho_eq * cfg.rho_eq
-    discs = [] if want_samples else [t for t in targets if t.r2 > 0.0]
+    discs = [] if want_samples else ctx.stops()
     tries = 0 if certified is None else 2
     w = _SECTION_HALF_WIDTH
 
@@ -591,6 +659,9 @@ def _drive(ctx: _Context, s0: State, cfg: IntegratorConfig, *,
         if u_c <= anchor:
             continue
         if lo < u_c < hi:
+            if ctx.interval_end is not None:
+                return finish(Termination.REACHED_EQUILIBRIUM,
+                              ctx.interval_end)
             return finish(Termination.REACHED_CYCLE)
         delta = u_c - prev_cross_u
         if _cycle_found(delta, prev_delta, u_c, anchor, cfg):
@@ -616,8 +687,9 @@ def _drive(ctx: _Context, s0: State, cfg: IntegratorConfig, *,
     return finish(Termination.HORIZON_EXCEEDED)
 
 
-def _first_return(ctx: _Context, cfg: IntegratorConfig,
-                  x: float) -> tuple[float, float, float] | None:
+def _first_return(ctx: _Context, cfg: IntegratorConfig, x: float,
+                  stopped: list | None = None
+                  ) -> tuple[float, float, float] | None:
     """The return map P(x) of the section, from (x, x + C) beyond the anchor.
 
     Returns P(x), the prey value of the orbit's last downward crossing
@@ -625,24 +697,29 @@ def _first_return(ctx: _Context, cfg: IntegratorConfig,
     tolerance each step's error estimate was held to (``abs_tol`` plus
     ``rel_tol`` times the largest component at the step's ends).  None when
     the orbit leaves the domain, enters an attracting target's trapping disc
-    (it never returns from there) or reaches the horizon first, or returns
-    at or below the anchor.  Only the disc ends it early, not the
-    ``rho_eq`` test, so a return that passes close to a saddle counts.  The
-    start lies on the section, where g rounds to about +-5e-17, so its first
-    step may read as an upward crossing: a return counts only after a
-    downward crossing.
+    or strip (it never returns from there) or reaches the horizon first, or
+    returns at or below the anchor.  On a stop in a disc or strip, a list
+    ``stopped`` gets that target and the prey value of the orbit's downward
+    crossing so far (None for none).  Only the discs and strips end it
+    early, not the ``rho_eq`` test, so a return that passes close to a
+    saddle counts.  The start lies on the section, where g rounds to about
+    +-5e-17, so its first step may read as an upward crossing: a return
+    counts only after a downward crossing.
     """
     C = ctx.p.C
     stepper = _Stepper(ctx.f, (x, x + C), cfg, cfg.tau_max)
     exit_u, exit_v = _exit_box(x, x + C, C)
-    discs = [t for t in ctx.targets if t.r2 > 0.0]
+    discs = ctx.stops()
     down, margin = None, 0.0
     while stepper.step():
         u0, v0, u1, v1 = stepper.prev_u, stepper.prev_v, stepper.u, stepper.v
         if u1 > exit_u or v1 > exit_v:
             return None
-        # rho2 = 0 leaves the trapping discs as the only test
-        if _arrival([], discs, 0.0, u1, v1, 0.0, 0.0) is not None:
+        # rho2 = 0 leaves the trapping discs and strips as the only test
+        t = _arrival([], discs, 0.0, u1, v1, 0.0, 0.0)
+        if t is not None:
+            if stopped is not None:
+                stopped.append((t, down))
             return None
         margin += cfg.abs_tol + cfg.rel_tol * max(abs(u0), abs(v0),
                                                   abs(u1), abs(v1))
@@ -686,6 +763,62 @@ def _certified_interval(ctx: _Context, cfg: IntegratorConfig, a: float,
     return a, b
 
 
+def _focus_interval(ctx: _Context,
+                    cfg: IntegratorConfig) -> tuple[float, float] | None:
+    """(anchor, b) when every section point in it provably flows to the
+    anchor, an attracting target with a trapping disc; else None.
+
+    Tries b = anchor + (1 - anchor)/2 * ``_FOCUS_SHRINK``**j for
+    j < ``_FOCUS_RUNGS`` in turn, each by a chain of first returns
+    (``_first_return``): x_0 = b, x_(k+1) = P(x_k) + margin_k, which must
+    fall, x_(k+1) < x_k.  The chain holds once x_k lies inside the anchor's
+    trapping disc, or once the orbit from x_k enters that disc before it
+    returns; it fails on any other disc or strip, a domain exit, the
+    horizon, a return that does not fall, or an equilibrium other than the
+    anchor between the orbits' downward crossings and b, as
+    ``_certified_interval`` checks.  P is increasing on the transversal
+    section (Perko, Differential Equations and Dynamical Systems, 3.4) and
+    fixes the anchor, so P((anchor, x_k]) lies in (anchor, x_(k+1)]: every
+    orbit through (anchor, b) reaches the disc, where it converges to the
+    anchor.  The same holds for the orbits inside the last one, which
+    enters the disc without returning: they cannot cross it, and with no
+    equilibrium but the anchor between them, no cycle can separate them
+    from the disc (Poincare-Bendixson, Perko 3.7).
+    """
+    star = ctx.anchor
+    focus = next((t for t in ctx.targets if t.u == star), None)
+    if focus is None or not focus.code or not focus.r2 > 0.0:
+        return None
+    for j in range(_FOCUS_RUNGS):
+        b = star + 0.5 * (1.0 - star) * _FOCUS_SHRINK ** j
+        if _focus_chain(ctx, cfg, focus, b):
+            return star, b
+    return None
+
+
+def _focus_chain(ctx: _Context, cfg: IntegratorConfig, focus: _EqTarget,
+                 b: float) -> bool:
+    """Whether the chain of returns from b holds (``_focus_interval``)."""
+    C = ctx.p.C
+    x, low = b, focus.u
+    # _arrival's disc test at the section point (x, x + C)
+    while (x - focus.u) ** 2 + (x + C - focus.v) ** 2 >= focus.r2:
+        stopped = []
+        ret = _first_return(ctx, cfg, x, stopped)
+        if ret is None:
+            if not stopped or stopped[0][0] is not focus:
+                return False
+            down = stopped[0][1]
+            low = low if down is None else min(low, down)
+            break
+        p, down, margin = ret
+        low = min(low, down)
+        if not p + margin < x:
+            return False
+        x = p + margin
+    return not any(low <= t.u <= b for t in ctx.targets if t is not focus)
+
+
 def _hunt(ctx: _Context, cfg: IntegratorConfig, seed: State | None = None,
           certified: list | None = None) -> Cycle | None:
     """The limit cycle reached from ``seed``, by default from beside the
@@ -726,16 +859,30 @@ def _section_interval(ctx: _Context,
                                u + _SECTION_HALF_WIDTH)
 
 
+def _with_interval(ctx: _Context, cfg: IntegratorConfig) -> _Context:
+    """``ctx`` with the cycle's certified section interval or, where the
+    hunt certifies none, the stable focus's (``_Context.interval``)."""
+    interval = _section_interval(ctx, cfg)
+    if interval is not None:
+        return ctx._replace(interval=interval)
+    interval = _focus_interval(ctx, cfg)
+    if interval is None:
+        return ctx
+    return ctx._replace(interval=interval, interval_end=next(
+        t.id for t in ctx.targets if t.u == ctx.anchor))
+
+
 # Lockstep raster integration.  Every live cell takes one Dormand-Prince
 # attempt per iteration with its own step size; the events of ``_drive``
 # are applied in the same order with the same elementwise arithmetic, so
 # each cell gets the bytes the scalar path gives it, whichever cells share
 # its batch.
 #
-# An iteration makes ~280 numpy calls whatever the batch size: on a
-# 2-vCPU x86 VM it costs ~330 us at 16-96 live cells, while the scalar loop
-# takes ~10.5 us per step attempt with its events, so lockstep wins from
-# about 36 live cells (0.76x the scalar speed at 32, 1.30x at 48).  At this
+# An iteration makes a few hundred numpy calls whatever the batch size: on
+# a 2-vCPU x86 VM whose speed drifts by half, it costs 170-300 us at 16-48
+# live cells, plus about 1 us per cell, about 30 times what the scalar loop
+# takes per step attempt with its events (6.5-10 us), so lockstep wins from
+# about 30 live cells (1.0x the scalar speed at 32, 1.4x at 48).  At this
 # many live cells or fewer the rest continue in the scalar loop, each from
 # its exact lockstep state.
 _HANDOVER = 40
@@ -756,12 +903,19 @@ _POOL = 2048
 
 # A section crossing waits with its step's inputs.  All waiting crossings
 # are bisected in one batch when a waiting cell crosses again, when one ends
-# while its crossing could have ended it (with a certified section interval
-# any crossing could, since only its bisection tells whether it lies
-# inside; without one, a last difference below 10 rho_cyc), and before the
+# while its crossing could have ended it (with the cycle's interval any
+# crossing could, since only its bisection tells whether it lies inside;
+# with the focus interval, any crossing of a cell that did not reach the
+# anchor; and a last difference below 10 rho_cyc), and before the
 # hand-over; a bisection depends only on its own step, whose stages it
 # recomputes with ``_dp_attempt``.  So a cell whose crossing lies in the
-# interval runs on to its next crossing at most.
+# interval runs on to its next crossing at most.  With the focus interval
+# most crossings do not wait: one whose step keeps u within ``_prey_reach``
+# of the step's start, inside the interval, ends its cell at once.  On the
+# cycle's narrower interval the same test decided 0 of the 680 crossings of
+# the FAST 24^2 raster at the cycle point (1 of 2,195 on the FAST 30^2
+# raster at (0.04, 0.082, 0.45, 0.07)) and made the first 8-18% slower, so
+# those crossings all wait.
 #
 # Rows of the lockstep state, one column per live cell: time, state, FSAL
 # derivative, next step size, exit box, prey value of the last section
@@ -808,20 +962,22 @@ def _lockstep(ctx: _Context, seeds: np.ndarray,
     """Label code of the forward limit set of each row of ``seeds``.
 
     The codes are the context's: an equilibrium gives its target's
-    ``code`` (0 unless it attracts), a cycle ``ctx.cycle_code``, either by
-    the return-map test or by a crossing strictly inside
-    ``ctx.interval``, and the horizon, underflow and domain exit 0.  Equal
-    to :func:`classify_omega_limit` cell by cell, byte for byte, when
-    ``ctx`` carries the interval that function builds.
+    ``code`` (0 unless it attracts), a cycle ``ctx.cycle_code`` by the
+    return-map test, a crossing strictly inside ``ctx.interval`` the code
+    of the interval's attractor, and the horizon, underflow and domain exit
+    0.  Equal to :func:`classify_omega_limit` cell by cell, byte for byte,
+    when ``ctx`` carries the interval that function builds.
     """
     import numpy as np
     n = len(seeds)
     labels = np.zeros(n, dtype=np.uint8)
     f, targets, anchor, C = ctx.f, ctx.targets, ctx.anchor, ctx.p.C
     lo, hi = ctx.interval or (math.nan, math.nan)
+    focus = ctx.interval_end is not None
+    icode = ctx.code(ctx.interval_end) if focus else ctx.cycle_code
     rho2 = cfg.rho_eq * cfg.rho_eq
     tau_end, rtol, atol = cfg.tau_max, cfg.rel_tol, cfg.abs_tol
-    discs = [t for t in targets if t.r2 > 0.0]
+    discs = ctx.stops()
 
     def arrive(live, u, v, ku, kv, idx):
         """``_arrival`` on the cells of mask ``live``, with field (ku, kv):
@@ -831,7 +987,10 @@ def _lockstep(ctx: _Context, seeds: np.ndarray,
         for t in targets if near.any() else discs:
             du, dv = u - t.u, v - t.v
             d2 = du * du + dv * dv
-            new = free & ((d2 < t.r2) | near & (d2 <= rho2))
+            hit = (d2 < t.r2) | near & (d2 <= rho2)
+            if t.strip:
+                hit |= (u >= 0.0) & (u < t.strip) & (v * v > rho2)
+            new = free & hit
             labels[idx[new]] = t.code
             free &= ~new
         return live & ~free
@@ -845,17 +1004,21 @@ def _lockstep(ctx: _Context, seeds: np.ndarray,
         block = np.full((_ROWS, hi - lo), math.nan)
         block[_TAU] = 0.0
         block[_U], block[_V], block[_K1U], block[_K1V] = us, vs, kus, kvs
-        for i, (u, v, ku, kv) in enumerate(zip(us.tolist(), vs.tolist(),
-                                               kus.tolist(), kvs.tolist())):
-            block[_H, i] = _initial_step(u, v, ku, kv, cfg, tau_end)
-            block[_XU, i], block[_XV, i] = _exit_box(u, v, C)
+        hs, xus, xvs = [], [], []
+        for u, v, ku, kv in zip(us.tolist(), vs.tolist(), kus.tolist(),
+                                kvs.tolist()):
+            hs.append(_initial_step(u, v, ku, kv, cfg, tau_end))
+            xu, xv = _exit_box(u, v, C)
+            xus.append(xu)
+            xvs.append(xv)
+        block[_H], block[_XU], block[_XV] = hs, xus, xvs
         return block[:, keep], idx[keep]
 
     def settle(state, done):
         """Bisect every waiting crossing and apply it with the section test
-        of ``_drive``.  A crossing inside the interval, or a return map
-        found converged, ends its cell as a cycle, at that crossing,
-        whatever the cell did after it."""
+        of ``_drive``.  A crossing inside the interval ends its cell with
+        the interval's code, and a return map found converged as a cycle,
+        at that crossing, whatever the cell did after it."""
         cols = np.flatnonzero(~np.isnan(state[_QT]))
         if not len(cols):
             return
@@ -864,13 +1027,14 @@ def _lockstep(ctx: _Context, seeds: np.ndarray,
         u_c = _bisect_crossings(C, q[_QT], q[_QU], q[_QV], q[_QH], ks)[1]
         delta = u_c - q[_PCU]
         side = u_c > anchor
-        cycle = side & ((lo < u_c) & (u_c < hi)
-                        | _cycle_found(delta, q[_PD], u_c, anchor, cfg))
-        moved = side & ~cycle
+        inside = (lo < u_c) & (u_c < hi)
+        ends = side & (inside | _cycle_found(delta, q[_PD], u_c, anchor, cfg))
+        moved = side & ~ends
         state[_PD, cols[moved]] = delta[moved]
         state[_PCU, cols[moved]] = u_c[moved]
-        labels[cells[cols[cycle]]] = ctx.cycle_code
-        done[cols[cycle]] = True
+        labels[cells[cols[ends]]] = np.where(inside[ends], icode,
+                                             ctx.cycle_code)
+        done[cols[ends]] = True
         state[_QT, cols] = math.nan
 
     state = np.empty((_ROWS, 0))
@@ -921,11 +1085,27 @@ def _lockstep(ctx: _Context, seeds: np.ndarray,
                 g0 = v0 - u0 - C
                 g1 = v5 - u5 - C
                 ci = np.flatnonzero(acc & ~done & (g0 < 0.0) & (g1 >= 0.0))
+                if focus and len(ci):
+                    # a crossing whose step keeps u within the focus
+                    # interval ends its cell there, as its bisection would
+                    uc = u0[ci]
+                    e = _prey_reach(h[ci], uc,
+                                    np.array([k[ci] for k in ks[::2]]))
+                    inside = (lo < uc - e) & (uc + e < hi)
+                    labels[cells[ci[inside]]] = icode
+                    done[ci[inside]] = True
+                    ci = ci[~inside]
                 # a waiting crossing goes before its cell's next crossing,
-                # and before its cell's end whenever it could have ended it
+                # and before its cell's end whenever it could have ended it:
+                # a converged return map can (a last difference below
+                # 10 rho_cyc), and so can the cycle's interval; the focus
+                # interval only where the cell did not reach the anchor
                 ending = waiting & done
-                if ctx.interval is None:
-                    ending &= np.abs(state[_PD]) < 10.0 * cfg.rho_cyc
+                if ending.any() and (ctx.interval is None or focus):
+                    could = np.abs(state[_PD]) < 10.0 * cfg.rho_cyc
+                    if focus:
+                        could |= labels[cells] != icode
+                    ending &= could
                 if waiting[ci].any() or ending.any():
                     settle(state, done)
                     ci = ci[~done[ci]]
@@ -978,18 +1158,21 @@ def classify_omega_limit(p: Params, s0: State,
     trajectory enters the equilibrium's trapping disc, from which every
     trajectory provably converges to it (``stability.trapping_radius``), or
     comes within ``rho_eq`` of it with a field norm below ``rho_eq``, the
-    one rule of ``integrate``.  Returns LimitCycle when the return map on
-    v = u + C converges to a fixed point away from the interior equilibrium
-    (its differences fall below ``rho_cyc`` and contract, or flip sign at
-    the integrator's noise floor), or at the first crossing strictly inside
-    the cycle's certified section interval (``_section_interval``), and
-    Undecided at the horizon or on underflow.  Each call hunts the cycle
-    once to build that interval, as a basin raster does once for all its
-    cells, so the labels are the raster's.
+    one rule of ``integrate``.  For M > 0 it also returns (0, C) once the
+    trajectory enters the Allee strip 0 <= u < M, v > ``rho_eq``, where
+    u' < 0.  Returns LimitCycle when the return map on v = u + C converges
+    to a fixed point away from the interior equilibrium (its differences
+    fall below ``rho_cyc`` and contract, or flip sign at the integrator's
+    noise floor), or at the first crossing strictly inside the cycle's
+    certified section interval (``_section_interval``), and Undecided at
+    the horizon or on underflow.  Where no cycle interval is certified and
+    the interior equilibrium attracts, a crossing strictly inside the
+    stable focus's certified interval (``_focus_interval``) returns that
+    equilibrium.  Each call builds these intervals once, as a basin raster
+    does once for all its cells, so the labels are the raster's.
     """
     cfg = cfg or IntegratorConfig()
-    ctx = _context(p)
-    ctx = ctx._replace(interval=_section_interval(ctx, cfg))
+    ctx = _with_interval(_context(p), cfg)
     res = _drive(ctx, s0, cfg, want_samples=False)
     if (res.termination is Termination.REACHED_EQUILIBRIUM
             and ctx.code(res.equilibrium_id)):

@@ -232,10 +232,30 @@ def trapping_radius(p: Params, state: State) -> float:
     to the equilibrium (Khalil, Nonlinear Systems, 3rd ed., 8.2).  It
     contains the disc of radius r = sqrt(c / lmax).
     """
+    bounds = _sector_bounds(p, state)
+    if bounds is None:
+        return 0.0
+    lam_max, sectors = bounds
+    level = min(q * reach * reach for _, _, _, _, q, reach in sectors)
+    return math.sqrt(level / lam_max)
+
+
+def _sector_bounds(p: Params, state: State):
+    """The bounds that :func:`trapping_radius` certifies with, or None for
+    a Jacobian that is not Hurwitz: (lmax, sectors), where sector j of
+    ``_SECTORS`` holds (al, be, ga, d, q, reach) for the directions
+    e = (cos, sin) with angles between 2 pi j/``_SECTORS`` and
+    2 pi (j + 1)/``_SECTORS``:
+
+    * al >= 2 alpha/k and be >= 2 beta/k;
+    * ga/(1 + d t) >= 2 gamma/(k (w + t cos)) for 0 <= t <= reach;
+    * q <= e^T P e;
+    * reach, the sector's reach T (0.0 for a cubic that is not finite).
+    """
     A = jacobian(p, state)
     P = lyapunov_matrix(A)
     if P is None:
-        return 0.0
+        return None
     p11, p12, p22 = P
     tr = p11 + p22
     lam_max = 0.5 * tr + math.hypot(0.5 * (p11 - p22), p12)
@@ -262,7 +282,7 @@ def trapping_radius(p: Params, state: State) -> float:
             (x, 2 * m + (x > 0.0)) for x, m in terms)
     iw, half_w = 1.0 / w, 0.5 * w
     inf, sqrt, cos, acos = math.inf, math.sqrt, math.cos, math.acos
-    level = inf
+    sectors = []
     for row in _sector_table():
         al = x1 * row[i1] + x2 * row[i2] + x3 * row[i3]
         be = x4 * row[i4] + x5 * row[i5]
@@ -279,25 +299,25 @@ def trapping_radius(p: Params, state: State) -> float:
         h = 0.5 * (e - sh * (c - 2.0 * sh * sh))
         disc = h * h + p3 * p3 * p3
         if not abs(disc) < inf:
-            return 0.0
-        if disc > 0.0:   # one real root (Cardano, without cancellation)
-            z = (abs(h) + sqrt(disc)) ** (1.0 / 3.0)
-            if h > 0.0:
-                z = -z
-            s = z - p3 / z - sh
-        else:            # three: the largest of the trigonometric form
-            r = sqrt(-p3)
-            cos3 = -h / (r * r * r) if r else 0.0
-            cos3 = -1.0 if cos3 < -1.0 else 1.0 if cos3 > 1.0 else cos3
-            s = 2.0 * r * cos(acos(cos3) / 3.0) - sh
-        reach = 1.0 / s if s > 0.0 else inf
-        if cos_lo < 0.0 and reach * cos_lo < -half_w:
-            reach = -half_w / cos_lo
+            reach = 0.0
+        else:
+            if disc > 0.0:   # one real root (Cardano, without cancellation)
+                z = (abs(h) + sqrt(disc)) ** (1.0 / 3.0)
+                if h > 0.0:
+                    z = -z
+                s = z - p3 / z - sh
+            else:            # three: the largest of the trigonometric form
+                r = sqrt(-p3)
+                cos3 = -h / (r * r * r) if r else 0.0
+                cos3 = -1.0 if cos3 < -1.0 else 1.0 if cos3 > 1.0 else cos3
+                s = 2.0 * r * cos(acos(cos3) / 3.0) - sh
+            reach = 1.0 / s if s > 0.0 else inf
+            if cos_lo < 0.0 and reach * cos_lo < -half_w:
+                reach = -half_w / cos_lo
         if q < lam_min:
             q = lam_min
-        if q * reach * reach < level:
-            level = q * reach * reach
-    return math.sqrt(level / lam_max)
+        sectors.append((al, be, ga, d, q, reach))
+    return lam_max, sectors
 
 
 def threshold_S1(p: Params, eps: float = EPS_CASE) -> float:

@@ -213,27 +213,35 @@ def test_return_skips_its_own_start():
 
 def test_only_classification_and_rasters_build_the_interval(monkeypatch):
     calls = []
-    build = flow._section_interval
+    for name in ("_section_interval", "_focus_interval"):
+        def spy(ctx, cfg, _build=getattr(flow, name), _name=name):
+            calls.append((_name, ctx.p))
+            return _build(ctx, cfg)
 
-    def spy(ctx, cfg):
-        calls.append(ctx.p)
-        return build(ctx, cfg)
-
-    monkeypatch.setattr(flow, "_section_interval", spy)
-    monkeypatch.setattr("alleetanner.basin._section_interval", spy)
+        monkeypatch.setattr(flow, name, spy)
     # the contexts of the region grid, the manifold traces, the cycle hunt
     # and integrate carry none; the region grid hunts, but keeps no interval
     assert flow._context(CYCLE_POINT).interval is None
     region_classify(CYCLE_POINT, FAST_CFG)
     region_classify(CYCLE_BISTABLE, FAST_CFG)
+    region_classify(BISTABLE, FAST_CFG)
     homoclinic_gap(CYCLE_BISTABLE, FAST_CFG)
     separatrix(CYCLE_BISTABLE, FAST_CFG)
+    separatrix(BISTABLE, FAST_CFG)
     find_limit_cycle(CYCLE_POINT, (0.445, 0.495), FAST_CFG)
     integrate(CYCLE_POINT, (0.3, 0.3), FAST_CFG)
+    integrate(BISTABLE, (0.3, 0.3), FAST_CFG)
     assert calls == []
     classify_omega_limit(CYCLE_POINT, (0.3, 0.3), FAST_CFG)
     compute_basins(CYCLE_POINT, 3, FAST_CFG)
-    assert calls == [CYCLE_POINT, CYCLE_POINT]
+    assert calls == [("_section_interval", CYCLE_POINT)] * 2
+    # where no cycle is certified and the anchor attracts, the stable
+    # focus's interval is built after the hunt
+    calls.clear()
+    classify_omega_limit(BISTABLE, (0.3, 0.3), FAST_CFG)
+    compute_basins(BISTABLE, 3, FAST_CFG)
+    assert calls == [("_section_interval", BISTABLE),
+                     ("_focus_interval", BISTABLE)] * 2
 
 
 @pytest.mark.parametrize("tau_max, moves", [(FAST_CFG.tau_max, 0),

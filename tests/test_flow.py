@@ -22,7 +22,8 @@ from alleetanner import (
 )
 from alleetanner.flow import (_TH_MAX, _bisect_crossings, _context,
                               _cycle_found, _dense, _drive, _lockstep,
-                              _refine_crossing, _section_quartic, _Stepper)
+                              _prey_reach, _refine_crossing, _section_quartic,
+                              _Stepper)
 from alleetanner.model import field_closure
 from alleetanner.stability import classify
 from alleetanner.equilibria import all_equilibria
@@ -420,6 +421,33 @@ def test_quartic_margin_bounds_its_error_on_any_stages(h, u0, v0, ks, C, th):
     # here they cancel in v - u and across stages as they like
     off, margin = _quartic_off_by(h, u0, v0, tuple(ks), C, th)
     assert off <= margin
+
+
+def _prey_within_reach(h, u0, ks, th):
+    """Whether ``_dense``'s prey value at th lies within ``_prey_reach`` of
+    u0, exactly and as the lockstep test computes u0 -+ E."""
+    e = _prey_reach(np.array([h]), np.array([u0]),
+                    np.array([[k] for k in ks[::2]]))[0].item()
+    u = _dense(th, h, u0, 0.0, ks)[0]
+    return (abs(Fraction(u) - Fraction(u0)) <= Fraction(e)
+            and u0 - e <= u <= u0 + e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_steps(), st.one_of(st.floats(0.0, 1.0),
+                           st.sampled_from([0.0, 1.0, _TH_MAX])))
+def test_prey_reach_bounds_the_dense_prey_on_steps(step, th):
+    # a crossing decided by the step alone ends inside the focus interval
+    # only if every prey value the bisection can return lies there
+    stepper, _ = step
+    assert _prey_within_reach(stepper.h_last, stepper.prev_u, stepper.ks, th)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(1e-6, 10.0), _mag, st.lists(_mag, min_size=12, max_size=12),
+       st.floats(0.0, _TH_MAX))
+def test_prey_reach_bounds_the_dense_prey_on_any_stages(h, u0, ks, th):
+    assert _prey_within_reach(h, u0, tuple(ks), th)
 
 
 def _real_steps():

@@ -264,31 +264,39 @@ def test_handover_crossing_state_is_the_scalar_state(monkeypatch):
     # the anchor and the last difference of two such crossings: the values
     # a scalar stepper from its seed has at the same time, to the last bit,
     # NaN where it has seen none yet
-    resumed = []
     drive = flow._drive
-
-    def spy(ctx, s0, cfg, **kwargs):
-        if kwargs.get("resume") is not None:
-            st, last_u, _, last_delta = kwargs["resume"]
-            resumed.append((tuple(s0), st.tau, last_u, last_delta))
-        return drive(ctx, s0, cfg, **kwargs)
-
-    monkeypatch.setattr(flow, "_drive", spy)
-    compute_basins(BISTABLE, 8, FAST_CFG)
+    focus_interval = flow._focus_interval
     ctx = flow._context(BISTABLE)
     C = BISTABLE.C
-    want = []
-    for s0, tau, _, _ in resumed:
-        st = flow._Stepper(ctx.f, s0, FAST_CFG, FAST_CFG.tau_max)
-        last_u = last_delta = float("nan")
-        while st.tau < tau and st.step():
-            if st.prev_v - st.prev_u - C < 0.0 <= st.v - st.u - C:
-                u_c = flow._refine_crossing(st, C)[1]
-                if u_c > ctx.anchor:
-                    last_u, last_delta = u_c, u_c - last_u
-        want.append((s0, tau, last_u, last_delta))
-    got = np.array([r[2:] for r in resumed])
-    assert got.tobytes() == np.array([w[2:] for w in want]).tobytes()
+    # with the stable focus's interval, which ends a cell at its first
+    # crossing inside it, and without, so that cells make several
+    # crossings beyond the anchor
+    for focus in (True, False):
+        resumed = []
+
+        def spy(ctx, s0, cfg, **kwargs):
+            if kwargs.get("resume") is not None:
+                st, last_u, _, last_delta = kwargs["resume"]
+                resumed.append((tuple(s0), st.tau, last_u, last_delta))
+            return drive(ctx, s0, cfg, **kwargs)
+
+        monkeypatch.setattr(flow, "_drive", spy)
+        monkeypatch.setattr(flow, "_focus_interval", focus_interval if focus
+                            else lambda ctx, cfg: None)
+        compute_basins(BISTABLE, 8, FAST_CFG)
+        want = []
+        for s0, tau, _, _ in resumed:
+            st = flow._Stepper(ctx.f, s0, FAST_CFG, FAST_CFG.tau_max)
+            last_u = last_delta = float("nan")
+            while st.tau < tau and st.step():
+                if st.prev_v - st.prev_u - C < 0.0 <= st.v - st.u - C:
+                    u_c = flow._refine_crossing(st, C)[1]
+                    if u_c > ctx.anchor:
+                        last_u, last_delta = u_c, u_c - last_u
+            want.append((s0, tau, last_u, last_delta))
+        assert resumed
+        got = np.array([r[2:] for r in resumed])
+        assert got.tobytes() == np.array([w[2:] for w in want]).tobytes()
     # cells with a crossing, and with a difference, are handed over
     assert (~np.isnan(got)).any(axis=0).all()
 

@@ -33,9 +33,12 @@ from alleetanner import (
 from alleetanner import flow
 from alleetanner.bifurcation import bt_point
 from alleetanner.model import jacobian, vector_field
-from alleetanner.stability import lyapunov_matrix, trapping_radius
+from alleetanner.stability import (_MONOMIALS, _REMAINDER_SHARE, _SECTORS,
+                                   _sector_bounds, _sector_table,
+                                   lyapunov_matrix, trapping_radius)
 
-from conftest import BISTABLE, CYCLE_POINT, FAST_CFG, WEAK_BISTABLE
+from conftest import (BISTABLE, CYCLE_POINT, EXTINCTION, FAST_CFG,
+                      SINGLE_STABLE, WEAK_BISTABLE)
 
 GENERIC_CYCLE = Params(0.04, 0.082, 0.45, 0.07)
 
@@ -126,6 +129,76 @@ def _field_size(p, u, v):
     return np.array([abs(u) * ((1.0 + abs(u)) * (abs(u) + abs(M))
                                + Q * abs(v)),
                      S * abs(v) * (abs(u) + abs(v) + C) / abs(u + C)])
+
+
+def _sector_bounds_hold(p, state):
+    """Check every sector's bounds in ``_sector_bounds`` against alpha,
+    beta and e^T P e at 65 directions of the sector, ends included, and
+    against the gamma term gamma/(w + t cos) at 16 points of each such ray
+    up to the sector's reach.  The bounds may exceed by 1e-12 of the size
+    of their terms, for rounding."""
+    bounds = _sector_bounds(p, state)
+    assert bounds is not None
+    M, S, Q, C = p
+    u, v = state
+    w = u + C
+    a = 1.0 + M - 3.0 * u
+    p11, p12, p22 = lyapunov_matrix(jacobian(p, state))
+    two_k = 2.0 / _REMAINDER_SHARE
+    angles = (np.arange(_SECTORS)[:, None] + np.linspace(0.0, 1.0, 65)) \
+        * (2.0 * math.pi / _SECTORS)
+    c, s = np.cos(angles), np.sin(angles)
+    pe = p11 * c + p12 * s
+    alpha = two_k * pe * (a * c * c - Q * c * s)
+    beta = -two_k * pe * c ** 3
+    gamma = -two_k * S * (p12 * c + p22 * s) * (w * s - v * c) ** 2 / (w * w)
+    epe = p11 * c * c + 2.0 * p12 * c * s + p22 * s * s
+    al, be, ga, d, q, reach = (np.array(col)[:, None]
+                               for col in zip(*bounds[1]))
+    size_p = abs(p11) + 2.0 * abs(p12) + abs(p22)
+    assert (alpha <= al + 1e-12 * two_k * size_p * (abs(a) + Q)).all()
+    assert (beta <= be + 1e-12 * two_k * size_p).all()
+    assert (epe >= q - 1e-12 * size_p).all()
+    # the rays up to the reach, or up to w where the reach is unbounded
+    t = np.where(np.isfinite(reach), reach, w)[..., None] \
+        * np.linspace(0.0, 1.0, 17)[1:]
+    term = gamma[..., None] / (w + t * c[..., None])
+    bound = ga[..., None] / (1.0 + d[..., None] * t)
+    size_g = two_k * S * size_p * (w + abs(v)) ** 2 / w ** 3
+    assert (term <= bound + 1e-11 * size_g).all()
+
+
+def test_sector_table_bounds_each_monomial():
+    # alpha, beta, gamma and e^T P e are bounded term by term, so a range
+    # that misses a monomial's turn inside a sector can hide in the slack
+    # of the other terms: each range must hold at 1025 directions of its
+    # sector on its own
+    table = np.array(_sector_table())
+    angles = (np.arange(_SECTORS)[:, None] + np.linspace(0.0, 1.0, 1025)) \
+        * (2.0 * math.pi / _SECTORS)
+    c, s = np.cos(angles), np.sin(angles)
+    for m, (a, b) in enumerate(_MONOMIALS):
+        x = c ** a * s ** b
+        assert (table[:, 2 * m, None] - 1e-15 <= x).all(), (a, b)
+        assert (x <= table[:, 2 * m + 1, None] + 1e-15).all(), (a, b)
+
+
+@pytest.mark.parametrize("p", [BISTABLE, WEAK_BISTABLE, GENERIC_CYCLE,
+                               SINGLE_STABLE, EXTINCTION])
+def test_sector_bounds_at_the_paper_attractors(p):
+    # each bound trapping_radius certifies with holds across its sector
+    attractors = _attracting(p)
+    assert attractors
+    for eq in attractors:
+        _sector_bounds_hold(p, eq.location)
+
+
+@settings(max_examples=100, deadline=None)
+@given(params)
+def test_sector_bounds_hold(p):
+    for eq in _attracting(p):
+        assume(lyapunov_matrix(jacobian(p, eq.location)) is not None)
+        _sector_bounds_hold(p, eq.location)
 
 
 def test_disc_at_the_paper_attractors():
