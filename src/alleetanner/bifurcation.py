@@ -306,13 +306,15 @@ def region_classify(p: Params, cfg: IntegratorConfig | None = None,
     point.  Guard bands: |M - M*| < guard around the fold, |S - S_hopf| <
     guard around the trace-zero curve (classification is ill-posed on the
     loci themselves; the homoclinic curve has no cheap test and is left to
-    the cycle hunt).  The hunt is the raster's (``flow._section_interval``):
-    it finds a cycle when a section interval around the cycle is certified
-    to map into itself, or when the return map converges as
-    ``find_limit_cycle`` requires, so a small cycle with no room for the
-    interval still counts.  A certificate needs only a few revolutions, so
-    at (0.04, 0.082, 0.45, 0.07), where the cycle attracts slowly, tau_max
-    2500 gives Cycle as the default does.  A hunt that does neither within
+    the cycle hunt).  The hunt is ``flow._hunt``, the first stage of the
+    raster's (``flow._section_interval``), without its narrower tries
+    around the converged crossing: it finds a cycle when a section interval
+    around the cycle is certified to map into itself, or when the return
+    map converges as ``find_limit_cycle`` requires, so a cycle with no
+    room for the full-width interval, or none that certifies at all, still
+    counts.  A certificate needs only a few revolutions, so at (0.04,
+    0.082, 0.45, 0.07), where the cycle attracts slowly, tau_max 2500 gives
+    Cycle as the default does.  A hunt that does neither within
     ``cfg.tau_max`` reads as no cycle.
     """
     validate_params(p)

@@ -23,18 +23,21 @@ Termination events, checked after every accepted step:
     u' = u((1 - u)(u - M) - Qv) < 0, so u falls to 0 and v tends to C.
     The march ends there only above v = ``rho_eq``, where the ``rho_eq``
     test would also end it at (0, C) (``_arrival``),
-* limit-cycle convergence: successive same-direction crossings of the
-  Poincare section v = u + C (the predator nullcline, which carries every
-  interior equilibrium and is transversal to the flow elsewhere) differ by
-  less than ``rho_cyc``, and their differences contract geometrically or,
-  once the integrator's global error is as large as they are, change sign
-  (the exact return map is monotone; see ``_cycle_found``),
-* on ``classify_omega_limit`` and the basin rasters, a crossing strictly
-  inside a certified section interval: the cycle's, which the return map
-  provably maps into itself (``_section_interval``), ends on the cycle;
-  where no cycle is certified and the anchor attracts, the stable focus's
-  (anchor, b), which a chain of returns provably shrinks into the anchor's
-  trapping disc (``_focus_interval``), ends at the anchor,
+* in ``integrate`` and the cycle hunts (``find_limit_cycle``, the region
+  grid and the interval's), limit-cycle convergence: successive
+  same-direction crossings of the Poincare section v = u + C (the predator
+  nullcline, which carries every interior equilibrium and is transversal
+  to the flow elsewhere) differ by less than ``rho_cyc``, and their
+  differences contract geometrically or, once the integrator's global
+  error is as large as they are, change sign (the exact return map is
+  monotone; see ``_cycle_found``),
+* on ``classify_omega_limit`` and the basin rasters, which end a cycle
+  only at a certificate, a crossing strictly inside a certified section
+  interval: the cycle's, which the return map provably maps into itself
+  (``_section_interval``), ends on the cycle; where no cycle is certified
+  and the anchor attracts, the stable focus's (anchor, b), which a chain of
+  returns provably shrinks into the anchor's trapping disc
+  (``_focus_interval``), ends at the anchor,
 * horizon ``tau_max`` exceeded, domain exit, or step-size underflow.
 
 Basin rasters run many seeds at once (``_lockstep``): the same attempts
@@ -117,7 +120,9 @@ _CYCLE_CONTRACTION = 0.98
 # the interior equilibrium, not on a cycle around it.
 _MIN_CYCLE_RADIUS = 1e-3
 # Half-width of the section interval certified around the hunted cycle's
-# crossing.  P(a) - a grows with it while the error margin does not, so a
+# crossing, the widest tried; ``_section_interval`` halves it around the
+# converged crossing when it fails.  P(a) - a grows with it while the error
+# margin does not, so a
 # wide interval certifies nearer the Hopf curve than a narrow one, and ends
 # slowly attracted cells revolutions sooner: at (0.04, 0.082, 0.45, 0.07),
 # multiplier 0.85, a 40^2 default-tolerance raster took 1,982,575 step
@@ -388,12 +393,15 @@ class _Context(NamedTuple):
     (``_section_interval``; ``interval_end`` None); where none is and the
     anchor attracts, the stable focus's (anchor, b), whose returns provably
     shrink into the anchor's trapping disc (``_focus_interval``;
-    ``interval_end`` the anchor's id).  ``_context`` leaves both None;
+    ``interval_end`` the anchor's id); where neither is, the empty
+    interval (NaN, NaN).  ``_context`` leaves both None;
     ``classify_omega_limit`` and ``compute_basins`` add them with
     ``_with_interval``, so the contexts of ``integrate``,
     ``find_limit_cycle``, the region grid and the manifold traces carry
-    none.  The region grid runs the same cycle hunt, only to tell a cycle
-    from none.
+    none.  A context with an interval, even the empty one, ends a cycle
+    only inside it; one without keeps the return-map test of the hunts
+    (``_drive``).  The region grid runs the same cycle hunt, only to tell
+    a cycle from none.
     """
 
     p: Params
@@ -462,8 +470,7 @@ def _cycle_found(delta, last_delta, u_c, anchor: float, cfg: IntegratorConfig):
 
     ``delta`` and ``last_delta`` are the last two differences of successive
     crossings beyond the anchor, NaN until there are that many (NaN never
-    passes); ``u_c`` is the prey value of the latest crossing.  Floats give
-    a bool, equal-shape arrays a mask with the same answer per element.
+    passes); ``u_c`` is the prey value of the latest crossing.
 
     Converged means |delta| < rho_cyc, |last_delta| < 10 rho_cyc, the
     crossing at least ``_MIN_CYCLE_RADIUS`` from the anchor, and either
@@ -475,11 +482,11 @@ def _cycle_found(delta, last_delta, u_c, anchor: float, cfg: IntegratorConfig):
     floor, where contraction can no longer be seen.  A slow one-signed
     drift still fails both tests.
     """
-    return ((abs(delta) < cfg.rho_cyc)
-            & (abs(last_delta) < 10.0 * cfg.rho_cyc)
-            & ((abs(delta) <= _CYCLE_CONTRACTION * abs(last_delta))
-               | (delta * last_delta < 0.0))
-            & (abs(u_c - anchor) >= _MIN_CYCLE_RADIUS))
+    return (abs(delta) < cfg.rho_cyc
+            and abs(last_delta) < 10.0 * cfg.rho_cyc
+            and (abs(delta) <= _CYCLE_CONTRACTION * abs(last_delta)
+                 or delta * last_delta < 0.0)
+            and abs(u_c - anchor) >= _MIN_CYCLE_RADIUS)
 
 
 def _exit_box(u0: float, v0: float, C: float) -> tuple[float, float]:
@@ -580,17 +587,20 @@ def _drive(ctx: _Context, s0: State, cfg: IntegratorConfig, *,
            certified: list | None = None) -> Trajectory:
     """Integrate from the seed ``s0`` until an event.
 
-    ``resume = (stepper, prev_cross_u, prev_cross_tau, prev_delta)``
-    continues a trajectory from ``s0`` that was advanced elsewhere (NaN for
-    a value not known): the seed test is skipped, and samples and the cycle
-    segment start at the stepper's state.  A seed on the singular line
-    u = -C ends at once as a step-size underflow.
+    A stepper ``resume`` continues a trajectory from ``s0`` that was
+    advanced elsewhere: the seed test is skipped, and samples start at the
+    stepper's state.  A seed on the singular line u = -C ends at once as a
+    step-size underflow.
 
     Without samples a state inside a target's trapping disc or strip ends
     the trajectory at that target; with them, only the ``rho_eq`` test
-    does.  A crossing strictly inside ``ctx.interval`` ends it at
+    does.  A context with an interval (``_with_interval``; an empty one,
+    (NaN, NaN), where none was certified) ends cycles only there: a
+    crossing strictly inside ``ctx.interval`` ends the trajectory at
     ``ctx.interval_end`` or, for the cycle's interval, on the cycle, with
-    no ``Cycle``: its period and residual were not measured.
+    no ``Cycle``, since its period and residual were not measured.  A
+    context without one, that of a hunt or of ``integrate``, ends on the
+    cycle where the return map converges (``_cycle_found``).
 
     A list ``certified`` makes the drive a cycle hunt that may end at a
     certificate instead of at convergence.  At a crossing whose last two
@@ -604,7 +614,10 @@ def _drive(ctx: _Context, s0: State, cfg: IntegratorConfig, *,
     targets = ctx.targets
     anchor = ctx.anchor
     C = ctx.p.C
+    hunt = ctx.interval is None   # the return-map rule, as in a hunt
     lo, hi = ctx.interval or (math.nan, math.nan)
+    if not (hunt or lo < hi):
+        anchor = None   # no crossing can end it: skip the section test
     u0, v0 = float(s0[0]), float(s0[1])
     exit_u, exit_v = _exit_box(u0, v0, C)
     rho2 = cfg.rho_eq * cfg.rho_eq
@@ -612,16 +625,13 @@ def _drive(ctx: _Context, s0: State, cfg: IntegratorConfig, *,
     tries = 0 if certified is None else 2
     w = _SECTION_HALF_WIDTH
 
-    if resume is None:
-        stepper = None
-        prev_cross_u, prev_cross_tau, prev_delta = math.nan, 0.0, math.nan
-        start = (0.0, u0, v0)
-    else:
-        stepper, prev_cross_u, prev_cross_tau, prev_delta = resume
-        start = (stepper.tau, stepper.u, stepper.v)
+    stepper = resume
+    prev_cross_u, prev_cross_tau, prev_delta = math.nan, 0.0, math.nan
+    start = ((0.0, u0, v0) if stepper is None
+             else (stepper.tau, stepper.u, stepper.v))
     taus = [start[0]] if want_samples else None
     states = [start[1:]] if want_samples else None
-    segment = [start[1:]] if anchor is not None else None
+    segment = [start[1:]] if hunt and anchor is not None else None
 
     def finish(term, eq_id=None, cycle=None):
         return Trajectory(taus, states, term, eq_id, cycle)
@@ -663,6 +673,8 @@ def _drive(ctx: _Context, s0: State, cfg: IntegratorConfig, *,
                 return finish(Termination.REACHED_EQUILIBRIUM,
                               ctx.interval_end)
             return finish(Termination.REACHED_CYCLE)
+        if not hunt:
+            continue
         delta = u_c - prev_cross_u
         if _cycle_found(delta, prev_delta, u_c, anchor, cfg):
             segment.append((u_c, u_c + C))
@@ -840,8 +852,14 @@ def _section_interval(ctx: _Context,
     Hunts the cycle from beside the anchor (``_hunt``) until an interval of
     half-width ``_SECTION_HALF_WIDTH`` around the extrapolated fixed point
     of the return map holds (``_certified_interval``), or else until the
-    return map converges, and then tries the interval around the converged
-    crossing.  ``ctx`` carries no interval yet.  On a 2-vCPU x86 VM (min
+    return map converges, and then tries intervals [u - w, u + w] around
+    the converged crossing u for w = ``_SECTION_HALF_WIDTH``/2, /4, ...,
+    until one holds, w falls below 1e-5 or u - w comes within
+    ``_MIN_CYCLE_RADIUS`` of the anchor.  A narrower interval fits where
+    the orbit through a wide one's outer end escapes, but its ends lie
+    nearer the cycle, where the return map moves them less: next to the
+    Hopf curve that move is within the orbits' error margins at every
+    width.  ``ctx`` carries no interval yet.  On a 2-vCPU x86 VM (min
     of 7 calls, two rounds) this took 3.3 ms at the cycle point (-0.055,
     0.03, 0.55, 0.1) with rel_tol 1e-6, 9-16 ms at (0.04, 0.082, 0.45,
     0.07) with the default tolerances, where the cycle attracts slowly and
@@ -855,19 +873,25 @@ def _section_interval(ctx: _Context,
     if cyc is None:
         return None
     u = cyc.crossing[0]
-    return _certified_interval(ctx, cfg, u - _SECTION_HALF_WIDTH,
-                               u + _SECTION_HALF_WIDTH)
+    w = 0.5 * _SECTION_HALF_WIDTH
+    while w >= 1e-5 and u - w - ctx.anchor >= _MIN_CYCLE_RADIUS:
+        interval = _certified_interval(ctx, cfg, u - w, u + w)
+        if interval is not None:
+            return interval
+        w *= 0.5
+    return None
 
 
 def _with_interval(ctx: _Context, cfg: IntegratorConfig) -> _Context:
     """``ctx`` with the cycle's certified section interval or, where the
-    hunt certifies none, the stable focus's (``_Context.interval``)."""
+    hunt certifies none, the stable focus's (``_Context.interval``); with
+    the empty interval (NaN, NaN) where neither is certified."""
     interval = _section_interval(ctx, cfg)
     if interval is not None:
         return ctx._replace(interval=interval)
     interval = _focus_interval(ctx, cfg)
     if interval is None:
-        return ctx
+        return ctx._replace(interval=(math.nan, math.nan))
     return ctx._replace(interval=interval, interval_end=next(
         t.id for t in ctx.targets if t.u == ctx.anchor))
 
@@ -901,12 +925,13 @@ _HANDOVER = 40
 # 0.40 -> 0.45 s).  So a raster that fits one pool stays in process.
 _POOL = 2048
 
-# A section crossing waits with its step's inputs.  All waiting crossings
-# are bisected in one batch when a waiting cell crosses again, when one ends
-# while its crossing could have ended it (with the cycle's interval any
-# crossing could, since only its bisection tells whether it lies inside;
-# with the focus interval, any crossing of a cell that did not reach the
-# anchor; and a last difference below 10 rho_cyc), and before the
+# Only a crossing inside the context's interval can end a cell, so a
+# context with an empty interval does no crossing work.  A section crossing
+# waits with its step's inputs.  All waiting crossings are bisected in one
+# batch when a waiting cell crosses again, when one ends while its crossing
+# could have ended it (with the cycle's interval any crossing could, since
+# only its bisection tells whether it lies inside; with the focus interval,
+# any crossing of a cell that did not reach the anchor), and before the
 # hand-over; a bisection depends only on its own step, whose stages it
 # recomputes with ``_dp_attempt``.  So a cell whose crossing lies in the
 # interval runs on to its next crossing at most.  With the focus interval
@@ -918,12 +943,11 @@ _POOL = 2048
 # those crossings all wait.
 #
 # Rows of the lockstep state, one column per live cell: time, state, FSAL
-# derivative, next step size, exit box, prey value of the last section
-# crossing and last crossing difference (NaN for none yet); then a crossing
-# that waits: its step's start time (NaN for none), start state, FSAL
-# derivative and size, in the order of the first six rows.
-(_TAU, _U, _V, _K1U, _K1V, _H, _XU, _XV, _PCU, _PD,
- _QT, _QU, _QV, _QK1U, _QK1V, _QH) = range(16)
+# derivative, next step size and exit box; then a crossing that waits: its
+# step's start time (NaN for none), start state, FSAL derivative and size,
+# in the order of the first six rows.
+(_TAU, _U, _V, _K1U, _K1V, _H, _XU, _XV,
+ _QT, _QU, _QV, _QK1U, _QK1V, _QH) = range(14)
 _ROWS = _QH + 1
 
 
@@ -962,17 +986,20 @@ def _lockstep(ctx: _Context, seeds: np.ndarray,
     """Label code of the forward limit set of each row of ``seeds``.
 
     The codes are the context's: an equilibrium gives its target's
-    ``code`` (0 unless it attracts), a cycle ``ctx.cycle_code`` by the
-    return-map test, a crossing strictly inside ``ctx.interval`` the code
-    of the interval's attractor, and the horizon, underflow and domain exit
-    0.  Equal to :func:`classify_omega_limit` cell by cell, byte for byte,
-    when ``ctx`` carries the interval that function builds.
+    ``code`` (0 unless it attracts), a crossing strictly inside
+    ``ctx.interval`` the code of the interval's attractor
+    (``ctx.cycle_code`` for the cycle's), and the horizon, underflow and
+    domain exit 0.  A context without an interval is taken with the empty
+    one, so no cell ends on a cycle by the return-map test.  Equal to
+    :func:`classify_omega_limit` cell by cell, byte for byte, when ``ctx``
+    carries the interval that function builds.
     """
     import numpy as np
     n = len(seeds)
     labels = np.zeros(n, dtype=np.uint8)
-    f, targets, anchor, C = ctx.f, ctx.targets, ctx.anchor, ctx.p.C
+    f, targets, C = ctx.f, ctx.targets, ctx.p.C
     lo, hi = ctx.interval or (math.nan, math.nan)
+    ctx = ctx._replace(interval=(lo, hi))   # for the scalar hand-over
     focus = ctx.interval_end is not None
     icode = ctx.code(ctx.interval_end) if focus else ctx.cycle_code
     rho2 = cfg.rho_eq * cfg.rho_eq
@@ -1015,26 +1042,19 @@ def _lockstep(ctx: _Context, seeds: np.ndarray,
         return block[:, keep], idx[keep]
 
     def settle(state, done):
-        """Bisect every waiting crossing and apply it with the section test
-        of ``_drive``.  A crossing inside the interval ends its cell with
-        the interval's code, and a return map found converged as a cycle,
-        at that crossing, whatever the cell did after it."""
+        """Bisect every waiting crossing and apply the interval test of
+        ``_drive``: a crossing inside the interval ends its cell with the
+        interval's code, at that crossing, whatever the cell did after
+        it."""
         cols = np.flatnonzero(~np.isnan(state[_QT]))
         if not len(cols):
             return
         q = state[:, cols]
         ks = _dp_attempt(f, q[_QH], q[_QU], q[_QV], q[_QK1U], q[_QK1V])[4]
         u_c = _bisect_crossings(C, q[_QT], q[_QU], q[_QV], q[_QH], ks)[1]
-        delta = u_c - q[_PCU]
-        side = u_c > anchor
-        inside = (lo < u_c) & (u_c < hi)
-        ends = side & (inside | _cycle_found(delta, q[_PD], u_c, anchor, cfg))
-        moved = side & ~ends
-        state[_PD, cols[moved]] = delta[moved]
-        state[_PCU, cols[moved]] = u_c[moved]
-        labels[cells[cols[ends]]] = np.where(inside[ends], icode,
-                                             ctx.cycle_code)
-        done[cols[ends]] = True
+        ends = cols[(lo < u_c) & (u_c < hi)]
+        labels[cells[ends]] = icode
+        done[ends] = True
         state[_QT, cols] = math.nan
 
     state = np.empty((_ROWS, 0))
@@ -1080,7 +1100,7 @@ def _lockstep(ctx: _Context, seeds: np.ndarray,
             done |= left
             live = acc & ~left
             done |= arrive(live, u5, v5, k7u, k7v, cells)
-            if anchor is not None:
+            if lo < hi:
                 waiting = ~np.isnan(state[_QT])
                 g0 = v0 - u0 - C
                 g1 = v5 - u5 - C
@@ -1097,15 +1117,11 @@ def _lockstep(ctx: _Context, seeds: np.ndarray,
                     ci = ci[~inside]
                 # a waiting crossing goes before its cell's next crossing,
                 # and before its cell's end whenever it could have ended it:
-                # a converged return map can (a last difference below
-                # 10 rho_cyc), and so can the cycle's interval; the focus
-                # interval only where the cell did not reach the anchor
+                # the cycle's interval always can, the focus interval only
+                # where the cell did not reach the anchor
                 ending = waiting & done
-                if ending.any() and (ctx.interval is None or focus):
-                    could = np.abs(state[_PD]) < 10.0 * cfg.rho_cyc
-                    if focus:
-                        could |= labels[cells] != icode
-                    ending &= could
+                if focus:
+                    ending &= labels[cells] != icode
                 if waiting[ci].any() or ending.any():
                     settle(state, done)
                     ci = ci[~done[ci]]
@@ -1124,13 +1140,12 @@ def _lockstep(ctx: _Context, seeds: np.ndarray,
         settle(state, done)
         state, cells = state[:, ~done], cells[~done]
 
-    for col, cell in zip(state[:_QT].T.tolist(), cells.tolist()):
-        tau, u, v, k1u, k1v, h, _, _, last_u, last_delta = col
+    for col, cell in zip(state[:_XU].T.tolist(), cells.tolist()):
+        tau, u, v, k1u, k1v, h = col
         stepper = _Stepper(f, (u, v), cfg, tau_end, tau=tau, k1=(k1u, k1v),
                            h=h)
-        # no crossing time: only a Cycle's period would read it
         res = _drive(ctx, seeds[cell], cfg, want_samples=False,
-                     resume=(stepper, last_u, math.nan, last_delta))
+                     resume=stepper)
         if res.termination is Termination.REACHED_EQUILIBRIUM:
             labels[cell] = ctx.code(res.equilibrium_id)
         elif res.termination is Termination.REACHED_CYCLE:
@@ -1160,16 +1175,16 @@ def classify_omega_limit(p: Params, s0: State,
     comes within ``rho_eq`` of it with a field norm below ``rho_eq``, the
     one rule of ``integrate``.  For M > 0 it also returns (0, C) once the
     trajectory enters the Allee strip 0 <= u < M, v > ``rho_eq``, where
-    u' < 0.  Returns LimitCycle when the return map on v = u + C converges
-    to a fixed point away from the interior equilibrium (its differences
-    fall below ``rho_cyc`` and contract, or flip sign at the integrator's
-    noise floor), or at the first crossing strictly inside the cycle's
-    certified section interval (``_section_interval``), and Undecided at
-    the horizon or on underflow.  Where no cycle interval is certified and
-    the interior equilibrium attracts, a crossing strictly inside the
-    stable focus's certified interval (``_focus_interval``) returns that
-    equilibrium.  Each call builds these intervals once, as a basin raster
-    does once for all its cells, so the labels are the raster's.
+    u' < 0.  Returns LimitCycle only at the first crossing of v = u + C
+    strictly inside the cycle's certified section interval
+    (``_section_interval``), which every orbit through it provably follows
+    onto a cycle; where no width of that interval certifies, a trajectory
+    that only converges onto a cycle reads Undecided, as at the horizon or
+    on underflow.  Where no cycle interval is certified and the interior
+    equilibrium attracts, a crossing strictly inside the stable focus's
+    certified interval (``_focus_interval``) returns that equilibrium.
+    Each call builds these intervals once, as a basin raster does once for
+    all its cells, so the labels are the raster's.
     """
     cfg = cfg or IntegratorConfig()
     ctx = _with_interval(_context(p), cfg)

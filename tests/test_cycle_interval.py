@@ -9,12 +9,15 @@ here from the stepper and the crossing locator alone.
 """
 
 import dataclasses
+import hashlib
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from alleetanner import (
+    AttractorLabel,
     IntegratorConfig,
     Params,
     classify_omega_limit,
@@ -152,11 +155,67 @@ def test_certified_interval_holds_the_converged_crossing():
         if interval is not None:
             certified += 1
             a, b = interval
-            assert b - a == pytest.approx(2.0 * W)
+            # the full width, up to the rounding of a and b, or narrower
+            assert b - a <= 2.0 * W + 4.0 * np.spacing(b)
             assert a < cyc.crossing[0] < b, (m, s)
-    # the two left out are small cycles with no room for the interval: the
-    # orbit through its outer end leaves for (0, C)
-    assert certified == 15
+    # two are small cycles with no room for an interval of the full width:
+    # the orbit through its outer end leaves for (0, C), and a narrower one
+    # around the converged crossing holds
+    assert certified == 17
+
+
+def test_a_failed_interval_is_tried_narrower(monkeypatch):
+    # a small cycle of the benchmark grid: both intervals of the full width
+    # fail, and the first half-width one around the converged crossing holds;
+    # no width is tried twice around one centre
+    p = Params(-0.0321875, 0.035208333333333335, 0.5, 0.1)
+    ctx = flow._context(p)
+    tried = []
+    certified_interval = flow._certified_interval
+
+    def spy(ctx, cfg, a, b):
+        tried.append((a, b))
+        return certified_interval(ctx, cfg, a, b)
+
+    monkeypatch.setattr(flow, "_certified_interval", spy)
+    interval = flow._section_interval(ctx, FAST_CFG)
+    assert len(tried) >= 3
+    for i, (a0, b0) in enumerate(tried):
+        for a1, b1 in tried[i + 1:]:
+            assert max(abs(a1 - a0), abs(b1 - b0)) >= 1e-5
+    a, b = interval
+    assert b - a < 2.0 * W
+    assert a < flow._hunt(ctx, FAST_CFG).crossing[0] < b
+
+
+def test_no_width_certifies_next_to_the_hopf_curve():
+    # |S - S_hopf| = 3.8e-5: the hunt converges, but the inner orbit's
+    # error margin exceeds P(a) - a at every width, so classification ends
+    # no cell on the cycle, where the return-map rule once did
+    p = Params(-0.010179065275443988, 0.08354166666666667, 0.5, 0.1)
+    ctx = flow._with_interval(flow._context(p), FAST_CFG)
+    lo, hi = ctx.interval or (math.nan, math.nan)
+    assert not lo < hi and ctx.interval_end is None
+    a = ctx.anchor
+    assert classify_omega_limit(p, (a + 0.02, a + 0.12), FAST_CFG) == \
+        AttractorLabel.undecided()
+    assert find_limit_cycle(p, cfg=FAST_CFG) is not None
+    # a classification context always carries an interval, here the empty
+    # one, so that its drives do not run the hunts' return-map rule
+    assert ctx.interval is not None
+
+
+def test_cycle_rasters_keep_their_labels():
+    # the basin_cycle benchmark's FAST rasters at 21^2-27^2, against
+    # digests of the labels made before classification lost the
+    # return-map rule
+    golden = (Path(__file__).parent / "golden" / "basin_cycle_fast.txt"
+              ).read_text().splitlines()
+    want = dict(line.split() for line in golden if not line.startswith("#"))
+    assert sorted(map(int, want)) == list(range(21, 28))
+    for res, digest in want.items():
+        labels = compute_basins(CYCLE_POINT, int(res), FAST_CFG).labels
+        assert hashlib.sha256(labels.tobytes()).hexdigest() == digest, res
 
 
 def test_a_return_into_a_trapping_disc_fails_at_once(monkeypatch):
@@ -248,7 +307,8 @@ def test_only_classification_and_rasters_build_the_interval(monkeypatch):
                                              (2500.0, 2)],
                          ids=["default", "horizon"])
 def test_interval_moves_only_undecided_cells_to_the_cycle(tau_max, moves):
-    # against the return-map rule alone, a cell can only stop being
+    # against the return-map rule alone, which each seed driven on the
+    # context without an interval still follows, a cell can only stop being
     # Undecided: it reaches the cycle's interval before its horizon, as
     # two cells of the short-horizon raster do
     cfg = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-9, rho_eq=1e-5,
@@ -257,7 +317,15 @@ def test_interval_moves_only_undecided_cells_to_the_cycle(tau_max, moves):
     c = (np.arange(res) + 0.5) / res
     seeds = np.array([(u, v) for v in c for u in c])
     ctx = flow._context(CYCLE_POINT)
-    before = flow._lockstep(ctx, seeds, cfg)
+
+    def alone(seed):
+        end = flow._drive(ctx, seed, cfg, want_samples=False)
+        if end.termination is flow.Termination.REACHED_EQUILIBRIUM:
+            return ctx.code(end.equilibrium_id)
+        return (ctx.cycle_code if end.termination
+                is flow.Termination.REACHED_CYCLE else 0)
+
+    before = np.array([alone(seed) for seed in seeds.tolist()])
     after = flow._lockstep(
         ctx._replace(interval=flow._section_interval(ctx, cfg)), seeds, cfg)
     moved = before != after

@@ -481,8 +481,8 @@ def test_dense_output_same_on_floats_and_arrays(ths):
     assert np.array(got).tobytes() == np.array(want).T.tobytes()
 
 
-def test_cycle_predicate_same_on_floats_and_arrays():
-    # the return-map test of both integrator loops, at its exact boundaries
+def test_cycle_predicate_at_its_boundaries():
+    # the return-map test of the cycle hunts, at its exact boundaries
     cfg = IntegratorConfig()
     r = cfg.rho_cyc
     last = 5e-8
@@ -517,8 +517,6 @@ def test_cycle_predicate_same_on_floats_and_arrays():
     got = [_cycle_found(float(d), float(ld), float(u), 0.0, cfg)
            for d, ld, u, _ in cases]
     assert got == want
-    cols = np.array([c[:3] for c in cases], dtype=float).T
-    assert _cycle_found(*cols, 0.0, cfg).tolist() == want
 
 
 def test_cycle_predicate_rejects_slow_monotone_drift():
@@ -527,8 +525,6 @@ def test_cycle_predicate_rejects_slow_monotone_drift():
     cfg = IntegratorConfig()
     for sign in (1.0, -1.0):
         deltas = sign * 9.9e-7 * 0.99 ** np.arange(1400)
-        assert not _cycle_found(deltas[1:], deltas[:-1], 0.5, 0.0,
-                                cfg).any()
         assert not any(_cycle_found(float(d), float(ld), 0.5, 0.0, cfg)
                        for d, ld in zip(deltas[1:], deltas[:-1]))
 

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from alleetanner import (
     AttractorTag,
     IntegratorConfig,
+    Params,
     all_equilibria,
     classify,
     classify_omega_limit,
@@ -73,6 +74,11 @@ REGIMES = {
     "horizon": (CYCLE_POINT, 8, IntegratorConfig(
         rel_tol=1e-6, abs_tol=1e-9, rho_eq=1e-5, tau_max=2500.0),
         ((0.0, 1.0), (0.0, 1.0))),
+    # the anchor repels and there is no cycle: the context's interval is
+    # empty, and cells cross the section beyond the anchor on their way to
+    # (0, C)
+    "repeller": (Params(-0.0071874999999999994, 0.07145833333333333, 0.5,
+                        0.1), 6, FAST_CFG, ((0.0, 1.0), (0.0, 1.0))),
     # cells next to both axes, with tolerances loose enough that steps are
     # rejected for leaving the quadrant
     "axes": (EXTINCTION, 10, LOOSE_CFG, ((0.0, 0.1), (0.0, 0.1))),
@@ -243,8 +249,8 @@ def test_handover_state_is_the_scalar_state(monkeypatch):
     drive = flow._drive
 
     def spy(ctx, s0, cfg, **kwargs):
-        if kwargs.get("resume") is not None:
-            st = kwargs["resume"][0]
+        st = kwargs.get("resume")
+        if st is not None:
             resumed.append((tuple(s0), (st.tau, st.u, st.v, st.k1u, st.k1v)))
         return drive(ctx, s0, cfg, **kwargs)
 
@@ -257,48 +263,6 @@ def test_handover_state_is_the_scalar_state(monkeypatch):
         while st.tau < state[0] and st.step():
             pass
         assert (st.tau, st.u, st.v, st.k1u, st.k1v) == state
-
-
-def test_handover_crossing_state_is_the_scalar_state(monkeypatch):
-    # the hand-over also carries each cell's last section crossing beyond
-    # the anchor and the last difference of two such crossings: the values
-    # a scalar stepper from its seed has at the same time, to the last bit,
-    # NaN where it has seen none yet
-    drive = flow._drive
-    focus_interval = flow._focus_interval
-    ctx = flow._context(BISTABLE)
-    C = BISTABLE.C
-    # with the stable focus's interval, which ends a cell at its first
-    # crossing inside it, and without, so that cells make several
-    # crossings beyond the anchor
-    for focus in (True, False):
-        resumed = []
-
-        def spy(ctx, s0, cfg, **kwargs):
-            if kwargs.get("resume") is not None:
-                st, last_u, _, last_delta = kwargs["resume"]
-                resumed.append((tuple(s0), st.tau, last_u, last_delta))
-            return drive(ctx, s0, cfg, **kwargs)
-
-        monkeypatch.setattr(flow, "_drive", spy)
-        monkeypatch.setattr(flow, "_focus_interval", focus_interval if focus
-                            else lambda ctx, cfg: None)
-        compute_basins(BISTABLE, 8, FAST_CFG)
-        want = []
-        for s0, tau, _, _ in resumed:
-            st = flow._Stepper(ctx.f, s0, FAST_CFG, FAST_CFG.tau_max)
-            last_u = last_delta = float("nan")
-            while st.tau < tau and st.step():
-                if st.prev_v - st.prev_u - C < 0.0 <= st.v - st.u - C:
-                    u_c = flow._refine_crossing(st, C)[1]
-                    if u_c > ctx.anchor:
-                        last_u, last_delta = u_c, u_c - last_u
-            want.append((s0, tau, last_u, last_delta))
-        assert resumed
-        got = np.array([r[2:] for r in resumed])
-        assert got.tobytes() == np.array([w[2:] for w in want]).tobytes()
-    # cells with a crossing, and with a difference, are handed over
-    assert (~np.isnan(got)).any(axis=0).all()
 
 
 @pytest.mark.parametrize("p", [BISTABLE, CYCLE_POINT])
