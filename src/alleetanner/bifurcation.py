@@ -26,8 +26,9 @@ from dataclasses import dataclass
 
 from .equilibria import CaseLabel, case_label
 # perfbench/tracing.py wraps find_limit_cycle here, so the name stays bound
-# though the region grid hunts through flow._hunt
-from .flow import IntegratorConfig, _context, _hunt, find_limit_cycle
+# though the region grid reads the cycle verdict of flow._section_interval
+from .flow import IntegratorConfig, _context, _section_interval, \
+    find_limit_cycle
 from .manifolds import GapUndefinedError, homoclinic_gap
 from .model import Params, _real_eigenvalues, _unit_eigenvector, \
     jacobian, validate_params
@@ -79,7 +80,9 @@ class RegionLabel(enum.Enum):
     CYCLE = "cycle"                        # blue: stable limit cycle
     BISTABLE = "bistable"                  # green: (0,C) and P2 both attract
     SINGLE_ATTRACTOR = "single_attractor"  # light green: one stable interior point
-    NEAR_LOCUS = "near_locus"              # within the guard band of a locus
+    # within the guard band of a locus, or a hunted cycle that no section
+    # interval certifies, as next to the Hopf curve
+    NEAR_LOCUS = "near_locus"
 
 
 @dataclass(frozen=True)
@@ -298,24 +301,22 @@ def _illinois(gap, a: float, ga: float, b: float, gb: float) -> float | None:
 
 def region_classify(p: Params, cfg: IntegratorConfig | None = None,
                     guard: float = 1e-4) -> RegionLabel:
-    """One of the five parameter regions, or NearLocus inside a guard band.
+    """One of the five parameter regions, or NearLocus inside a guard band
+    or where no section interval certifies a hunted cycle.
 
     NoInterior comes straight from the extinction conditions; bistable vs
-    single-attractor from the trace-zero threshold; repeller vs cycle is
-    resolved by hunting the limit cycle from a seed beside the interior
-    point.  Guard bands: |M - M*| < guard around the fold, |S - S_hopf| <
-    guard around the trace-zero curve (classification is ill-posed on the
-    loci themselves; the homoclinic curve has no cheap test and is left to
-    the cycle hunt).  The hunt is ``flow._hunt``, the first stage of the
-    raster's (``flow._section_interval``), without its narrower tries
-    around the converged crossing: it finds a cycle when a section interval
-    around the cycle is certified to map into itself, or when the return
-    map converges as ``find_limit_cycle`` requires, so a cycle with no
-    room for the full-width interval, or none that certifies at all, still
-    counts.  A certificate needs only a few revolutions, so at (0.04,
-    0.082, 0.45, 0.07), where the cycle attracts slowly, tau_max 2500 gives
-    Cycle as the default does.  A hunt that does neither within
-    ``cfg.tau_max`` reads as no cycle.
+    single-attractor from the trace-zero threshold; repeller vs cycle from
+    the cycle verdict of the basin rasters, a section interval that the
+    return map provably maps into itself (``flow._section_interval``):
+    Cycle where one holds, NearLocus where the hunt converges onto a cycle
+    that no width certifies (the empty interval, as next to the Hopf
+    curve), and Repeller where the hunt finds no cycle within
+    ``cfg.tau_max``.  Guard bands: |M - M*| < guard around the fold,
+    |S - S_hopf| < guard around the trace-zero curve (classification is
+    ill-posed on the loci themselves; the homoclinic curve has no cheap
+    test and is left to the cycle hunt).  A certificate needs only a few
+    revolutions, so at (0.04, 0.082, 0.45, 0.07), where the cycle attracts
+    slowly, tau_max 2500 gives Cycle as the default does.
     """
     validate_params(p)
     cfg = cfg or IntegratorConfig()
@@ -337,10 +338,11 @@ def region_classify(p: Params, cfg: IntegratorConfig | None = None,
         return RegionLabel.NEAR_LOCUS
     if p.S > s_hopf:
         return stable_label
-    certified = []
-    cyc = _hunt(_context(p), cfg, certified=certified)
-    return (RegionLabel.CYCLE if cyc is not None or certified
-            else RegionLabel.REPELLER)
+    interval = _section_interval(_context(p), cfg)
+    if interval is None:
+        return RegionLabel.REPELLER
+    lo, hi = interval
+    return RegionLabel.CYCLE if lo < hi else RegionLabel.NEAR_LOCUS
 
 
 def sotomayor_check(q: float, c: float, s: float = 0.2,

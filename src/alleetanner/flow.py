@@ -23,8 +23,8 @@ Termination events, checked after every accepted step:
     u' = u((1 - u)(u - M) - Qv) < 0, so u falls to 0 and v tends to C.
     The march ends there only above v = ``rho_eq``, where the ``rho_eq``
     test would also end it at (0, C) (``_arrival``),
-* in ``integrate`` and the cycle hunts (``find_limit_cycle``, the region
-  grid and the interval's), limit-cycle convergence: successive
+* in ``integrate`` and the cycle hunts (``find_limit_cycle`` and the
+  section interval's), limit-cycle convergence: successive
   same-direction crossings of the Poincare section v = u + C (the predator
   nullcline, which carries every interior equilibrium and is transversal
   to the flow elsewhere) differ by less than ``rho_cyc``, and their
@@ -37,7 +37,9 @@ Termination events, checked after every accepted step:
   (``_section_interval``), ends on the cycle; where no cycle is certified
   and the anchor attracts, the stable focus's (anchor, b), which a chain of
   returns provably shrinks into the anchor's trapping disc
-  (``_focus_interval``), ends at the anchor,
+  (``_focus_interval``), ends at the anchor.  The region grid
+  (``bifurcation.region_classify``) reads a cycle only where the cycle's
+  interval is certified too,
 * horizon ``tau_max`` exceeded, domain exit, or step-size underflow.
 
 Basin rasters run many seeds at once (``_lockstep``): the same attempts
@@ -400,8 +402,8 @@ class _Context(NamedTuple):
     ``find_limit_cycle``, the region grid and the manifold traces carry
     none.  A context with an interval, even the empty one, ends a cycle
     only inside it; one without keeps the return-map test of the hunts
-    (``_drive``).  The region grid runs the same cycle hunt, only to tell
-    a cycle from none.
+    (``_drive``).  The region grid builds the cycle's interval too, only
+    to read its verdict.
     """
 
     p: Params
@@ -750,12 +752,13 @@ def _certified_interval(ctx: _Context, cfg: IntegratorConfig, a: float,
     annulus between the orbits through a and b holds no equilibrium;
     else None.
 
-    Checks that a lies at least ``_MIN_CYCLE_RADIUS`` beyond the anchor,
-    that P(a) - a and b - P(b) exceed their orbits' error margins
-    (``_first_return``), and that no equilibrium lies between the orbits'
-    downward crossings.  The anchor lies inside the inner orbit; the one
-    other equilibrium on the section whose prey value can fall there is the
-    saddle below the anchor.  P is increasing on a transversal section
+    Checks first, before any return, that a lies at least
+    ``_MIN_CYCLE_RADIUS`` beyond the anchor, then that P(a) - a and
+    b - P(b) exceed their orbits' error margins (``_first_return``), and
+    that no equilibrium lies between the orbits' downward crossings.  The
+    anchor lies inside the inner orbit; the one other equilibrium on the
+    section whose prey value can fall there is the saddle below the
+    anchor.  P is increasing on a transversal section
     (Perko, Differential Equations and Dynamical Systems, 3.4), so
     P(a) > a and P(b) < b give P([a, b]) inside (a, b), and by
     Poincare-Bendixson (Perko 3.7) every orbit through the interval has a
@@ -847,24 +850,31 @@ def _hunt(ctx: _Context, cfg: IntegratorConfig, seed: State | None = None,
 
 def _section_interval(ctx: _Context,
                       cfg: IntegratorConfig) -> tuple[float, float] | None:
-    """The certified section interval of the cycle at ``ctx``, or None.
+    """The certified section interval of the cycle at ``ctx``; the empty
+    interval (NaN, NaN) when the hunt converges onto a cycle that no width
+    certifies; None when the hunt finds no cycle.
 
     Hunts the cycle from beside the anchor (``_hunt``) until an interval of
     half-width ``_SECTION_HALF_WIDTH`` around the extrapolated fixed point
     of the return map holds (``_certified_interval``), or else until the
     return map converges, and then tries intervals [u - w, u + w] around
-    the converged crossing u for w = ``_SECTION_HALF_WIDTH``/2, /4, ...,
-    until one holds, w falls below 1e-5 or u - w comes within
-    ``_MIN_CYCLE_RADIUS`` of the anchor.  A narrower interval fits where
-    the orbit through a wide one's outer end escapes, but its ends lie
-    nearer the cycle, where the return map moves them less: next to the
+    the converged crossing u for every w = ``_SECTION_HALF_WIDTH``/2, /4,
+    ... down to 1e-5 until one holds; ``_certified_interval`` refuses at
+    once a try whose inner end lies within ``_MIN_CYCLE_RADIUS`` of the
+    anchor, and a narrower one may still fit.  A narrower interval fits
+    where the orbit through a wide one's outer end escapes, but its ends
+    lie nearer the cycle, where the return map moves them less: next to the
     Hopf curve that move is within the orbits' error margins at every
-    width.  ``ctx`` carries no interval yet.  On a 2-vCPU x86 VM (min
-    of 7 calls, two rounds) this took 3.3 ms at the cycle point (-0.055,
-    0.03, 0.55, 0.1) with rel_tol 1e-6, 9-16 ms at (0.04, 0.082, 0.45,
-    0.07) with the default tolerances, where the cycle attracts slowly and
-    converging took 57 ms, and 0.8-1.5 ms at the bistable point (0.04,
-    0.12, 0.45, 0.07), where the hunt ends in the anchor's trapping disc.
+    width.  This is the one cycle verdict of the classification paths: the
+    rasters and ``classify_omega_limit`` end cells inside the interval, and
+    ``bifurcation.region_classify`` reads its three outcomes as cycle,
+    near_locus and repeller.  ``ctx`` carries no interval yet.  On a 2-vCPU
+    x86 VM (min of 7 calls, two rounds) this took 3.3 ms at the cycle point
+    (-0.055, 0.03, 0.55, 0.1) with rel_tol 1e-6, 9-16 ms at (0.04, 0.082,
+    0.45, 0.07) with the default tolerances, where the cycle attracts
+    slowly and converging took 57 ms, and 0.8-1.5 ms at the bistable point
+    (0.04, 0.12, 0.45, 0.07), where the hunt ends in the anchor's trapping
+    disc.
     """
     certified = []
     cyc = _hunt(ctx, cfg, certified=certified)
@@ -874,20 +884,21 @@ def _section_interval(ctx: _Context,
         return None
     u = cyc.crossing[0]
     w = 0.5 * _SECTION_HALF_WIDTH
-    while w >= 1e-5 and u - w - ctx.anchor >= _MIN_CYCLE_RADIUS:
+    while w >= 1e-5:
         interval = _certified_interval(ctx, cfg, u - w, u + w)
         if interval is not None:
             return interval
         w *= 0.5
-    return None
+    return math.nan, math.nan
 
 
 def _with_interval(ctx: _Context, cfg: IntegratorConfig) -> _Context:
     """``ctx`` with the cycle's certified section interval or, where the
-    hunt certifies none, the stable focus's (``_Context.interval``); with
-    the empty interval (NaN, NaN) where neither is certified."""
+    hunt certifies none (``_section_interval`` gives None or the empty
+    interval), the stable focus's (``_Context.interval``); with the empty
+    interval (NaN, NaN) where neither is certified."""
     interval = _section_interval(ctx, cfg)
-    if interval is not None:
+    if interval is not None and interval[0] < interval[1]:
         return ctx._replace(interval=interval)
     interval = _focus_interval(ctx, cfg)
     if interval is None:
@@ -1117,11 +1128,9 @@ def _lockstep(ctx: _Context, seeds: np.ndarray,
                     ci = ci[~inside]
                 # a waiting crossing goes before its cell's next crossing,
                 # and before its cell's end whenever it could have ended it:
-                # the cycle's interval always can, the focus interval only
-                # where the cell did not reach the anchor
-                ending = waiting & done
-                if focus:
-                    ending &= labels[cells] != icode
+                # where the cell did not end with the interval's code, which
+                # before ``settle`` only the focus interval's step test gives
+                ending = waiting & done & (labels[cells] != icode)
                 if waiting[ci].any() or ending.any():
                     settle(state, done)
                     ci = ci[~done[ci]]

@@ -37,6 +37,11 @@ def read_csv_rows(path):
     (["classify", "-M", "0.04", "-S", "0.082", "-Q", "0.45", "-C", "0.07",
       "--tau-max", "2500"],
      "classify_slow_cycle.txt"),
+    # a small cycle: only a half-width section interval certifies it
+    (["classify", "-M", "-0.0321875", "-S", "0.035208333333333335", "-Q",
+      "0.5", "-C", "0.1", "--rel-tol", "1e-6", "--abs-tol", "1e-9",
+      "--rho-eq", "1e-5"],
+     "classify_halving_cycle.txt"),
 ])
 def test_classify_golden(capsys, args, fixture):
     assert run(args) == 0

@@ -29,7 +29,8 @@ from alleetanner import (
     separatrix,
 )
 from alleetanner.bifurcation import RegionLabel
-from alleetanner import flow
+from alleetanner.stability import hopf_threshold
+from alleetanner import bifurcation, flow
 
 from conftest import BISTABLE, CYCLE_POINT, FAST_CFG
 
@@ -119,7 +120,8 @@ def test_interval_needs_the_margin_and_the_radius():
     assert flow._certified_interval(ctx, loose, u - 1e-4, u + 1e-4) is None
     assert flow._certified_interval(ctx, FAST_CFG, u - 1e-4,
                                     u + 1e-4) is not None
-    assert flow._section_interval(ctx, loose) is not None
+    lo, hi = flow._section_interval(ctx, loose)
+    assert lo < hi
     # from just beyond the unstable anchor the return map still moves out,
     # so only the radius rejects an interval that reaches within
     # _MIN_CYCLE_RADIUS of it
@@ -152,7 +154,7 @@ def test_certified_interval_holds_the_converged_crossing():
         interval = flow._section_interval(ctx, FAST_CFG)
         cyc = flow._hunt(ctx, FAST_CFG)
         assert cyc is not None, (m, s)
-        if interval is not None:
+        if interval is not None and interval[0] < interval[1]:
             certified += 1
             a, b = interval
             # the full width, up to the rounding of a and b, or narrower
@@ -203,6 +205,33 @@ def test_no_width_certifies_next_to_the_hopf_curve():
     # a classification context always carries an interval, here the empty
     # one, so that its drives do not run the hunts' return-map rule
     assert ctx.interval is not None
+    # the cycle's interval is the empty one, and the region grid reads no
+    # cycle there either
+    lo, hi = flow._section_interval(flow._context(p), FAST_CFG)
+    assert math.isnan(lo) and math.isnan(hi)
+    assert region_classify(p, FAST_CFG, guard=0.0) is RegionLabel.NEAR_LOCUS
+
+
+def test_narrower_widths_are_tried_where_the_widest_reaches_the_anchor(
+        monkeypatch):
+    # the hunt's crossing lies 5.8e-3 beyond the anchor, so an interval of
+    # half-width 5e-3 comes within _MIN_CYCLE_RADIUS of it; the narrower
+    # ones are tried, though none certifies this close to the Hopf curve
+    q, c = 0.5, 0.1
+    p = Params(-0.03, 0.999 * hopf_threshold(Params(-0.03, 1.0, q, c)), q, c)
+    ctx = flow._context(p)
+    assert 5e-3 < flow._hunt(ctx, FAST_CFG).crossing[0] - ctx.anchor < 6e-3
+    tried = []
+    certified_interval = flow._certified_interval
+
+    def spy(ctx, cfg, a, b):
+        tried.append(0.5 * (b - a))
+        return certified_interval(ctx, cfg, a, b)
+
+    monkeypatch.setattr(flow, "_certified_interval", spy)
+    region = region_classify(p, FAST_CFG, guard=0.0)
+    assert min(tried) < 0.75 * 0.5 * W
+    assert region is RegionLabel.NEAR_LOCUS
 
 
 def test_cycle_rasters_keep_their_labels():
@@ -278,12 +307,19 @@ def test_only_classification_and_rasters_build_the_interval(monkeypatch):
             return _build(ctx, cfg)
 
         monkeypatch.setattr(flow, name, spy)
+    # the region grid calls the cycle's interval through its own binding
+    monkeypatch.setattr(bifurcation, "_section_interval",
+                        flow._section_interval)
     # the contexts of the region grid, the manifold traces, the cycle hunt
-    # and integrate carry none; the region grid hunts, but keeps no interval
+    # and integrate carry none; the region grid builds the cycle's interval
+    # for its verdict, never the focus interval, and keeps no interval
     assert flow._context(CYCLE_POINT).interval is None
     region_classify(CYCLE_POINT, FAST_CFG)
     region_classify(CYCLE_BISTABLE, FAST_CFG)
-    region_classify(BISTABLE, FAST_CFG)
+    region_classify(BISTABLE, FAST_CFG)   # above S_hopf: not hunted
+    assert calls == [("_section_interval", CYCLE_POINT),
+                     ("_section_interval", CYCLE_BISTABLE)]
+    calls.clear()
     homoclinic_gap(CYCLE_BISTABLE, FAST_CFG)
     separatrix(CYCLE_BISTABLE, FAST_CFG)
     separatrix(BISTABLE, FAST_CFG)
