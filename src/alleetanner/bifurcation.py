@@ -80,8 +80,8 @@ class RegionLabel(enum.Enum):
     CYCLE = "cycle"                        # blue: stable limit cycle
     BISTABLE = "bistable"                  # green: (0,C) and P2 both attract
     SINGLE_ATTRACTOR = "single_attractor"  # light green: one stable interior point
-    # within the guard band of a locus, or a hunted cycle that no section
-    # interval certifies, as next to the Hopf curve
+    # within the guard band of a locus, or a converged return map that no
+    # section interval certifies, as next to the Hopf curve
     NEAR_LOCUS = "near_locus"
 
 
@@ -302,19 +302,21 @@ def _illinois(gap, a: float, ga: float, b: float, gb: float) -> float | None:
 def region_classify(p: Params, cfg: IntegratorConfig | None = None,
                     guard: float = 1e-4) -> RegionLabel:
     """One of the five parameter regions, or NearLocus inside a guard band
-    or where no section interval certifies a hunted cycle.
+    or where no section interval certifies a converged return map.
 
     NoInterior comes straight from the extinction conditions; bistable vs
     single-attractor from the trace-zero threshold; repeller vs cycle from
     the cycle verdict of the basin rasters, a section interval that the
     return map provably maps into itself (``flow._section_interval``):
-    Cycle where one holds, NearLocus where the hunt converges onto a cycle
-    that no width certifies (the empty interval, as next to the Hopf
-    curve), and Repeller where the hunt finds no cycle within
-    ``cfg.tau_max``.  Guard bands: |M - M*| < guard around the fold,
-    |S - S_hopf| < guard around the trace-zero curve (classification is
+    Cycle where one holds, NearLocus where the walk of the returns from
+    beside the anchor stops, its last move within the orbit's error margin,
+    where no width certifies (the empty interval, as next to the Hopf
+    curve), and Repeller where the walk finds no cycle: it stops in a
+    trapping disc or strip, leaves the domain or reaches ``cfg.tau_max``.
+    Guard bands: |M - M*| < guard around the fold, |S - S_hopf| < guard
+    around the trace-zero curve (classification is
     ill-posed on the loci themselves; the homoclinic curve has no cheap
-    test and is left to the cycle hunt).  A certificate needs only a few
+    test and is left to the walk).  A certificate needs only a few
     revolutions, so at (0.04, 0.082, 0.45, 0.07), where the cycle attracts
     slowly, tau_max 2500 gives Cycle as the default does.
     """

@@ -1,6 +1,6 @@
 """The certified section interval that ends cycle cells early.
 
-``flow._section_interval`` hunts the cycle and keeps [a, b] around its
+``flow._section_interval`` walks the return map and keeps [a, b] around its
 crossing on v = u + C only if the return map P has P(a) > a and P(b) < b
 beyond the integrator's error margin, a lies far enough beyond the anchor,
 and no equilibrium lies between the two orbits' downward crossings.  The
@@ -10,6 +10,7 @@ here from the stepper and the crossing locator alone.
 
 import dataclasses
 import hashlib
+import itertools
 import math
 from pathlib import Path
 
@@ -116,7 +117,7 @@ def test_interval_needs_the_margin_and_the_radius():
     a, b = flow._section_interval(ctx, FAST_CFG)
     # the converged crossing: the interval's centre is only an estimate of
     # the fixed point, too rough for a half-width of 1e-4
-    u = flow._hunt(ctx, FAST_CFG).crossing[0]
+    u = find_limit_cycle(CYCLE_BISTABLE, cfg=FAST_CFG).crossing[0]
     assert flow._certified_interval(ctx, loose, u - 1e-4, u + 1e-4) is None
     assert flow._certified_interval(ctx, FAST_CFG, u - 1e-4,
                                     u + 1e-4) is not None
@@ -144,15 +145,16 @@ def _benchmark_cycle_points():
 
 
 def test_certified_interval_holds_the_converged_crossing():
-    # the hunt centres its interval on an extrapolated fixed point before it
-    # has converged; the crossing it converges to when hunted on lies inside
+    # the walk centres its interval on an extrapolated fixed point before it
+    # has converged; the crossing that find_limit_cycle converges to lies
+    # inside
     points = _benchmark_cycle_points()
     assert len(points) == 17
     certified = 0
     for m, s in points:
-        ctx = flow._context(Params(m, s, 0.5, 0.1))
-        interval = flow._section_interval(ctx, FAST_CFG)
-        cyc = flow._hunt(ctx, FAST_CFG)
+        p = Params(m, s, 0.5, 0.1)
+        interval = flow._section_interval(flow._context(p), FAST_CFG)
+        cyc = find_limit_cycle(p, cfg=FAST_CFG)
         assert cyc is not None, (m, s)
         if interval is not None and interval[0] < interval[1]:
             certified += 1
@@ -187,11 +189,11 @@ def test_a_failed_interval_is_tried_narrower(monkeypatch):
             assert max(abs(a1 - a0), abs(b1 - b0)) >= 1e-5
     a, b = interval
     assert b - a < 2.0 * W
-    assert a < flow._hunt(ctx, FAST_CFG).crossing[0] < b
+    assert a < find_limit_cycle(p, cfg=FAST_CFG).crossing[0] < b
 
 
 def test_no_width_certifies_next_to_the_hopf_curve():
-    # |S - S_hopf| = 3.8e-5: the hunt converges, but the inner orbit's
+    # |S - S_hopf| = 3.8e-5: the walk stops, but the inner orbit's
     # error margin exceeds P(a) - a at every width, so classification ends
     # no cell on the cycle, where the return-map rule once did
     p = Params(-0.010179065275443988, 0.08354166666666667, 0.5, 0.1)
@@ -212,6 +214,44 @@ def test_no_width_certifies_next_to_the_hopf_curve():
     assert region_classify(p, FAST_CFG, guard=0.0) is RegionLabel.NEAR_LOCUS
 
 
+def test_the_walk_stops_at_its_error_margin():
+    # far from the Hopf curve (S/S_hopf 0.716) the integrator's error per
+    # revolution at these tolerances exceeds rho_cyc: the hunt's return-map
+    # rule never holds and the hunt runs to the horizon, while the walk
+    # stops once a return moves by no more than its error margin and
+    # certifies there, so no cell of the raster is left Undecided
+    p = Params(-0.03227935741880463, 0.035208333333333335, 0.5, 0.1)
+    assert find_limit_cycle(p, cfg=FAST_CFG) is None
+    lo, hi = flow._section_interval(flow._context(p), FAST_CFG)
+    assert lo < hi
+    assert region_classify(p, FAST_CFG, guard=0.0) is RegionLabel.CYCLE
+    assert (compute_basins(p, 6, FAST_CFG).labels != 0).all()
+    # next to the Hopf curve (S/S_hopf 0.994) the returns creep outward by
+    # about their margin: the walk stops where it can see no further
+    # convergence, and no width certifies there
+    p = Params(0.012168689497275675, 0.11979166666666667, 0.5, 0.1)
+    assert region_classify(p, FAST_CFG, guard=0.0) is RegionLabel.NEAR_LOCUS
+    # between points next to the Hopf curve where the hunt converged, it
+    # once ran to the horizon here and the grid read repeller
+    q, c = 0.5, 0.1
+    s = (1.0 - 1.5e-3) * hopf_threshold(Params(-0.03, 1.0, q, c))
+    assert region_classify(Params(-0.03, s, q, c), FAST_CFG,
+                           guard=0.0) is RegionLabel.CYCLE
+
+
+def test_returns_carry_the_margin_of_their_own_revolution():
+    # one loop gives the return map: its first item is the first return,
+    # and each later one comes with the margin of its own revolution, not
+    # the sum since the start
+    ctx = flow._context(CYCLE_POINT)
+    a, b = flow._section_interval(ctx, FAST_CFG)
+    first, second = itertools.islice(
+        flow._returns(ctx, FAST_CFG, (b, b + CYCLE_POINT.C)), 2)
+    assert first == flow._first_return(ctx, FAST_CFG, b)
+    assert a < first[0] < b and a < second[0] < b
+    assert 0.5 * first[2] < second[2] < 2.0 * first[2]
+
+
 def test_narrower_widths_are_tried_where_the_widest_reaches_the_anchor(
         monkeypatch):
     # the hunt's crossing lies 5.8e-3 beyond the anchor, so an interval of
@@ -220,7 +260,7 @@ def test_narrower_widths_are_tried_where_the_widest_reaches_the_anchor(
     q, c = 0.5, 0.1
     p = Params(-0.03, 0.999 * hopf_threshold(Params(-0.03, 1.0, q, c)), q, c)
     ctx = flow._context(p)
-    assert 5e-3 < flow._hunt(ctx, FAST_CFG).crossing[0] - ctx.anchor < 6e-3
+    assert 5e-3 < find_limit_cycle(p, cfg=FAST_CFG).crossing[0] - ctx.anchor < 6e-3
     tried = []
     certified_interval = flow._certified_interval
 
@@ -248,7 +288,7 @@ def test_cycle_rasters_keep_their_labels():
 
 
 def test_a_return_into_a_trapping_disc_fails_at_once(monkeypatch):
-    # at this cycle point of the benchmark grid the region hunt tries
+    # at this cycle point of the benchmark grid the region walk tries
     # intervals whose outer end's orbit falls into the trapping disc of
     # (0, C); that return fails there, not at the horizon
     p = Params(-0.0321875, 0.035208333333333335, 0.5, 0.1)
@@ -281,7 +321,7 @@ def test_a_return_into_a_trapping_disc_fails_at_once(monkeypatch):
 
 
 def test_no_interval_without_a_cycle():
-    # an attracting anchor: the hunt ends in its trapping disc
+    # an attracting anchor: the walk ends in its trapping disc
     assert flow._section_interval(flow._context(BISTABLE), FAST_CFG) is None
 
 
@@ -331,7 +371,7 @@ def test_only_classification_and_rasters_build_the_interval(monkeypatch):
     compute_basins(CYCLE_POINT, 3, FAST_CFG)
     assert calls == [("_section_interval", CYCLE_POINT)] * 2
     # where no cycle is certified and the anchor attracts, the stable
-    # focus's interval is built after the hunt
+    # focus's interval is built after the walk
     calls.clear()
     classify_omega_limit(BISTABLE, (0.3, 0.3), FAST_CFG)
     compute_basins(BISTABLE, 3, FAST_CFG)
