@@ -46,7 +46,7 @@ if TYPE_CHECKING:
 MAGIC = b"PPBASIN1"
 FORMAT_VERSION = 1
 # Part of the cache key: bump it with any change that can move a label.
-ALGORITHM_VERSION = 10
+ALGORITHM_VERSION = 11
 
 Bounds = tuple[tuple[float, float], tuple[float, float]]
 PHI: Bounds = ((0.0, 1.0), (0.0, 1.0))

@@ -307,11 +307,12 @@ def region_classify(p: Params, cfg: IntegratorConfig | None = None,
     NoInterior comes straight from the extinction conditions; bistable vs
     single-attractor from the trace-zero threshold; repeller vs cycle from
     the cycle verdict of the basin rasters, a section interval that the
-    return map provably maps into itself (``flow._section_interval``):
-    Cycle where one holds, NearLocus where the walk of the returns from
-    beside the anchor stops, its last move within the orbit's error margin,
-    where no width certifies (the empty interval, as next to the Hopf
-    curve), and Repeller where the walk finds no cycle: it stops in a
+    return map provably maps into itself (``flow._section_interval``),
+    tried at a width that halves after every try that fails: Cycle where
+    one holds, NearLocus where the walk of the returns from beside the
+    anchor stops, its last move within the orbit's error margin, where no
+    width certifies (the empty interval, as next to the Hopf curve at
+    rel_tol 1e-6), and Repeller where the walk finds no cycle: it stops in a
     trapping disc or strip, leaves the domain or reaches ``cfg.tau_max``.
     Guard bands: |M - M*| < guard around the fold, |S - S_hopf| < guard
     around the trace-zero curve (classification is

@@ -43,8 +43,10 @@ Termination events, checked after every accepted step:
 
 The certificates read the return map from one loop, ``_returns``, with
 each return's error margin: the cycle's interval comes from a walk of the
-returns from beside the anchor that stops once a return moves by no more
-than its margin, where the integrator can see no further convergence.
+returns from beside the anchor that tries intervals around Aitken's
+estimates of the fixed point and stops once a return moves by no more than
+its margin, where the integrator can see no further convergence.  The walk
+keeps one width and halves it after every try that fails.
 
 Basin rasters run many seeds at once (``_lockstep``): the same attempts
 and events on numpy arrays, elementwise in the same order, so each seed
@@ -126,10 +128,11 @@ _CYCLE_CONTRACTION = 0.98
 # the interior equilibrium, not on a cycle around it.
 _MIN_CYCLE_RADIUS = 1e-3
 # Half-width of the section interval certified around the cycle's crossing,
-# the widest tried; ``_section_interval`` halves it around the return where
-# its walk stops when it fails.  P(a) - a grows with it while the error
-# margin does not, so a wide interval certifies nearer the Hopf curve than a
-# narrow one, and ends slowly attracted cells revolutions sooner: at
+# the first tried; ``_section_interval`` halves it after every try that
+# fails, around an Aitken estimate or around the return where its walk
+# stops.  P(a) - a grows with it while the error margin does not, so a wide
+# interval certifies nearer the Hopf curve than a narrow one, and ends
+# slowly attracted cells revolutions sooner: at
 # (0.04, 0.082, 0.45, 0.07), multiplier 0.85, a 40^2 default-tolerance
 # raster took 1,982,575 step attempts with 1e-4 and 484,420 with 1e-2.
 # 3e-2 failed at S = 0.95 S_hopf there, where the orbit through b leaves
@@ -848,20 +851,23 @@ def _section_interval(ctx: _Context,
     (``_cycle_seed``, as ``find_limit_cycle`` starts).  At a return P
     that moved by d from the one before, where d and the move before it,
     d_prev, have one sign and d is the smaller, r = d/d_prev gives Aitken's
-    estimate a = P + d r/(1 - r) of the return map's fixed point; once
-    |a - P| < ``_SECTION_HALF_WIDTH``/4, the interval of that half-width
-    around a is tried (``_certified_interval``), at most twice.  Once a
-    return moves by no more than its orbit's error margin, at least
+    estimate a = P + d r/(1 - r) of the return map's fixed point.  The walk
+    keeps one half-width w, from ``_SECTION_HALF_WIDTH``, and halves it
+    after every try (``_certified_interval``) that fails, wherever the try
+    is made: [a - w, a + w] is tried whenever |a - P| < w/4.  Once a return
+    moves by no more than its orbit's error margin, at least
     ``_MIN_CYCLE_RADIUS`` beyond the anchor, the integrator can see no
-    further convergence, and intervals [P - w, P + w] are tried for every
-    w = ``_SECTION_HALF_WIDTH``/2, /4, ... down to 1e-5 until one holds;
+    further convergence, and [P - w, P + w] is tried from the current w,
+    halved after each failure, until one holds or w falls below 1e-5;
     ``_certified_interval`` refuses at once a try whose inner end lies
     within ``_MIN_CYCLE_RADIUS`` of the anchor, and a narrower one may still
     fit.  A narrower interval fits where the orbit through a wide one's
-    outer end escapes, but its ends lie nearer the cycle, where the return
-    map moves them less: next to the Hopf curve that move is within the
-    orbits' error margins at every width.  A walk that stops in a trapping
-    disc or strip, leaves the domain or reaches the horizon finds no cycle.
+    outer end escapes, which is why the next estimate is tried narrower at
+    once; but a narrow interval's ends lie nearer the cycle, where the
+    return map moves them less: next to the Hopf curve at rel_tol 1e-6
+    that move is within the orbits' error margins at every width.  A walk
+    that stops in a trapping disc or strip, leaves the domain or reaches the
+    horizon finds no cycle.
     This is the one cycle verdict of the classification paths: the rasters
     and ``classify_omega_limit`` end cells inside the interval, and
     ``bifurcation.region_classify`` reads its three outcomes as cycle,
@@ -875,24 +881,24 @@ def _section_interval(ctx: _Context,
     """
     if ctx.anchor is None:
         return None
-    w, tries, x, last = _SECTION_HALF_WIDTH, 2, math.nan, math.nan
+    w, x, last = _SECTION_HALF_WIDTH, math.nan, math.nan
     for u, _, margin in _returns(ctx, cfg, _cycle_seed(ctx), below=True):
         d = u - x
-        if abs(d) <= margin and u - ctx.anchor >= _MIN_CYCLE_RADIUS:
-            while w >= 2e-5:   # halves down to w >= 1e-5
-                w *= 0.5
-                interval = _certified_interval(ctx, cfg, u - w, u + w)
-                if interval is not None:
-                    return interval
-            return math.nan, math.nan
-        if tries and d * last > 0.0 and abs(d) < abs(last):
+        stop = abs(d) <= margin and u - ctx.anchor >= _MIN_CYCLE_RADIUS
+        a = u if stop else math.nan
+        if not stop and d * last > 0.0 and abs(d) < abs(last):
             r = d / last
             a = u + d * r / (1.0 - r)
-            if abs(a - u) < 0.25 * w:
-                tries -= 1
-                interval = _certified_interval(ctx, cfg, a - w, a + w)
-                if interval is not None:
-                    return interval
+        # NaN compares false: no estimate, no try
+        while w >= 1e-5 and abs(a - u) < 0.25 * w:
+            interval = _certified_interval(ctx, cfg, a - w, a + w)
+            if interval is not None:
+                return interval
+            w *= 0.5
+            if not stop:
+                break
+        if stop:
+            return math.nan, math.nan
         x, last = u, d
     return None
 
@@ -1225,6 +1231,13 @@ def find_limit_cycle(p: Params, seed: State | None = None,
     ``Cycle.residual`` is that last difference, not the crossing's distance
     from the cycle: at Params(0.04, 0.082, 0.45, 0.07), rel_tol 1e-6 and
     abs_tol 1e-9 it reads 4.5e-8, and the map's fixed point is 1.1e-6 away.
+
+    Where the integrator's error per revolution exceeds ``rho_cyc`` no
+    difference gets below it, so the search runs to ``tau_max`` and returns
+    None though ``_section_interval`` certifies the cycle: at
+    Params(-0.03227935741880463, 0.035208333333333335, 0.5, 0.1), rel_tol
+    1e-6, abs_tol 1e-9 and rho_eq 1e-5 that error is about 2e-5.  The rule
+    stays because the benchmark's cycle check needs residual < ``rho_cyc``.
     """
     ctx = _context(p)
     if ctx.anchor is None:

@@ -164,32 +164,65 @@ def test_certified_interval_holds_the_converged_crossing():
             assert a < cyc.crossing[0] < b, (m, s)
     # two are small cycles with no room for an interval of the full width:
     # the orbit through its outer end leaves for (0, C), and a narrower one
-    # around the converged crossing holds
+    # around the next estimate holds
     assert certified == 17
 
 
 def test_a_failed_interval_is_tried_narrower(monkeypatch):
-    # a small cycle of the benchmark grid: both intervals of the full width
-    # fail, and the first half-width one around the converged crossing holds;
-    # no width is tried twice around one centre
+    # a small cycle of the benchmark grid: the orbit through the outer end
+    # of the full width escapes, and the walk halves its one width after
+    # each try that fails, wherever it tries next
     p = Params(-0.0321875, 0.035208333333333335, 0.5, 0.1)
     ctx = flow._context(p)
     tried = []
     certified_interval = flow._certified_interval
 
     def spy(ctx, cfg, a, b):
-        tried.append((a, b))
+        tried.append((0.5 * (a + b), 0.5 * (b - a)))
         return certified_interval(ctx, cfg, a, b)
 
     monkeypatch.setattr(flow, "_certified_interval", spy)
     interval = flow._section_interval(ctx, FAST_CFG)
-    assert len(tried) >= 3
-    for i, (a0, b0) in enumerate(tried):
-        for a1, b1 in tried[i + 1:]:
-            assert max(abs(a1 - a0), abs(b1 - b0)) >= 1e-5
+    widths = [w for _, w in tried]
+    assert len(widths) >= 2
+    assert widths[0] == pytest.approx(W, rel=1e-12)
+    for w0, w1 in zip(widths, widths[1:]):
+        assert w1 == pytest.approx(0.5 * w0, rel=1e-12)
+    # no width repeats around one centre
+    for i, (c0, w0) in enumerate(tried):
+        for c1, w1 in tried[i + 1:]:
+            assert abs(c1 - c0) > 1e-12 or abs(w1 - w0) > 1e-12
     a, b = interval
-    assert b - a < 2.0 * W
+    assert 0.5 * (b - a) == pytest.approx(widths[-1], rel=1e-12)
     assert a < find_limit_cycle(p, cfg=FAST_CFG).crossing[0] < b
+
+
+def test_the_next_estimate_is_tried_narrower_at_default_tolerance(
+        monkeypatch):
+    # next to the Hopf curve (|S - S_hopf| = 3.8e-5) the full width reaches
+    # past the anchor; the half width around the next Aitken estimate
+    # holds, where a walk that kept the full width for its estimates ran to
+    # the horizon and read repeller
+    p = Params(-0.010179065275443988, 0.08354166666666667, 0.5, 0.1)
+    lo, hi = flow._section_interval(flow._context(p), IntegratorConfig())
+    assert lo < hi
+    assert region_classify(p, IntegratorConfig(),
+                           guard=0.0) is RegionLabel.CYCLE
+    # at a cycle of the CLI's default window the same step certifies after
+    # 2,653 step attempts; a second full-width try and a walk on to the
+    # error margin took 12,441
+    attempts = [0]
+    attempt = flow._dp_attempt
+
+    def counted(*args):
+        attempts[0] += 1
+        return attempt(*args)
+
+    monkeypatch.setattr(flow, "_dp_attempt", counted)
+    p = Params(0.0109375, 0.11729166666666667, 0.5, 0.1)
+    lo, hi = flow._section_interval(flow._context(p), IntegratorConfig())
+    assert lo < hi
+    assert attempts[0] < 4000
 
 
 def test_no_width_certifies_next_to_the_hopf_curve():
