@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from .equilibria import CaseLabel, case_label
 # perfbench/tracing.py wraps find_limit_cycle here, so the name stays bound
 # though the region grid reads the cycle verdict of flow._section_interval
-from .flow import IntegratorConfig, _context, _section_interval, \
-    find_limit_cycle
+from .flow import IntegratorConfig, _context, _illinois, \
+    _section_interval, find_limit_cycle
 from .manifolds import GapUndefinedError, homoclinic_gap
 from .model import Params, _real_eigenvalues, _unit_eigenvector, \
     jacobian, validate_params
@@ -204,7 +204,7 @@ def _hom_root(m: float, q: float, c: float, cfg: IntegratorConfig,
         s, upper = found
         return _Root(m, s, s / s_hopf, upper)
     try:
-        s = _illinois(gap, *found)
+        s = _illinois(gap, *found, _GAP_TOL)
     except GapUndefinedError:
         return None
     if s is None:
@@ -273,30 +273,6 @@ def _continue_bracket(probe, m: float, s_hopf: float, lo: float, hi: float,
         if g0 * g1 < 0.0:
             return frac * s_hopf, g0, nxt * s_hopf, g1
         frac, g0, step = nxt, g1, 2.0 * step
-
-
-def _illinois(gap, a: float, ga: float, b: float, gb: float) -> float | None:
-    """An S with |gap| < _GAP_TOL inside the sign change (a, b), or None
-    after 60 evaluations.
-
-    Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971): the secant
-    through the bracket ends, where a new point with the sign of the last
-    one halves the value kept at the far end; a step outside the bracket
-    becomes the midpoint.
-    """
-    for _ in range(60):
-        x = b - gb * (b - a) / (gb - ga)
-        if not min(a, b) < x < max(a, b):
-            x = 0.5 * (a + b)
-        gx = gap(x)
-        if abs(gx) < _GAP_TOL:
-            return x
-        if (gx > 0.0) != (gb > 0.0):
-            a, ga = b, gb
-        else:
-            ga *= 0.5
-        b, gb = x, gx
-    return None
 
 
 def region_classify(p: Params, cfg: IntegratorConfig | None = None,

@@ -10,35 +10,32 @@ Termination events, checked after every accepted step:
 * equilibrium convergence: the state is within ``rho_eq`` of a known
   equilibrium AND the field norm there is below ``rho_eq`` (the second test
   keeps a slow saddle passage from being misread as convergence); or, on
-  the classification paths (``classify_omega_limit``, ``find_limit_cycle``
-  and the basin rasters, not ``integrate`` or the manifold traces), the
-  state is in a region that provably flows to an attracting equilibrium:
+  the classification paths (``classify_omega_limit`` and the basin rasters,
+  not ``integrate`` or the manifold traces), the state is in a region that
+  provably flows to an attracting equilibrium:
   - its trapping disc, a disc inside a sublevel set of a quadratic
     Lyapunov function on which dV/dt < 0 is certified, sector by sector of
     directions, from the field's exact Taylor remainder
     (``stability.trapping_radius``).  Each disc is certified on the first
-    test that reads it, so ``integrate`` and the manifold traces pay for
-    none;
+    test that reads it, so the manifold traces pay for none, and
+    ``integrate`` only for those that its cycle interval's walk reads;
   - for M > 0, the Allee strip of (0, C), 0 <= u < M and v > 0: there
     u' = u((1 - u)(u - M) - Qv) < 0, so u falls to 0 and v tends to C.
     The march ends there only above v = ``rho_eq``, where the ``rho_eq``
     test would also end it at (0, C) (``_arrival``),
-* in ``integrate`` and ``find_limit_cycle``, limit-cycle convergence:
-  successive same-direction crossings of the Poincare section v = u + C
-  (the predator nullcline, which carries every interior equilibrium and is
-  transversal to the flow elsewhere) differ by less than ``rho_cyc``, and
-  their differences contract geometrically or, once the integrator's
-  global error is as large as they are, change sign (the exact return map
-  is monotone; see ``_cycle_found``),
-* on ``classify_omega_limit`` and the basin rasters, which end a cycle
-  only at a certificate, a crossing strictly inside a certified section
-  interval: the cycle's, which the return map provably maps into itself
-  (``_section_interval``), ends on the cycle; where no cycle is certified
-  and the anchor attracts, the stable focus's (anchor, b), which a chain of
-  returns provably shrinks into the anchor's trapping disc
-  (``_focus_interval``), ends at the anchor.  The region grid
-  (``bifurcation.region_classify``) reads a cycle only where the cycle's
-  interval is certified too,
+* a crossing of the Poincare section v = u + C (the predator nullcline,
+  which carries every interior equilibrium and is transversal to the flow
+  elsewhere) strictly inside a certified section interval: the cycle's,
+  which the return map provably maps into itself (``_section_interval``),
+  ends on the cycle.  ``integrate`` builds it at its orbit's first upward
+  crossing beyond the anchor, the classification paths before their
+  first step.  There, where no cycle is certified and the anchor attracts,
+  the stable focus's (anchor, b), which a chain of returns provably
+  shrinks into the anchor's trapping disc (``_focus_interval``), ends at
+  the anchor.  The region grid (``bifurcation.region_classify``) reads a
+  cycle only where the cycle's interval is certified too, and
+  ``find_limit_cycle`` returns one only there, at a root of P(x) - x
+  inside it,
 * horizon ``tau_max`` exceeded, domain exit, or step-size underflow.
 
 The certificates read the return map from one loop, ``_returns``, with
@@ -120,10 +117,6 @@ _PABS = tuple(sum(abs(c) * _TH_MAX ** (j + 1) for j, c in enumerate(P))
 _G_STAGES, _G_STATE, _G_C = (n * 2.0 ** -53 / (1.0 - n * 2.0 ** -53)
                              for n in (33, 6, 3))
 
-# Successive return-map differences of one sign must shrink at least this
-# fast before a cycle is declared; a slow drift toward a boundary contour
-# has ratio -> 1 and keeps its sign.
-_CYCLE_CONTRACTION = 0.98
 # Nearer the anchor than this, a converging return map is closing in on
 # the interior equilibrium, not on a cycle around it.
 _MIN_CYCLE_RADIUS = 1e-3
@@ -194,11 +187,15 @@ class AttractorLabel:
 
 @dataclass(frozen=True)
 class Cycle:
+    """One revolution of a stable limit cycle, from the section crossing
+    that ``find_limit_cycle`` solves for inside the cycle's certified
+    section interval to its return."""
+
     period: float
-    polyline: list[State]         # closed loop of (u, v) states
+    polyline: list[State]         # one revolution, crossing to return
     crossing: State               # section crossing point on v = u + C
-    # last return-map difference |P(x) - x|, not a bound on the distance to
-    # the cycle (see find_limit_cycle)
+    # |P(x) - x| of the crossing x, below rho_cyc; not a bound on the
+    # distance to the cycle (see find_limit_cycle)
     residual: float
 
 
@@ -208,7 +205,6 @@ class Trajectory:
     states: list[State] | None    # the (u, v) state at each of the taus
     termination: Termination
     equilibrium_id: str | None = None
-    cycle: Cycle | None = None
 
 
 def _dp_attempt(f, h, u0, v0, k1u, k1v):
@@ -369,10 +365,10 @@ class _EqTarget:
     ``r2`` is the square of its trapping radius, 0.0 for none (every
     target that is not attracting).  An attracting target certifies its
     disc on the first read of ``r2``, so a context whose trajectories
-    never test a disc (``integrate``, the manifold traces) pays nothing
-    for it.  ``strip`` is M for (0, C) when M > 0, where every state with
-    0 <= u < M and v > 0 flows to it (the Allee strip: u' < 0 there), else
-    0.0."""
+    never test a disc (the manifold traces, and ``integrate`` until its
+    cycle interval's walk reads one) pays nothing for it.  ``strip`` is M
+    for (0, C) when M > 0, where every state with 0 <= u < M and v > 0
+    flows to it (the Allee strip: u' < 0 there), else 0.0."""
 
     __slots__ = ("id", "u", "v", "code", "p", "strip", "r2")
 
@@ -411,9 +407,10 @@ class _Context(NamedTuple):
     ``_with_interval``, so the contexts of ``integrate``,
     ``find_limit_cycle``, the region grid and the manifold traces carry
     none.  A context with an interval, even the empty one, ends a cycle
-    only inside it; one without keeps the return-map test of ``integrate``
-    and ``find_limit_cycle`` (``_drive``).  The region grid builds the
-    cycle's interval too, only to read its verdict.
+    only inside it; on one without, ``_drive`` builds the cycle's interval
+    once its orbit circulates, as ``integrate`` does.  The region grid and
+    ``find_limit_cycle`` build the cycle's interval too, to read its
+    verdict and to bracket the cycle's crossing.
     """
 
     p: Params
@@ -475,30 +472,6 @@ def _arrival(targets: list[_EqTarget], discs: list[_EqTarget], rho2: float,
                 d2 < t.r2 or 0.0 <= u < t.strip and v * v > rho2):
             return t
     return None
-
-
-def _cycle_found(delta, last_delta, u_c, anchor: float, cfg: IntegratorConfig):
-    """Whether the return map on v = u + C has converged onto a cycle.
-
-    ``delta`` and ``last_delta`` are the last two differences of successive
-    crossings beyond the anchor, NaN until there are that many (NaN never
-    passes); ``u_c`` is the prey value of the latest crossing.
-
-    Converged means |delta| < rho_cyc, |last_delta| < 10 rho_cyc, the
-    crossing at least ``_MIN_CYCLE_RADIUS`` from the anchor, and either
-    |delta| <= ``_CYCLE_CONTRACTION`` |last_delta| or a sign change from
-    ``last_delta`` to ``delta``.  The first-return map on a transversal
-    section of a planar flow is monotone (Perko, Differential Equations and
-    Dynamical Systems, 3.4), so exact differences never change sign: a flip
-    is rounding and truncation noise at the integrator's global-error
-    floor, where contraction can no longer be seen.  A slow one-signed
-    drift still fails both tests.
-    """
-    return (abs(delta) < cfg.rho_cyc
-            and abs(last_delta) < 10.0 * cfg.rho_cyc
-            and (abs(delta) <= _CYCLE_CONTRACTION * abs(last_delta)
-                 or delta * last_delta < 0.0)
-            and abs(u_c - anchor) >= _MIN_CYCLE_RADIUS)
 
 
 def _exit_box(u0: float, v0: float, C: float) -> tuple[float, float]:
@@ -605,22 +578,20 @@ def _drive(ctx: _Context, s0: State, cfg: IntegratorConfig, *,
 
     Without samples a state inside a target's trapping disc or strip ends
     the trajectory at that target; with them, only the ``rho_eq`` test
-    does.  A context with an interval (``_with_interval``; an empty one,
-    (NaN, NaN), where none was certified) ends cycles only there: a
-    crossing strictly inside ``ctx.interval`` ends the trajectory at
-    ``ctx.interval_end`` or, for the cycle's interval, on the cycle, with
-    no ``Cycle``, since its period and residual were not measured.  A
-    context without one, that of ``integrate`` or ``find_limit_cycle``,
-    ends on the cycle where the return map converges (``_cycle_found``).
-    The section interval's walk (``_section_interval``) runs on
-    ``_returns``, not here.
+    does.  A crossing strictly inside the context's section interval ends
+    the trajectory at ``ctx.interval_end`` or, for the cycle's interval,
+    on the cycle.  A context without an interval, that of ``integrate``,
+    takes the cycle's (``_section_interval``; the empty one where none is
+    certified) at the orbit's first upward crossing beyond the anchor, and
+    tests that crossing too; an orbit that never gets there never builds
+    it.
     """
     targets = ctx.targets
     anchor = ctx.anchor
     C = ctx.p.C
-    hunt = ctx.interval is None   # the return-map rule
-    lo, hi = ctx.interval or (math.nan, math.nan)
-    if not (hunt or lo < hi):
+    # None: the cycle's interval is built at the first return
+    lo, hi = ctx.interval or (None, None)
+    if not (lo is None or lo < hi):
         anchor = None   # no crossing can end it: skip the section test
     u0, v0 = float(s0[0]), float(s0[1])
     exit_u, exit_v = _exit_box(u0, v0, C)
@@ -628,15 +599,13 @@ def _drive(ctx: _Context, s0: State, cfg: IntegratorConfig, *,
     discs = [] if want_samples else ctx.stops()
 
     stepper = resume
-    prev_cross_u, prev_cross_tau, prev_delta = math.nan, 0.0, math.nan
     start = ((0.0, u0, v0) if stepper is None
              else (stepper.tau, stepper.u, stepper.v))
     taus = [start[0]] if want_samples else None
     states = [start[1:]] if want_samples else None
-    segment = [start[1:]] if hunt and anchor is not None else None
 
-    def finish(term, eq_id=None, cycle=None):
-        return Trajectory(taus, states, term, eq_id, cycle)
+    def finish(term, eq_id=None):
+        return Trajectory(taus, states, term, eq_id)
 
     if stepper is None:
         # the seed itself may already sit on an equilibrium
@@ -653,8 +622,6 @@ def _drive(ctx: _Context, s0: State, cfg: IntegratorConfig, *,
         if want_samples:
             taus.append(stepper.tau)
             states.append((u1, v1))
-        if segment is not None:
-            segment.append((u1, v1))
         if u1 > exit_u or v1 > exit_v:
             return finish(Termination.LEFT_DOMAIN)
         t = _arrival(targets, discs, rho2, u1, v1, stepper.k1u,
@@ -667,24 +634,18 @@ def _drive(ctx: _Context, s0: State, cfg: IntegratorConfig, *,
         g1 = v1 - u1 - C
         if not (g0 < 0.0 <= g1):
             continue
-        tau_c, u_c, v_c = _refine_crossing(stepper, C)
+        u_c = _refine_crossing(stepper, C)[1]
         if u_c <= anchor:
             continue
+        if lo is None:
+            lo, hi = _section_interval(ctx, cfg) or (math.nan, math.nan)
+            if not lo < hi:
+                anchor = None
         if lo < u_c < hi:
             if ctx.interval_end is not None:
                 return finish(Termination.REACHED_EQUILIBRIUM,
                               ctx.interval_end)
             return finish(Termination.REACHED_CYCLE)
-        if not hunt:
-            continue
-        delta = u_c - prev_cross_u
-        if _cycle_found(delta, prev_delta, u_c, anchor, cfg):
-            segment.append((u_c, u_c + C))
-            return finish(Termination.REACHED_CYCLE, cycle=Cycle(
-                tau_c - prev_cross_tau, segment, (u_c, u_c + C),
-                abs(delta)))
-        prev_cross_u, prev_cross_tau, prev_delta = u_c, tau_c, delta
-        segment = [(u_c, u_c + C)]
 
     if stepper.underflow:
         return finish(Termination.STEP_UNDERFLOW)
@@ -692,7 +653,8 @@ def _drive(ctx: _Context, s0: State, cfg: IntegratorConfig, *,
 
 
 def _returns(ctx: _Context, cfg: IntegratorConfig, s0: State,
-             stopped: list | None = None, below: bool = False):
+             stopped: list | None = None, below: bool = False,
+             path: list | None = None):
     """The returns to the section beyond the anchor of the orbit from
     ``s0``, the one loop that computes the return map.
 
@@ -710,7 +672,9 @@ def _returns(ctx: _Context, cfg: IntegratorConfig, s0: State,
     test, so a return that passes close to a saddle counts.  A start on the
     section, where g rounds to about +-5e-17, may read as an upward crossing
     in its first step, so a crossing counts only after a downward one, or
-    from the start when ``below``: a start clearly below the section.
+    from the start when ``below``: a start clearly below the section.  A
+    list ``path`` gets the (tau, u, v) of each accepted step's end and of
+    each crossing that is yielded, just before it is.
     """
     C = ctx.p.C
     stepper = _Stepper(ctx.f, s0, cfg, cfg.tau_max)
@@ -719,6 +683,8 @@ def _returns(ctx: _Context, cfg: IntegratorConfig, s0: State,
     down, margin = None, 0.0
     while stepper.step():
         u0, v0, u1, v1 = stepper.prev_u, stepper.prev_v, stepper.u, stepper.v
+        if path is not None:
+            path.append((stepper.tau, u1, v1))
         if u1 > exit_u or v1 > exit_v:
             return
         # rho2 = 0 leaves the trapping discs and strips as the only test
@@ -733,9 +699,12 @@ def _returns(ctx: _Context, cfg: IntegratorConfig, s0: State,
         if g0 >= 0.0 > g1:
             down = _refine_crossing(stepper, C)[1]
         elif g0 < 0.0 <= g1 and (below or down is not None):
-            u_c = _refine_crossing(stepper, C)[1]
+            crossing = _refine_crossing(stepper, C)
+            u_c = crossing[1]
             if u_c <= ctx.anchor:
                 return
+            if path is not None:
+                path.append(crossing)
             yield u_c, down, margin
             margin = 0.0
 
@@ -835,20 +804,16 @@ def _focus_chain(ctx: _Context, cfg: IntegratorConfig, focus: _EqTarget,
     return not any(low <= t.u <= b for t in ctx.targets if t is not focus)
 
 
-def _cycle_seed(ctx: _Context) -> State:
-    """Where the cycle searches start, beside the section's anchor, which
-    ``ctx`` must have: (min(anchor + 0.05, 0.98), anchor + C)."""
-    return min(ctx.anchor + 0.05, 0.98), ctx.anchor + ctx.p.C
-
-
-def _section_interval(ctx: _Context,
-                      cfg: IntegratorConfig) -> tuple[float, float] | None:
+def _section_interval(ctx: _Context, cfg: IntegratorConfig,
+                      seed: State | None = None
+                      ) -> tuple[float, float] | None:
     """The certified section interval of the cycle at ``ctx``; the empty
     interval (NaN, NaN) when the walk of the return map stops where no
     width certifies; None when the walk finds no cycle.
 
-    Walks the returns (``_returns``) of the orbit from beside the anchor
-    (``_cycle_seed``, as ``find_limit_cycle`` starts).  At a return P
+    Walks the returns (``_returns``) of the orbit from ``seed``, by default
+    from (min(anchor + 0.05, 0.98), anchor + C), beside the anchor, as the
+    classification paths and ``integrate`` do.  At a return P
     that moved by d from the one before, where d and the move before it,
     d_prev, have one sign and d is the smaller, r = d/d_prev gives Aitken's
     estimate a = P + d r/(1 - r) of the return map's fixed point.  The walk
@@ -866,23 +831,26 @@ def _section_interval(ctx: _Context,
     once; but a narrow interval's ends lie nearer the cycle, where the
     return map moves them less: next to the Hopf curve at rel_tol 1e-6
     that move is within the orbits' error margins at every width.  A walk
-    that stops in a trapping disc or strip, leaves the domain or reaches the
-    horizon finds no cycle.
-    This is the one cycle verdict of the classification paths: the rasters
-    and ``classify_omega_limit`` end cells inside the interval, and
-    ``bifurcation.region_classify`` reads its three outcomes as cycle,
-    near_locus and repeller.  ``ctx`` carries no interval yet.  On a 2-vCPU
-    x86 VM (min of 7 calls, two rounds) this took 1.9-3.0 ms at the cycle
-    point (-0.055, 0.03, 0.55, 0.1) with rel_tol 1e-6, 10-11 ms at
-    (0.04, 0.082, 0.45, 0.07) with the default tolerances, where the cycle
-    attracts slowly, and 0.4-0.7 ms at the bistable point
-    (0.04, 0.12, 0.45, 0.07), where the walk ends in the anchor's trapping
-    disc.
+    that stops in a trapping disc or strip, leaves the domain, reaches the
+    horizon or crosses the section upward at or below the anchor finds no
+    cycle.
+    This is the one cycle verdict: the rasters, ``classify_omega_limit``
+    and ``integrate`` end orbits inside the interval, ``find_limit_cycle``
+    finds the cycle's crossing in it, and ``bifurcation.region_classify``
+    reads its three outcomes as cycle, near_locus and repeller.  ``ctx``
+    carries no interval yet.  On a 2-vCPU x86 VM (min of 7 calls, two
+    rounds) this took 1.9-3.0 ms at the cycle point (-0.055, 0.03, 0.55,
+    0.1) with rel_tol 1e-6, 10-11 ms at (0.04, 0.082, 0.45, 0.07) with the
+    default tolerances, where the cycle attracts slowly, and 0.4-0.7 ms at
+    the bistable point (0.04, 0.12, 0.45, 0.07), where the walk ends in the
+    anchor's trapping disc.
     """
     if ctx.anchor is None:
         return None
+    if seed is None:
+        seed = min(ctx.anchor + 0.05, 0.98), ctx.anchor + ctx.p.C
     w, x, last = _SECTION_HALF_WIDTH, math.nan, math.nan
-    for u, _, margin in _returns(ctx, cfg, _cycle_seed(ctx), below=True):
+    for u, _, margin in _returns(ctx, cfg, seed, below=True):
         d = u - x
         stop = abs(d) <= margin and u - ctx.anchor >= _MIN_CYCLE_RADIUS
         a = u if stop else math.nan
@@ -900,6 +868,31 @@ def _section_interval(ctx: _Context,
         if stop:
             return math.nan, math.nan
         x, last = u, d
+    return None
+
+
+def _illinois(g, a: float, ga: float, b: float, gb: float,
+              tol: float) -> float | None:
+    """An x with |g(x)| < ``tol`` inside the sign change (a, b), where g
+    is ``ga`` at a and ``gb`` at b, or None after 60 evaluations.
+
+    Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971): the secant
+    through the bracket ends, where a new point with the sign of the last
+    one halves the value kept at the far end; a step outside the bracket
+    becomes the midpoint.
+    """
+    for _ in range(60):
+        x = b - gb * (b - a) / (gb - ga)
+        if not min(a, b) < x < max(a, b):
+            x = 0.5 * (a + b)
+        gx = g(x)
+        if abs(gx) < tol:
+            return x
+        if (gx > 0.0) != (gb > 0.0):
+            a, ga = b, gb
+        else:
+            ga *= 0.5
+        b, gb = x, gx
     return None
 
 
@@ -939,12 +932,14 @@ _HANDOVER = 40
 # the worker shares with its parent), and at 40 and 34 MB at 400^2.
 #
 # ``basin.compute_basins`` splits a raster of more than one pool over up to
-# one forked worker per CPU.  On the same VM a forced two-way split of the
-# default-tolerance bistable raster, against one process (medians of 4
-# alternating rounds), took 0.44 -> 0.43 s at 24^2, 0.55 -> 0.50 s at 32^2,
-# 0.64 -> 0.58 s at 40^2, 0.75 -> 0.65 s at 46^2 and 1.70 -> 0.92 s at 70^2;
-# other rounds saw the split lose at 24^2 and 32^2 (0.31 -> 0.40 s,
-# 0.40 -> 0.45 s).  So a raster that fits one pool stays in process.
+# one forked worker per CPU.  On the same VM the ``basin`` command at
+# (0.04, 0.12, 0.45, 0.07), default tolerances, split over two workers
+# against in process (medians of alternating pairs), took 0.392 against
+# 0.392 s at 70^2 and 0.325 against 0.313 s at 73^2 (10 pairs each), and
+# 0.431 against 0.511 s at 120^2 and 0.657 against 1.037 s at 200^2 (6 pairs
+# each): the split breaks even at the benchmark's sizes and pays from about
+# 120^2.  Earlier rounds saw it lose below one pool (24^2 and 32^2), so a
+# raster that fits one pool stays in process.
 _POOL = 2048
 
 # Only a crossing inside the context's interval can end a cell, so a
@@ -1012,9 +1007,9 @@ def _lockstep(ctx: _Context, seeds: np.ndarray,
     ``ctx.interval`` the code of the interval's attractor
     (``ctx.cycle_code`` for the cycle's), and the horizon, underflow and
     domain exit 0.  A context without an interval is taken with the empty
-    one, so no cell ends on a cycle by the return-map test.  Equal to
-    :func:`classify_omega_limit` cell by cell, byte for byte, when ``ctx``
-    carries the interval that function builds.
+    one, so no cell ends on a cycle.  Equal to :func:`classify_omega_limit`
+    cell by cell, byte for byte, when ``ctx`` carries the interval that
+    function builds.
     """
     import numpy as np
     n = len(seeds)
@@ -1177,7 +1172,12 @@ def integrate(p: Params, s0: State, cfg: IntegratorConfig | None = None) -> Traj
     """Integrate from ``s0`` until an event or the horizon.
 
     Samples are the accepted step endpoints.  Step-size underflow is
-    reported via the termination tag, never silently looped over.
+    reported via the termination tag, never silently looped over.  Ends at
+    an equilibrium only by the ``rho_eq`` test, and on the cycle at an
+    upward crossing of v = u + C strictly inside the cycle's certified
+    section interval (``_section_interval``), which it builds at the
+    orbit's first upward crossing beyond the anchor: an orbit that never
+    circulates never pays for it.
     """
     return _drive(_context(p), s0, cfg or IntegratorConfig(),
                   want_samples=True)
@@ -1193,9 +1193,9 @@ def classify_omega_limit(p: Params, s0: State,
     trajectory enters the equilibrium's trapping disc, from which every
     trajectory provably converges to it (``stability.trapping_radius``), or
     comes within ``rho_eq`` of it with a field norm below ``rho_eq``, the
-    one rule of ``integrate``.  For M > 0 it also returns (0, C) once the
-    trajectory enters the Allee strip 0 <= u < M, v > ``rho_eq``, where
-    u' < 0.  Returns LimitCycle only at the first crossing of v = u + C
+    equilibrium rule of ``integrate``.  For M > 0 it also returns (0, C)
+    once the trajectory enters the Allee strip 0 <= u < M, v > ``rho_eq``,
+    where u' < 0.  Returns LimitCycle only at the first crossing of v = u + C
     strictly inside the cycle's certified section interval
     (``_section_interval``), which every orbit through it provably follows
     onto a cycle; where no width of that interval certifies, a trajectory
@@ -1219,30 +1219,42 @@ def classify_omega_limit(p: Params, s0: State,
 
 def find_limit_cycle(p: Params, seed: State | None = None,
                      cfg: IntegratorConfig | None = None) -> Cycle | None:
-    """Locate a stable limit cycle reached from ``seed``, if any; with no
-    seed, from beside the larger interior point, as the raster does.
+    """The stable limit cycle certified from ``seed``, if any; with no
+    seed, from beside the larger interior point, as the rasters do.
 
-    Iterates crossings of the section v = u + C (through the interior
-    equilibrium, along direction (1, 1)) until successive crossings differ by
-    less than ``rho_cyc`` and their differences contract or, at the
-    integrator's noise floor, change sign.  Returns None when crossings run
-    into an equilibrium or the horizon, or when no interior anchor exists.
+    Walks the returns to the section v = u + C (through the interior
+    equilibrium, along direction (1, 1)) from ``seed`` to the cycle's
+    certified section interval (a, b) (``_section_interval``), whose
+    return map P has P(a) > a and P(b) < b beyond the integrator's error,
+    and solves P(x) = x inside it by ``_illinois`` to
+    |P(x) - x| < ``rho_cyc``.  Returns the revolution from (x, x + C) to
+    its return, or None where no interval certifies (the walk ends in a
+    trapping disc or strip, outside the domain, at the horizon or at an
+    upward crossing at or below the anchor, or stops where no width holds,
+    as next to the Hopf curve at rel_tol 1e-6), where the solve needs more
+    than 60 returns, or where there is no interior anchor.
 
-    ``Cycle.residual`` is that last difference, not the crossing's distance
-    from the cycle: at Params(0.04, 0.082, 0.45, 0.07), rel_tol 1e-6 and
-    abs_tol 1e-9 it reads 4.5e-8, and the map's fixed point is 1.1e-6 away.
-
-    Where the integrator's error per revolution exceeds ``rho_cyc`` no
-    difference gets below it, so the search runs to ``tau_max`` and returns
-    None though ``_section_interval`` certifies the cycle: at
-    Params(-0.03227935741880463, 0.035208333333333335, 0.5, 0.1), rel_tol
-    1e-6, abs_tol 1e-9 and rho_eq 1e-5 that error is about 2e-5.  The rule
-    stays because the benchmark's cycle check needs residual < ``rho_cyc``.
+    ``Cycle.residual`` is |P(x) - x|, not the crossing's distance from the
+    cycle: with multiplier m near 1 that distance is about
+    residual / (1 - m), and P itself is off by the integrator's error
+    per revolution.
     """
+    cfg = cfg or IntegratorConfig()
     ctx = _context(p)
-    if ctx.anchor is None:
+    try:
+        a, b = _section_interval(ctx, cfg, seed) or (math.nan, math.nan)
+    except ZeroDivisionError:   # a seed on the singular line u = -C
         return None
-    if seed is None:
-        seed = _cycle_seed(ctx)
-    return _drive(ctx, seed, cfg or IntegratorConfig(),
-                  want_samples=False).cycle
+    if not a < b:
+        return None
+
+    def gap(x: float) -> float:
+        ret = _first_return(ctx, cfg, x)
+        return math.nan if ret is None else ret[0] - x
+
+    x = _illinois(gap, a, gap(a), b, gap(b), cfg.rho_cyc)
+    if x is None:
+        return None
+    path = [(0.0, x, x + p.C)]
+    u = next(_returns(ctx, cfg, path[0][1:], path=path))[0]
+    return Cycle(path[-1][0], [s[1:] for s in path], path[0][1:], abs(u - x))

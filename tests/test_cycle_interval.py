@@ -72,7 +72,7 @@ def test_interval_maps_into_itself_at_tight_tolerance(p, cfg):
     assert a - ctx.anchor >= flow._MIN_CYCLE_RADIUS
     assert return_map(p, a, TIGHT) > a
     assert return_map(p, b, TIGHT) < b
-    # the hunt's crossing, at the same tolerances, lies inside
+    # the cycle's crossing, at the same tolerances, lies inside
     u_star = ctx.anchor
     cyc = find_limit_cycle(p, (min(u_star + 0.05, 0.98), u_star + p.C), cfg)
     assert a < cyc.crossing[0] < b
@@ -228,7 +228,8 @@ def test_the_next_estimate_is_tried_narrower_at_default_tolerance(
 def test_no_width_certifies_next_to_the_hopf_curve():
     # |S - S_hopf| = 3.8e-5: the walk stops, but the inner orbit's
     # error margin exceeds P(a) - a at every width, so classification ends
-    # no cell on the cycle, where the return-map rule once did
+    # no cell on the cycle, where the return-map rule once did, and
+    # find_limit_cycle, which needs the interval, returns no cycle
     p = Params(-0.010179065275443988, 0.08354166666666667, 0.5, 0.1)
     ctx = flow._with_interval(flow._context(p), FAST_CFG)
     lo, hi = ctx.interval or (math.nan, math.nan)
@@ -236,9 +237,9 @@ def test_no_width_certifies_next_to_the_hopf_curve():
     a = ctx.anchor
     assert classify_omega_limit(p, (a + 0.02, a + 0.12), FAST_CFG) == \
         AttractorLabel.undecided()
-    assert find_limit_cycle(p, cfg=FAST_CFG) is not None
+    assert find_limit_cycle(p, cfg=FAST_CFG) is None
     # a classification context always carries an interval, here the empty
-    # one, so that its drives do not run the hunts' return-map rule
+    # one, so that its drives never build one, as integrate's do
     assert ctx.interval is not None
     # the cycle's interval is the empty one, and the region grid reads no
     # cycle there either
@@ -249,14 +250,17 @@ def test_no_width_certifies_next_to_the_hopf_curve():
 
 def test_the_walk_stops_at_its_error_margin():
     # far from the Hopf curve (S/S_hopf 0.716) the integrator's error per
-    # revolution at these tolerances exceeds rho_cyc: the hunt's return-map
-    # rule never holds and the hunt runs to the horizon, while the walk
-    # stops once a return moves by no more than its error margin and
-    # certifies there, so no cell of the raster is left Undecided
+    # revolution at these tolerances exceeds rho_cyc, so no two returns of
+    # one orbit come within rho_cyc of each other; the walk stops once a
+    # return moves by no more than its error margin and certifies there, so
+    # no cell of the raster is left Undecided, and find_limit_cycle solves
+    # P(x) = x to rho_cyc inside the interval
     p = Params(-0.03227935741880463, 0.035208333333333335, 0.5, 0.1)
-    assert find_limit_cycle(p, cfg=FAST_CFG) is None
     lo, hi = flow._section_interval(flow._context(p), FAST_CFG)
     assert lo < hi
+    cyc = find_limit_cycle(p, cfg=FAST_CFG)
+    assert lo < cyc.crossing[0] < hi
+    assert cyc.residual < FAST_CFG.rho_cyc
     assert region_classify(p, FAST_CFG, guard=0.0) is RegionLabel.CYCLE
     assert (compute_basins(p, 6, FAST_CFG).labels != 0).all()
     # next to the Hopf curve (S/S_hopf 0.994) the returns creep outward by
@@ -287,23 +291,25 @@ def test_returns_carry_the_margin_of_their_own_revolution():
 
 def test_narrower_widths_are_tried_where_the_widest_reaches_the_anchor(
         monkeypatch):
-    # the hunt's crossing lies 5.8e-3 beyond the anchor, so an interval of
-    # half-width 5e-3 comes within _MIN_CYCLE_RADIUS of it; the narrower
-    # ones are tried, though none certifies this close to the Hopf curve
+    # the walk's first try, around an Aitken estimate, reaches past the
+    # anchor, and it stops at a return 7.1e-3 beyond the anchor, within the
+    # full half-width of it; the narrower ones are tried, though none
+    # certifies this close to the Hopf curve
     q, c = 0.5, 0.1
     p = Params(-0.03, 0.999 * hopf_threshold(Params(-0.03, 1.0, q, c)), q, c)
     ctx = flow._context(p)
-    assert 5e-3 < find_limit_cycle(p, cfg=FAST_CFG).crossing[0] - ctx.anchor < 6e-3
     tried = []
     certified_interval = flow._certified_interval
 
     def spy(ctx, cfg, a, b):
-        tried.append(0.5 * (b - a))
+        tried.append((0.5 * (a + b), 0.5 * (b - a)))
         return certified_interval(ctx, cfg, a, b)
 
     monkeypatch.setattr(flow, "_certified_interval", spy)
     region = region_classify(p, FAST_CFG, guard=0.0)
-    assert min(tried) < 0.75 * 0.5 * W
+    assert tried[0][0] - tried[0][1] < ctx.anchor
+    assert 7e-3 < tried[-1][0] - ctx.anchor < 7.2e-3
+    assert min(w for _, w in tried) < 0.75 * 0.5 * W
     assert region is RegionLabel.NEAR_LOCUS
 
 
@@ -358,6 +364,29 @@ def test_no_interval_without_a_cycle():
     assert flow._section_interval(flow._context(BISTABLE), FAST_CFG) is None
 
 
+def test_returns_end_at_an_upward_crossing_below_the_anchor():
+    # between the Allee strip and the saddle the prey nullcline lies below
+    # the section, so the orbit from a seed between the two crosses upward
+    # left of the saddle on its way to (0, C): the returns end there, before
+    # the strip or the disc of (0, C), and find_limit_cycle walks no
+    # further from that seed
+    ctx = flow._context(BISTABLE)
+    seed = (0.1, 0.145)
+    (saddle,) = [t for t in ctx.targets if t.id == "interior_low"]
+    assert BISTABLE.M < seed[0] < saddle.u
+    assert (1.0 - seed[0]) * (seed[0] - BISTABLE.M) / BISTABLE.Q < seed[1] \
+        < seed[0] + BISTABLE.C
+    stopped, path = [], []
+    assert list(flow._returns(ctx, FAST_CFG, seed, stopped, below=True,
+                              path=path)) == []
+    assert stopped == []
+    # the last step crosses the section upward, left of the saddle
+    (_, u0, v0), (_, u1, v1) = ([(0.0, *seed)] + path)[-2:]
+    assert v0 - u0 - BISTABLE.C < 0.0 <= v1 - u1 - BISTABLE.C
+    assert BISTABLE.M < u1 < saddle.u
+    assert find_limit_cycle(BISTABLE, seed, FAST_CFG) is None
+
+
 def test_return_skips_its_own_start():
     # from a section point where g rounds below zero the first step reads
     # as an upward crossing; the return is the next one, a revolution on
@@ -372,20 +401,21 @@ def test_return_skips_its_own_start():
         assert pb < x - margin
 
 
-def test_only_classification_and_rasters_build_the_interval(monkeypatch):
+def test_which_paths_build_which_interval(monkeypatch):
     calls = []
     for name in ("_section_interval", "_focus_interval"):
-        def spy(ctx, cfg, _build=getattr(flow, name), _name=name):
+        def spy(ctx, cfg, *seed, _build=getattr(flow, name), _name=name):
             calls.append((_name, ctx.p))
-            return _build(ctx, cfg)
+            return _build(ctx, cfg, *seed)
 
         monkeypatch.setattr(flow, name, spy)
     # the region grid calls the cycle's interval through its own binding
     monkeypatch.setattr(bifurcation, "_section_interval",
                         flow._section_interval)
-    # the contexts of the region grid, the manifold traces, the cycle hunt
-    # and integrate carry none; the region grid builds the cycle's interval
-    # for its verdict, never the focus interval, and keeps no interval
+    # the contexts of the region grid, the manifold traces,
+    # find_limit_cycle and integrate carry none; the region grid builds the
+    # cycle's interval for its verdict, never the focus interval, and keeps
+    # no interval
     assert flow._context(CYCLE_POINT).interval is None
     region_classify(CYCLE_POINT, FAST_CFG)
     region_classify(CYCLE_BISTABLE, FAST_CFG)
@@ -396,10 +426,18 @@ def test_only_classification_and_rasters_build_the_interval(monkeypatch):
     homoclinic_gap(CYCLE_BISTABLE, FAST_CFG)
     separatrix(CYCLE_BISTABLE, FAST_CFG)
     separatrix(BISTABLE, FAST_CFG)
+    assert calls == []
+    # find_limit_cycle walks to the cycle's interval from its seed, and
+    # integrate builds it once its orbit crosses the section beyond the
+    # anchor, where the anchor attracts too; neither builds the focus
+    # interval, and an orbit that never gets there builds none
     find_limit_cycle(CYCLE_POINT, (0.445, 0.495), FAST_CFG)
     integrate(CYCLE_POINT, (0.3, 0.3), FAST_CFG)
     integrate(BISTABLE, (0.3, 0.3), FAST_CFG)
-    assert calls == []
+    integrate(BISTABLE, (0.02, 0.3), FAST_CFG)
+    assert calls == [("_section_interval", CYCLE_POINT)] * 2 + [
+        ("_section_interval", BISTABLE)]
+    calls.clear()
     classify_omega_limit(CYCLE_POINT, (0.3, 0.3), FAST_CFG)
     compute_basins(CYCLE_POINT, 3, FAST_CFG)
     assert calls == [("_section_interval", CYCLE_POINT)] * 2
@@ -412,14 +450,13 @@ def test_only_classification_and_rasters_build_the_interval(monkeypatch):
                      ("_focus_interval", BISTABLE)] * 2
 
 
-@pytest.mark.parametrize("tau_max, moves", [(FAST_CFG.tau_max, 0),
-                                             (2500.0, 2)],
+@pytest.mark.parametrize("tau_max", [FAST_CFG.tau_max, 2500.0],
                          ids=["default", "horizon"])
-def test_interval_moves_only_undecided_cells_to_the_cycle(tau_max, moves):
-    # against the return-map rule alone, which each seed driven on the
-    # context without an interval still follows, a cell can only stop being
-    # Undecided: it reaches the cycle's interval before its horizon, as
-    # two cells of the short-horizon raster do
+def test_interval_moves_only_undecided_cells_to_the_cycle(tau_max):
+    # each seed driven alone on the context without an interval, as
+    # integrate drives it, builds the cycle's interval at its first return
+    # beyond the anchor and ends where the raster ends it: no cell moves,
+    # with a horizon that cuts the slowest cells short too
     cfg = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-9, rho_eq=1e-5,
                            tau_max=tau_max)
     res = 8
@@ -437,10 +474,8 @@ def test_interval_moves_only_undecided_cells_to_the_cycle(tau_max, moves):
     before = np.array([alone(seed) for seed in seeds.tolist()])
     after = flow._lockstep(
         ctx._replace(interval=flow._section_interval(ctx, cfg)), seeds, cfg)
-    moved = before != after
-    assert np.count_nonzero(moved) == moves
-    assert (before[moved] == 0).all()
-    assert (after[moved] == ctx.cycle_code).all()
+    assert (after == ctx.cycle_code).any()
+    assert before.tolist() == after.tolist()
 
 
 def test_a_cell_cut_short_after_its_interval_crossing(monkeypatch):
@@ -454,7 +489,6 @@ def test_a_cell_cut_short_after_its_interval_crossing(monkeypatch):
     for seed in seeds.tolist():
         res = flow._drive(ctx, seed, FAST_CFG, want_samples=True)
         assert res.termination is flow.Termination.REACHED_CYCLE
-        assert res.cycle is None   # it ended at the interval
         cfg = dataclasses.replace(FAST_CFG, tau_max=res.taus[-1] + 50.0)
         assert flow._drive(ctx, seed, cfg, want_samples=False).termination \
             is flow.Termination.REACHED_CYCLE

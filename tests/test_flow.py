@@ -21,15 +21,16 @@ from alleetanner import (
     jacobian,
 )
 from alleetanner.flow import (_TH_MAX, _bisect_crossings, _context,
-                              _cycle_found, _dense, _drive, _lockstep,
-                              _prey_reach, _refine_crossing, _section_quartic,
-                              _Stepper)
+                              _dense, _exit_box, _lockstep, _prey_reach,
+                              _refine_crossing, _returns, _section_quartic,
+                              _Stepper, _with_interval)
 from alleetanner.model import field_closure
 from alleetanner.stability import classify
 from alleetanner.equilibria import all_equilibria
 
 from conftest import (BISTABLE, CYCLE_POINT, EXTINCTION, FAST_CFG,
-                      SINGLE_STABLE, random_params, sample_path)
+                      SINGLE_STABLE, WEAK_BISTABLE, random_params,
+                      sample_path)
 
 FAST = IntegratorConfig(rel_tol=1e-7, abs_tol=1e-10, rho_eq=1e-5,
                         tau_max=3e4)
@@ -140,6 +141,30 @@ def test_trajectories_trapped_in_enlarged_box():
         first = np.argmax(inside)
         assert inside.any(), (p, s0)
         assert inside[first:].all(), (p, s0)
+
+
+def test_an_orbit_past_its_exit_box_ends_there():
+    # the flow keeps u <= max(u0, 1) and v <= max(v0, max(u0, 1) + C), so
+    # only an integrator too loose to follow it leaves the exit box: at
+    # rel_tol 0.1 the predator overshoots past v = 10 near (0, C).
+    # integrate ends as LEFT_DOMAIN at the first step whose end lies
+    # outside, the returns from the same seed end at that step too, and
+    # find_limit_cycle finds no cycle from it
+    cfg = IntegratorConfig(rel_tol=0.1, abs_tol=0.1, rho_eq=1e-5,
+                           tau_max=1e3)
+    s0 = (0.1, 0.5)
+    assert _exit_box(*s0, WEAK_BISTABLE.C) == (10.0, 10.0)
+    tr = integrate(WEAK_BISTABLE, s0, cfg)
+    assert tr.termination is Termination.LEFT_DOMAIN
+    states = np.asarray(tr.states)
+    outside = (states[:, 0] > 10.0) | (states[:, 1] > 10.0)
+    assert outside.tolist() == [False] * (len(states) - 1) + [True]
+    stopped, path = [], []
+    ctx = _context(WEAK_BISTABLE)
+    assert list(_returns(ctx, cfg, s0, stopped, below=True, path=path)) == []
+    assert stopped == []
+    assert [s[1:] for s in path] == tr.states[1:]
+    assert find_limit_cycle(WEAK_BISTABLE, s0, cfg) is None
 
 
 def test_positivity_never_violated():
@@ -481,54 +506,6 @@ def test_dense_output_same_on_floats_and_arrays(ths):
     assert np.array(got).tobytes() == np.array(want).T.tobytes()
 
 
-def test_cycle_predicate_at_its_boundaries():
-    # the return-map test of the cycle hunts, at its exact boundaries
-    cfg = IntegratorConfig()
-    r = cfg.rho_cyc
-    last = 5e-8
-    cases = [  # (delta, last_delta, u_c, expected), anchor 0
-        (0.5 * last, last, 0.5, True),
-        (math.nan, last, 0.5, False),              # no earlier crossing
-        (0.5 * last, math.nan, 0.5, False),        # no earlier difference
-        (math.nan, math.nan, 0.5, False),
-        (r, 2.0 * r, 0.5, False),                  # |delta| = rho_cyc
-        (np.nextafter(r, 0.0), 2.0 * r, 0.5, True),
-        (0.5 * r, 10.0 * r, 0.5, False),           # |last| = 10 rho_cyc
-        (0.98 * last, last, 0.5, True),            # ratio exactly 0.98
-        (-0.98 * last, -last, 0.5, True),
-        (np.nextafter(0.98 * last, 1.0), last, 0.5, False),
-        (0.5 * last, last, 1e-3, True),            # |u_c - anchor| = 1e-3
-        (0.5 * last, last, -1e-3, True),
-        (0.5 * last, last, np.nextafter(1e-3, 0.0), False),
-        # a sign flip is noise at the floor, even where |delta| grew
-        (-0.5 * last, last, 0.5, True),
-        (np.nextafter(r, 0.0), -0.5 * r, 0.5, True),
-        (-np.nextafter(r, 0.0), 0.5 * r, 0.5, True),
-        (r, -0.5 * r, 0.5, False),                 # |delta| = rho_cyc
-        (-r, 0.5 * r, 0.5, False),
-        (0.5 * r, -10.0 * r, 0.5, False),          # |last| = 10 rho_cyc
-        (-0.5 * last, last, np.nextafter(1e-3, 0.0), False),
-        (0.0, last, 0.5, True),                    # a zero is no flip
-        # a same-sign slow drift, ratio 0.99, is not convergence
-        (0.99 * last, last, 0.5, False),
-        (-0.99 * last, -last, 0.5, False),
-    ]
-    want = [c[3] for c in cases]
-    got = [_cycle_found(float(d), float(ld), float(u), 0.0, cfg)
-           for d, ld, u, _ in cases]
-    assert got == want
-
-
-def test_cycle_predicate_rejects_slow_monotone_drift():
-    # a return map with multiplier 0.99: differences keep their sign and
-    # shrink too slowly to pass, from 10 rho_cyc to below 1e-5 rho_cyc
-    cfg = IntegratorConfig()
-    for sign in (1.0, -1.0):
-        deltas = sign * 9.9e-7 * 0.99 ** np.arange(1400)
-        assert not any(_cycle_found(float(d), float(ld), 0.5, 0.0, cfg)
-                       for d, ld in zip(deltas[1:], deltas[:-1]))
-
-
 GENERIC_CYCLE = Params(0.04, 0.082, 0.45, 0.07)
 # tight enough that return-map differences over 2e-3 resolve a multiplier
 # of 6e-12
@@ -552,13 +529,12 @@ def _first_return(ctx, x, cfg):
 @pytest.mark.parametrize("p", [CYCLE_POINT, GENERIC_CYCLE],
                          ids=["cycle-point", "generic"])
 def test_cycle_cells_end_on_the_attracting_cycle(p):
-    """Oracle for the return-map test: the cycle's multiplier, by finite
+    """Oracle for the cycle's interval: the cycle's multiplier, by finite
     differences of the first-return map, is in (0, 1) and equals Liouville's
-    exp(integral of the divergence over one period); every raster cell
-    labelled as the cycle ends, through ``_drive``, near
-    ``find_limit_cycle``'s crossing.  "Near" is 3 rho_cyc / (1 - m): with
-    multiplier m, a crossing whose next difference is below rho_cyc lies
-    within rho_cyc * m / (1 - m) of the fixed point."""
+    exp(integral of the divergence over one period); the certified section
+    interval holds ``find_limit_cycle``'s crossing, and ``integrate`` from
+    every raster cell labelled as the cycle ends at an upward crossing
+    strictly inside that interval."""
     ctx = _context(p)
     u, v = interior_equilibria(p)[-1].location
     cyc = find_limit_cycle(p, (min(u + 0.05, 0.98), v), FAST_CFG)
@@ -573,16 +549,24 @@ def test_cycle_cells_end_on_the_attracting_cycle(p):
     div = float(np.sum(0.5 * (tr[1:] + tr[:-1]) * np.diff(taus)))
     assert abs(math.log(m) - div) < 0.1
 
+    certified = _with_interval(ctx, FAST_CFG)
+    a, b = certified.interval
+    assert certified.interval_end is None and a < x < b
     raster = compute_basins(p, 6, FAST_CFG)
-    code = [a.code for a in raster.attractors if a.kind == "cycle"][0]
+    code = [at.code for at in raster.attractors if at.kind == "cycle"][0]
     rows, cols = np.nonzero(raster.labels == code)
     assert len(rows) > 0
     for i, j in zip(rows, cols):
         s0 = ((j + 0.5) / 6, (i + 0.5) / 6)
-        res = _drive(ctx, s0, FAST_CFG, want_samples=False)
+        res = integrate(p, s0, FAST_CFG)
         assert res.termination is Termination.REACHED_CYCLE
-        assert (abs(res.cycle.crossing[0] - x)
-                < 3.0 * FAST_CFG.rho_cyc / (1.0 - m))
+        # replay the orbit to its last step, which crosses the section
+        st = _Stepper(ctx.f, s0, FAST_CFG, FAST_CFG.tau_max)
+        while st.tau < res.taus[-1] and st.step():
+            pass
+        assert (st.tau, st.u, st.v) == (res.taus[-1], *res.states[-1])
+        assert st.prev_v - st.prev_u - p.C < 0.0 <= st.v - st.u - p.C
+        assert a < _refine_crossing(st, p.C)[1] < b
 
 
 def _cycle_bits(cyc):

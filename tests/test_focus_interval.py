@@ -5,8 +5,8 @@ focus's section interval and the Allee strip of (0, C).
 first returns that falls into the anchor's trapping disc; for M > 0 every
 state with 0 <= u < M and v > 0 has u' < 0 and flows to (0, C), and the
 classification ends there above v = rho_eq.  The
-oracles are ``integrate``, which ends only by the ``rho_eq`` test, and the
-classification with both regions switched off.
+oracles are ``integrate``, which ends at an equilibrium only by the
+``rho_eq`` test, and the classification with both regions switched off.
 """
 
 import numpy as np
@@ -18,6 +18,7 @@ from alleetanner import (
     BranchDirection,
     BranchKind,
     IntegratorConfig,
+    Params,
     Termination,
     all_equilibria,
     classify_omega_limit,
@@ -27,6 +28,7 @@ from alleetanner import (
     trace_manifold,
 )
 from alleetanner import flow, manifolds
+from alleetanner.stability import hopf_threshold
 
 from conftest import BISTABLE, CYCLE_POINT, FAST_CFG, WEAK_BISTABLE
 
@@ -95,6 +97,36 @@ def test_a_return_reports_the_target_that_stopped_it():
     stopped = []
     assert flow._first_return(ctx, CFG, b, stopped) is not None
     assert stopped == []
+
+
+def test_a_chain_fails_at_a_return_that_does_not_fall(monkeypatch):
+    # next to the Hopf curve on the focus's stable side, at rel_tol 1e-3:
+    # each rung's chain meets a return that falls by less than its orbit's
+    # error margin long before the anchor's trapping disc, so no rung holds
+    q, c = 0.5, 0.1
+    p = Params(-0.05, 1.0005 * hopf_threshold(Params(-0.05, 1.0, q, c)), q, c)
+    cfg = IntegratorConfig(rel_tol=1e-3, abs_tol=1e-6, rho_eq=1e-5)
+    ctx = flow._context(p)
+    assert _focus(ctx).code and _focus(ctx).r2 > 0.0
+    calls = []
+    first_return = flow._first_return
+
+    def spy(ctx, cfg, x, stopped=None):
+        ret = first_return(ctx, cfg, x, stopped)
+        calls.append((x, ret))
+        return ret
+
+    monkeypatch.setattr(flow, "_first_return", spy)
+    assert flow._focus_interval(ctx, cfg) is None
+    star = ctx.anchor
+    rungs = [star + 0.5 * (1.0 - star) * flow._FOCUS_SHRINK ** j
+             for j in range(flow._FOCUS_RUNGS)]
+    starts = [i for i, (x, _) in enumerate(calls) if x in rungs]
+    assert [calls[i][0] for i in starts] == rungs
+    # the last return of each chain came back, short of falling
+    for i in [k - 1 for k in starts[1:]] + [len(calls) - 1]:
+        x, (px, _, margin) = calls[i]
+        assert px < x <= px + margin
 
 
 @pytest.mark.parametrize("p", [CYCLE_POINT, WEAK_BISTABLE],

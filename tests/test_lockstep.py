@@ -9,6 +9,7 @@ two CPUs, a raster of more than one pool is split over forked workers.
 """
 
 import faulthandler
+import functools
 import multiprocessing
 import os
 from concurrent.futures.process import BrokenProcessPool
@@ -33,19 +34,29 @@ from conftest import (BISTABLE, CYCLE_POINT, EXTINCTION, FAST_CFG,
                       WEAK_BISTABLE)
 
 
-def scalar_labels(p, resolution, cfg, bounds, codes):
-    (u0, u1), (v0, v1) = bounds
+@functools.cache
+def scalar_ids(regime):
+    """The ``classify_omega_limit`` label id of each cell of the regime's
+    raster, None where Undecided.  The scalar path reads neither ``_POOL``
+    nor ``_HANDOVER``, so one pass serves every ``sizes``."""
+    p, resolution, cfg, ((u0, u1), (v0, v1)) = REGIMES[regime]
     du = (u1 - u0) / resolution
     dv = (v1 - v0) / resolution
-    out = np.zeros((resolution, resolution), dtype=np.uint8)
+    out = []
     for i in range(resolution):
         v = v0 + (i + 0.5) * dv
         for j in range(resolution):
             u = u0 + (j + 0.5) * du
             lab = classify_omega_limit(p, (u, v), cfg)
-            if lab.tag is not AttractorTag.UNDECIDED:
-                out[i, j] = codes[lab.id]
-    return out
+            out.append(None if lab.tag is AttractorTag.UNDECIDED else lab.id)
+    return tuple(out)
+
+
+def scalar_labels(regime, codes):
+    """``scalar_ids`` as a raster of the label ``codes``."""
+    res = REGIMES[regime][1]
+    return np.array([0 if i is None else codes[i] for i in scalar_ids(regime)],
+                    dtype=np.uint8).reshape(res, res)
 
 
 @pytest.fixture(params=["default", "small", "late"])
@@ -109,7 +120,7 @@ def test_lockstep_equals_scalar(regime, sizes, monkeypatch):
             rasters.append(compute_basins(p, res, cfg, bounds))
         assert multiprocessing.active_children() == []
         codes = {a.id: a.code for a in rasters[0].attractors}
-        want = scalar_labels(p, res, cfg, bounds, codes)
+        want = scalar_labels(regime, codes)
     finally:
         faulthandler.cancel_dump_traceback_later()
     for raster in rasters:

@@ -257,17 +257,22 @@ def test_context_gives_discs_to_attractors_only():
 
 def test_no_disc_is_certified_where_none_is_read(monkeypatch):
     # integrate and the manifold traces never test a disc, so their
-    # contexts never run the certificate
+    # contexts never run the certificate; only the walk for the cycle's
+    # interval reads discs, which integrate builds once its orbit crosses
+    # the section beyond the anchor
     def certify(p, state):
         raise AssertionError(f"a disc was certified about {state}")
 
     monkeypatch.setattr(flow, "trapping_radius", certify)
-    integrate(BISTABLE, (0.3, 0.3), FAST_CFG)
+    integrate(BISTABLE, (0.02, 0.3), FAST_CFG)   # the Allee strip, to (0, C)
+    integrate(BISTABLE, (0.5, 0.0), FAST_CFG)    # the prey axis, to (1, 0)
     saddle = interior_equilibria(BISTABLE)[0]
     trace_manifold(BISTABLE, saddle, BranchKind.STABLE,
                    BranchDirection.UP_RIGHT, FAST_CFG)
     homoclinic_gap(BISTABLE, FAST_CFG)
     separatrix(BISTABLE, FAST_CFG)
+    with pytest.raises(AssertionError, match="certified"):
+        integrate(BISTABLE, (0.3, 0.3), FAST_CFG)
     with pytest.raises(AssertionError, match="certified"):
         classify_omega_limit(BISTABLE, (0.3, 0.3), FAST_CFG)
 
